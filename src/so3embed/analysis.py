@@ -3,6 +3,8 @@
 The differential of an embedding at the identity coset maps the tangent basis
 ``TANGENT_BASIS`` to three tensor tuples; the embedding preserves geodesic
 distance to first order exactly when their Gram matrix is the identity.
+Tangent images, means and rank samples are computed as class values (see
+``tensors``) and expanded to dense tensors only where the API returns them.
 Closed-form tangent norms exist for the rank-k cyclic component and yield the
 registered isometric weights through :func:`derive_beta`.
 
@@ -27,22 +29,13 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize
 
-from .embedding import EmbeddedPoint, EmbeddingSpec, embed, radius
-from .so3 import (
-    TANGENT_BASIS,
-    Rotation,
-    group_elements,
-    random_quaternions,
-    quaternions_to_matrices,
-)
-from .tensors import (
-    class_counts,
-    inner,
-    invariant_tensor,
-    sym_coordinates,
-    tensor_from_class_values,
-    tuple_norm,
-)
+from .embedding import EmbeddingSpec, class_values, registry_lookup
+from .so3 import TANGENT_BASIS, group_elements, quaternions_to_matrices, random_quaternions
+from .tensors import class_monomials, class_multiplicities, monomial_derivatives, tensor_from_class_values, tuple_norm
+
+# Bound but not called: bench/spans.py traces these names in this module.
+from .embedding import radius  # noqa: F401
+from .tensors import class_counts, inner, invariant_tensor, sym_coordinates  # noqa: F401
 
 __all__ = [
     "BoundsEstimate",
@@ -64,32 +57,24 @@ __all__ = [
 # differential and first-order isometry
 
 
-def differential_at_identity(spec: EmbeddingSpec) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Images of the three tangent basis directions under the differential.
-
-    For one orbit vector ``v`` of a rank-``alpha`` component the directional
-    derivative along the skew matrix ``s`` is the Leibniz sum placing ``s v``
-    in each slot of the outer power; symmetrizing over the orbit and scaling
-    by ``beta`` gives the component of the tangent tuple.  Centering drops
-    out because it only shifts the embedding by a constant.
-    """
-    tangents: list[list[np.ndarray]] = [[], [], []]
+def _tangent_class_values(spec: EmbeddingSpec) -> list[np.ndarray]:
+    """Per component, the ``(3, C(alpha+2, 2))`` class values of the three tangent
+    images at the identity: along the skew ``s`` the power ``v^{x alpha}`` moves
+    by ``grad m(v) . (s v)`` for each class monomial ``m``.  Centering is a
+    constant shift and drops out."""
+    out = []
     for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
-        comps = [np.zeros((3,) * a) for _ in range(3)]
-        for v, wt in zip(vecs, wts):
-            prefixes = [np.array(1.0)]
-            for _ in range(a):
-                prefixes.append(np.multiply.outer(prefixes[-1], v))
-            moved = TANGENT_BASIS @ v
-            for ell in range(3):
-                sv = moved[ell]
-                acc = comps[ell]
-                for pos in range(a):
-                    term = np.multiply.outer(np.multiply.outer(prefixes[pos], sv), prefixes[a - 1 - pos])
-                    acc += wt * term
-        for ell in range(3):
-            tangents[ell].append(b * comps[ell])
-    return tuple(tuple(t) for t in tangents)
+        grads = monomial_derivatives(a).transpose(0, 2, 1) @ class_monomials(vecs.T, a - 1)  # (3, C, orbit)
+        moved = TANGENT_BASIS @ vecs.T  # (3 tangents, 3, orbit)
+        out.append(b * np.einsum("ldj,dcj,j->lc", moved, grads, wts))
+    return out
+
+
+def differential_at_identity(spec: EmbeddingSpec) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Images of the three tangent basis directions under the differential,
+    one dense tensor tuple each."""
+    vals = _tangent_class_values(spec)
+    return tuple(tuple(tensor_from_class_values(v[ell], a) for v, a in zip(vals, spec.alpha)) for ell in range(3))
 
 
 @dataclass(frozen=True)
@@ -109,8 +94,7 @@ def isometry_check(spec: EmbeddingSpec, tol: float = 1e-10) -> IsometryReport:
     equivariance everywhere) exactly when it equals the identity within
     ``tol``.
     """
-    tangents = differential_at_identity(spec)
-    gram = np.array([[inner(tangents[i], tangents[j]) for j in range(3)] for i in range(3)])
+    gram = sum((v * class_multiplicities(a)) @ v.T for v, a in zip(_tangent_class_values(spec), spec.alpha))
     defect = float(np.abs(gram - np.eye(3)).max())
     return IsometryReport(gram=gram, max_defect=defect, is_isometric=defect < tol)
 
@@ -344,8 +328,6 @@ def bound_ratio_table(
     seed: int = 0,
 ) -> tuple[float, BoundsEstimate]:
     """Distortion ratio ``c_max / c_min`` of a registered spec with replaced weights."""
-    from .embedding import registry_lookup
-
     base = registry_lookup(group_name, "isometric")
     spec = EmbeddingSpec(base.group, base.u, base.alpha, tuple(float(b) for b in beta_override))
     est = global_bounds(spec, n_pairs=n_pairs, refine=refine, seed=seed)
@@ -372,29 +354,18 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
 def empirical_embedding_mean(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> tuple[np.ndarray, ...]:
     """Mean embedding of ``n_samples`` Haar rotations, one tensor per component.
 
-    Computed through the monomial values of each index-count class, so the
-    per-sample cost is polynomial in the rank instead of 3^rank.
+    Summed as class values in blocks of 512 rotations, so the cost per sample
+    is polynomial in the rank and memory stays flat.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     mats = quaternions_to_matrices(random_quaternions(rng, n_samples))
-    comps = []
-    for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
-        counts = class_counts(a)
-        vals = np.zeros(len(counts))
-        for v, wt in zip(vecs, wts):
-            imgs = mats @ v
-            pows = [np.ones((n_samples, 3))]
-            for _ in range(a):
-                pows.append(pows[-1] * imgs)
-            for ci, (n0, n1, n2) in enumerate(counts):
-                vals[ci] += wt * float(np.mean(pows[n0][:, 0] * pows[n1][:, 1] * pows[n2][:, 2]))
-        t = b * tensor_from_class_values(vals, a)
-        if spec.centered and a % 2 == 0:
-            t = t - (b / (a + 1)) * invariant_tensor(a)
-        comps.append(t)
-    return tuple(comps)
+    sums = [np.zeros(math.comb(a + 2, 2)) for a in spec.alpha]
+    for start in range(0, n_samples, 512):
+        for acc, vals in zip(sums, class_values(spec, mats[start : start + 512])):
+            acc += vals.sum(axis=0)
+    return tuple(tensor_from_class_values(acc / n_samples, a) for acc, a in zip(sums, spec.alpha))
 
 
 def mean_check(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> float:
@@ -415,9 +386,10 @@ def rank_check(
 ) -> int:
     """Numerical rank of the span of sampled centered embedding tensors.
 
-    Embeddings are compressed to orthonormal symmetric-class coordinates
-    (a linear isometry), stacked into an ``n_samples`` row matrix, and the
-    rank is the count of singular values above ``1e-8`` times the largest.
+    Embeddings are taken in orthonormal symmetric-class coordinates (class
+    values times the square roots of the class sizes, a linear isometry),
+    stacked into an ``n_samples`` row matrix, and the rank is the count of
+    singular values above ``1e-8`` times the largest.
 
     By default the component maps ``R -> (R u_i)^{x alpha_i}`` are sampled
     without group averaging; the result then reaches the
@@ -431,7 +403,6 @@ def rank_check(
     """
     if not spec.centered:
         raise ValueError("rank_check applies to centered specs only")
-    dim = sum(math.comb(a + 2, 2) for a in spec.alpha)
     if n_samples < 2:
         raise ValueError("need at least two samples")
     sampled = spec
@@ -439,11 +410,7 @@ def rank_check(
         sampled = EmbeddingSpec(group_elements("C1"), spec.u, spec.alpha, spec.beta)
     rng = np.random.default_rng(seed)
     mats = quaternions_to_matrices(random_quaternions(rng, n_samples))
-    from .embedding import _embedding_tuple
-
-    rows = np.empty((n_samples, dim))
-    for i in range(n_samples):
-        comps = _embedding_tuple(sampled, mats[i])
-        rows[i] = np.concatenate([sym_coordinates(t) for t in comps])
+    comps = class_values(sampled, mats)
+    rows = np.concatenate([v * np.sqrt(class_multiplicities(a)) for v, a in zip(comps, spec.alpha)], axis=1)
     svals = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(svals > 1e-8 * svals[0]))

@@ -157,9 +157,12 @@ def _cell_floats(row, cols, line: int):
     for c in cols:
         text = _cell(row, c, line)
         try:
-            out.append(float(text))
+            value = float(text)
         except ValueError:
             raise _DataError(f"line {line}: {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise _DataError(f"line {line}: {text!r} is not a finite number")
+        out.append(value)
     return out
 
 

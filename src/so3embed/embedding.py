@@ -12,6 +12,10 @@ uniform orientation distribution mean zero.  The map is well defined on
 cosets, equivariant under left multiplication, and its image lies on a sphere
 whose radius depends only on the spec.
 
+Components are computed as class values (see ``tensors``) by
+:func:`class_values`; :func:`embed` and :func:`equivariance_defect` expand
+them to dense tensors, the public layout.
+
 Two named parameter sets are registered per group: ``"arnold"`` (the classic
 unit-weight vectors and ranks) and ``"isometric"`` (weights chosen so the
 embedding preserves geodesic distance to first order).
@@ -26,12 +30,17 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .so3 import Coset, GOLDEN_RATIO, Rotation, SymmetryGroup, as_coset, group_elements
-from .tensors import inner, invariant_tensor, outer_power, rotate_tuple, tuple_norm
+from .tensors import class_monomials, class_multiplicities, invariant_class_values, rotate_tuple
+from .tensors import tensor_from_class_values, tuple_norm
+
+# Bound but not called: bench/spans.py traces these names in this module.
+from .tensors import invariant_tensor, outer_power  # noqa: F401
 
 __all__ = [
     "EmbeddedPoint",
     "EmbeddingSpec",
     "TABLE_GROUPS",
+    "class_values",
     "embed",
     "equivariance_defect",
     "expected_hull_dimension",
@@ -80,15 +89,15 @@ class EmbeddingSpec:
             if len(vec) != 3:
                 raise ValueError(f"u[{i}] is not a 3-vector")
             n = math.sqrt(sum(x * x for x in vec))
-            if abs(n - 1.0) > 1e-6:
+            if not math.isfinite(n) or abs(n - 1.0) > 1e-6:
                 raise ValueError(f"u[{i}] has norm {n:.8f}, more than 1e-6 away from 1")
             fixed.append(tuple(x / n for x in vec))
         for i, a in enumerate(alpha):
             if a < 1:
                 raise ValueError(f"alpha[{i}] must be at least 1, got {a}")
         for i, b in enumerate(beta):
-            if not b > 0.0:
-                raise ValueError(f"beta[{i}] must be positive, got {b}")
+            if not (b > 0.0 and math.isfinite(b)):
+                raise ValueError(f"beta[{i}] must be positive and finite, got {b}")
         object.__setattr__(self, "u", tuple(fixed))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -232,18 +241,21 @@ def registry_lookup(group_name: str, variant: str = "isometric") -> EmbeddingSpe
 # the embedding map
 
 
-def _embedding_tuple(spec: EmbeddingSpec, rep_matrix: np.ndarray) -> list[np.ndarray]:
-    comps = []
+def class_values(spec: EmbeddingSpec, mats: np.ndarray) -> list[np.ndarray]:
+    """Class values, shape ``(N, C(alpha_i + 2, 2))`` per component, of the
+    (centered when the spec is) embedding of ``N`` rotation matrices ``(N, 3, 3)``."""
+    out = []
     for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
-        imgs = vecs @ rep_matrix.T
-        acc = wts[0] * outer_power(imgs[0], a)
-        for w, wt in zip(imgs[1:], wts[1:]):
-            acc += wt * outer_power(w, a)
-        acc *= b
+        imgs = (mats @ vecs.T).transpose(1, 0, 2)  # (3, N, orbit)
+        vals = (class_monomials(imgs, a) @ (b * wts)).T
         if spec.centered and a % 2 == 0:
-            acc = acc - (b / (a + 1)) * invariant_tensor(a)
-        comps.append(acc)
-    return comps
+            vals -= (b / (a + 1)) * invariant_class_values(a)
+        out.append(vals)
+    return out
+
+
+def _class_norm(spec: EmbeddingSpec, comps) -> float:
+    return math.sqrt(sum(float(class_multiplicities(a) @ v**2) for a, v in zip(spec.alpha, comps)))
 
 
 def embed(spec: EmbeddingSpec, c) -> EmbeddedPoint:
@@ -253,13 +265,14 @@ def embed(spec: EmbeddingSpec, c) -> EmbeddedPoint:
     coset on the left rotates every tensor component accordingly.
     """
     c = as_coset(c, spec.group)
-    return EmbeddedPoint(tuple(_embedding_tuple(spec, c.rep.matrix)), spec)
+    comps = class_values(spec, c.rep.matrix[None])
+    return EmbeddedPoint(tuple(tensor_from_class_values(v[0], a) for v, a in zip(comps, spec.alpha)), spec)
 
 
 @lru_cache(maxsize=None)
 def radius(spec: EmbeddingSpec) -> float:
     """Norm of every embedded point; constant over the whole quotient."""
-    return tuple_norm(_embedding_tuple(spec, np.eye(3)))
+    return _class_norm(spec, [v[0] for v in class_values(spec, np.eye(3)[None])])
 
 
 def equivariance_defect(spec: EmbeddingSpec, r: Rotation, c) -> float:
@@ -269,8 +282,8 @@ def equivariance_defect(spec: EmbeddingSpec, r: Rotation, c) -> float:
     a sharp diagnostic for orientation-convention mistakes.
     """
     c = as_coset(c, spec.group)
-    left = _embedding_tuple(spec, (r @ c.rep).matrix)
-    right = rotate_tuple(r, _embedding_tuple(spec, c.rep.matrix))
+    left = embed(spec, r @ c.rep).value
+    right = rotate_tuple(r, embed(spec, c).value)
     return math.sqrt(sum(float(np.sum((a - b) ** 2)) for a, b in zip(left, right)))
 
 
@@ -288,11 +301,8 @@ def expected_hull_dimension(spec: EmbeddingSpec) -> int:
 
 def embedded_distance(spec: EmbeddingSpec, c1, c2) -> float:
     """Euclidean distance between two embedded cosets."""
-    c1 = as_coset(c1, spec.group)
-    c2 = as_coset(c2, spec.group)
-    a = _embedding_tuple(spec, c1.rep.matrix)
-    b = _embedding_tuple(spec, c2.rep.matrix)
-    return math.sqrt(sum(float(np.sum((x - y) ** 2)) for x, y in zip(a, b)))
+    mats = np.array([as_coset(c1, spec.group).rep.matrix, as_coset(c2, spec.group).rep.matrix])
+    return _class_norm(spec, [v[0] - v[1] for v in class_values(spec, mats)])
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +329,10 @@ def parse_spec_document(text: str) -> EmbeddingSpec:
         if "=" not in line:
             raise ValueError(f"spec line {ln}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
         if key in fields:
             raise ValueError(f"spec line {ln}: duplicate key {key!r}")
-        fields[key.lower()] = val
+        fields[key] = val
 
     unknown = set(fields) - {"group", "k", "variant", "centered", "u", "alpha", "beta"}
     if unknown:

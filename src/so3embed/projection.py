@@ -2,12 +2,9 @@
 
 Given a target tuple T, the closest embedded point maximizes the linear
 objective ``J(R) = <E([R]), T>`` because every embedded point has the same
-norm.  The gradient of J in the tangent basis has the closed form
-
-    g_l = sum_i alpha_i beta_i <s_l mode1 (R rot E_i), T_i>,
-
-which after orbit compression needs only repeated-vector contractions of the
-target components, so no outer power is ever materialized during the ascent.
+norm.  Targets arrive as dense tensors, but J and its gradient are evaluated
+on class values (see ``_Evaluator``), so no outer power is ever materialized
+during the ascent.
 
 The solver is projected gradient ascent with an exponential-map retraction
 and Armijo backtracking, run from a small multi-start family: one seed from
@@ -27,9 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from .embedding import EmbeddingSpec, embed, radius
-from .so3 import Coset, Rotation, _quat_product
-from .tensors import _classes, inner, invariant_tensor
+from .embedding import EmbeddingSpec, class_values, embed, radius
+from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product
+from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
+
+# Bound but not called: bench/spans.py traces this name in this module.
+from .tensors import invariant_tensor  # noqa: F401
 
 __all__ = [
     "DegenerateConfigurationError",
@@ -102,70 +102,40 @@ def kabsch(us, vs) -> Rotation:
 class _Evaluator:
     """Per-target precomputation for fast objective/gradient evaluations.
 
-    ``<x^a(w), T>`` is a degree-a homogeneous polynomial in w whose monomial
+    ``P(w) = <w^{x a}, T>`` is a degree-a homogeneous polynomial whose monomial
     coefficients are the index-class sums of T (so only the symmetric part of
-    the target ever enters, as it must).  Evaluating that polynomial and its
-    three partials on the orbit vectors costs O(orbit * classes) per call and
-    never touches a rank-a tensor during the ascent.
+    the target ever enters, as it must).  The value dots these sums with the
+    embedding's class values; the gradient evaluates the partials as
+    rank-(a-1) monomials against the sums mapped through the derivative table.
+    Each call costs O(orbit * classes) and never touches a rank-a tensor.
     """
 
     def __init__(self, spec: EmbeddingSpec, target):
         self.spec = spec
-        self.parts = []
-        shift = 0.0
+        self.coeffs = []
+        self.dcoeffs = []
         sym_sq = 0.0
-        for (vecs, wts), a, b, t in zip(spec.orbits, spec.alpha, spec.beta, target):
+        for a, t in zip(spec.alpha, target):
             t = np.asarray(t, dtype=float)
             if t.shape != (3,) * a:
                 raise ValueError(f"target component has shape {t.shape}, expected {(3,) * a}")
-            ids, counts, mult = _classes(a)
-            coeff = np.bincount(ids, weights=t.ravel(), minlength=len(mult))
-            n = np.array(counts)  # (classes, 3) monomial exponents
-            sym_sq += float(np.sum(coeff**2 / mult))  # |sym(t)|^2
-            dcoeff = coeff[:, None] * n
-            dexp = np.maximum(n[:, None, :] - np.eye(3, dtype=np.int64)[None, :, :], 0)
-            self.parts.append((vecs, wts, a, b, n, coeff, dcoeff, dexp))
-            if spec.centered and a % 2 == 0:
-                shift -= (b / (a + 1)) * float(np.dot(invariant_tensor(a).ravel(), t.ravel()))
-        self.offset = shift  # constant gap between centered and uncentered objective
+            coeff = class_sums(t)
+            sym_sq += float(coeff**2 @ (1.0 / class_multiplicities(a)))  # |sym(t)|^2
+            self.coeffs.append(coeff)
+            self.dcoeffs.append(monomial_derivatives(a) @ coeff)
         self.sym_norm = math.sqrt(sym_sq)
 
-    @staticmethod
-    def _power_table(imgs: np.ndarray, a: int) -> np.ndarray:
-        """pw[d, j, k] = imgs[j, d] ** k for k = 0..a."""
-        pw = np.ones((3, imgs.shape[0], a + 1))
-        for k in range(1, a + 1):
-            pw[:, :, k] = pw[:, :, k - 1] * imgs.T
-        return pw
-
     def value(self, rm: np.ndarray) -> float:
-        total = self.offset
-        for vecs, wts, a, b, n, coeff, _, _ in self.parts:
-            imgs = vecs @ rm.T
-            pw = self._power_table(imgs, a)
-            mono = pw[0][:, n[:, 0]] * pw[1][:, n[:, 1]] * pw[2][:, n[:, 2]]
-            total += b * float(wts @ (mono @ coeff))
-        return total
+        return sum(float(v[0] @ c) for v, c in zip(class_values(self.spec, rm[None]), self.coeffs))
 
     def value_and_grad(self, rm: np.ndarray) -> tuple[float, np.ndarray]:
-        total = self.offset
         grad = np.zeros(3)
-        for vecs, wts, a, b, n, coeff, dcoeff, dexp in self.parts:
-            imgs = vecs @ rm.T
-            pw = self._power_table(imgs, a)
-            mono = pw[0][:, n[:, 0]] * pw[1][:, n[:, 1]] * pw[2][:, n[:, 2]]
-            total += b * float(wts @ (mono @ coeff))
-            dp = np.empty((imgs.shape[0], 3))
-            for d in range(3):
-                mono_d = pw[0][:, dexp[:, d, 0]] * pw[1][:, dexp[:, d, 1]] * pw[2][:, dexp[:, d, 2]]
-                dp[:, d] = mono_d @ dcoeff[:, d]
-            w0, w1, w2 = imgs[:, 0], imgs[:, 1], imgs[:, 2]
-            # <s_l w, grad P(w)> for the three tangent matrices
-            g0 = wts @ (w1 * dp[:, 2] - w2 * dp[:, 1])
-            g1 = wts @ (w0 * dp[:, 2] - w2 * dp[:, 0])
-            g2 = wts @ (w0 * dp[:, 1] - w1 * dp[:, 0])
-            grad += b * np.array([g0, g1, g2])
-        return total, grad
+        for (vecs, wts), a, b, dcoeff in zip(self.spec.orbits, self.spec.alpha, self.spec.beta, self.dcoeffs):
+            imgs = rm @ vecs.T  # (3, orbit)
+            dp = dcoeff @ class_monomials(imgs, a - 1)  # grad P(w) at every orbit image
+            # sum_j wts_j <s_l w_j, grad P(w_j)> for the three tangent matrices
+            grad += TANGENT_BASIS.reshape(3, 9) @ ((dp * (b * wts)) @ imgs.T).ravel()
+        return self.value(rm), grad
 
 
 def objective(spec: EmbeddingSpec, r: Rotation, target) -> float:

@@ -1,10 +1,14 @@
-"""Dense symmetric tensor operations on R^3.
+"""Symmetric tensors on R^3: class values inside, dense arrays at the edge.
 
-A rank-``alpha`` tensor is a float64 ndarray of shape ``(3,) * alpha`` stored
-row-major; tuples of such tensors (one per embedding component) are plain
-Python tuples.  Rotation acts mode by mode, so the 3^alpha x 3^alpha Kronecker
-matrix is never materialized and the cost stays at ``alpha * 3**(alpha+1)``
-multiply-adds per tensor.
+A symmetric rank-``alpha`` tensor has one value per index-count class (the
+indices with ``n0`` zeros, ``n1`` ones and ``n2`` twos, ordered by
+``_classes``): C(alpha+2, 2) numbers instead of 3^alpha.  The class values of
+``w^{x alpha}`` are the monomials ``w0^n0 w1^n1 w2^n2`` of
+:func:`class_monomials`, and :func:`monomial_derivatives` gives their
+partials; every symmetrized power in the package is evaluated through these.
+Dense float64 arrays of shape ``(3,) * alpha``, in plain tuples per
+embedding, are the public input/output form and the test oracle; rotation
+acts on them mode by mode without a 3^alpha x 3^alpha Kronecker matrix.
 
 The rotation-invariant tensors returned by :func:`invariant_tensor` are the
 full symmetrizations of ``I^{x alpha/2}``.  Their entries depend only on how
@@ -24,10 +28,14 @@ import numpy as np
 
 __all__ = [
     "binom_identity_check",
+    "class_monomials",
+    "class_multiplicities",
+    "class_sums",
     "index_class_ids",
     "inner",
+    "invariant_class_values",
     "invariant_tensor",
-    "mode1_multiply",
+    "monomial_derivatives",
     "outer_power",
     "rotate",
     "rotate_tuple",
@@ -66,9 +74,9 @@ def _classes(alpha: int):
 
     Returns ``(ids, counts, mult)`` where ``ids`` maps each flat index to its
     class, ``counts`` lists the value-count triple (n0, n1, n2) of every class
-    and ``mult`` the number of indices in it.
+    and ``mult`` the number of indices in it.  Rank 0 has one class, (0, 0, 0).
     """
-    digits = np.unravel_index(np.arange(3**alpha), (3,) * alpha)
+    digits = np.unravel_index(np.arange(3**alpha), (3,) * alpha) if alpha else ()
     occ = np.zeros((3**alpha, 3), dtype=np.int64)
     for d in digits:
         for v in range(3):
@@ -83,9 +91,57 @@ def _classes(alpha: int):
     return ids, tuple(counts), mult
 
 
+def class_monomials(w, alpha: int) -> np.ndarray:
+    """Class values of ``w^{x alpha}``, the monomials ``w0^n0 w1^n1 w2^n2``, for
+    ``w`` of shape ``(3, ...)`` and any ``alpha >= 0``: shape ``(C(alpha+2, 2), ...)``.
+
+    The block of each ``n0`` is one product of two slices of power tables.
+    """
+    w = np.asarray(w, dtype=float)
+    pw = np.empty((alpha + 1,) + w.shape)  # pw[k, d] = w[d] ** k
+    pw[0] = 1.0
+    for k in range(1, alpha + 1):
+        np.multiply(pw[k - 1], w, out=pw[k])
+    pw02 = pw[:, None, 0] * pw[None, :, 2]  # pw02[n0, n2] = w0^n0 w2^n2
+    return np.concatenate([pw[: alpha - n0 + 1, 1] * pw02[n0, alpha - n0 :: -1] for n0 in range(alpha + 1)])
+
+
+@lru_cache(maxsize=None)
+def monomial_derivatives(alpha: int) -> np.ndarray:
+    """Cached read-only ``D``, shape ``(3, C(alpha+1, 2), C(alpha+2, 2))``, with
+    ``d/dw_d class_monomials(w, alpha) = D[d].T @ class_monomials(w, alpha - 1)``."""
+    alpha = _check_rank(alpha)
+    lower = {n: i for i, n in enumerate(_classes(alpha - 1)[1])}
+    table = np.zeros((3, len(lower), math.comb(alpha + 2, 2)))
+    for c, n in enumerate(_classes(alpha)[1]):
+        for d in range(3):
+            if n[d]:
+                table[d, lower[n[:d] + (n[d] - 1,) + n[d + 1 :]], c] = n[d]
+    table.setflags(write=False)
+    return table
+
+
 def index_class_ids(alpha: int) -> np.ndarray:
     """Flat-index -> symmetry-class map for rank ``alpha`` (read-only)."""
     return _classes(_check_rank(alpha))[0]
+
+
+@lru_cache(maxsize=None)
+def invariant_class_values(alpha: int) -> np.ndarray:
+    """Class values of :func:`invariant_tensor` (cached, read-only)."""
+    alpha = _check_rank(alpha)
+    counts = _classes(alpha)[1]
+    half = alpha // 2
+    vals = np.zeros(len(counts))
+    for ci, (a, b, c) in enumerate(counts):
+        if a % 2 or b % 2 or c % 2:
+            continue
+        num = math.factorial(half) * math.factorial(a) * math.factorial(b) * math.factorial(c)
+        den = (math.factorial(alpha) * math.factorial(a // 2)
+               * math.factorial(b // 2) * math.factorial(c // 2))
+        vals[ci] = float(Fraction(num, den))
+    vals.setflags(write=False)
+    return vals
 
 
 @lru_cache(maxsize=None)
@@ -97,22 +153,7 @@ def invariant_tensor(alpha: int) -> np.ndarray:
     odd ranks have no nonzero isotropic symmetric tensor and return zeros.
     The returned array is cached and read-only.
     """
-    alpha = _check_rank(alpha)
-    if alpha % 2 == 1:
-        out = np.zeros((3,) * alpha)
-        out.setflags(write=False)
-        return out
-    ids, counts, _ = _classes(alpha)
-    half = alpha // 2
-    vals = np.zeros(len(counts))
-    for ci, (a, b, c) in enumerate(counts):
-        if a % 2 or b % 2 or c % 2:
-            continue
-        num = math.factorial(half) * math.factorial(a) * math.factorial(b) * math.factorial(c)
-        den = (math.factorial(alpha) * math.factorial(a // 2)
-               * math.factorial(b // 2) * math.factorial(c // 2))
-        vals[ci] = float(Fraction(num, den))
-    out = vals[ids].reshape((3,) * alpha)
+    out = tensor_from_class_values(invariant_class_values(alpha), alpha)
     out.setflags(write=False)
     return out
 
@@ -155,14 +196,6 @@ def rotate_tuple(r, tensors) -> tuple[np.ndarray, ...]:
     return tuple(rotate(r, t) for t in tensors)
 
 
-def mode1_multiply(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Contract a 3x3 matrix into the first mode only, leaving the rest alone."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    return np.tensordot(m, np.asarray(t, dtype=float), axes=(1, 0))
-
-
 def symmetrize(t: np.ndarray) -> np.ndarray:
     """Full symmetrization over all index permutations.
 
@@ -171,8 +204,7 @@ def symmetrize(t: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     ids, _, mult = _classes(t.ndim)
-    sums = np.bincount(ids, weights=t.ravel(), minlength=len(mult))
-    return (sums / mult)[ids].reshape(t.shape)
+    return (class_sums(t) / mult)[ids].reshape(t.shape)
 
 
 def sym_coordinates(t: np.ndarray) -> np.ndarray:
@@ -182,10 +214,20 @@ def sym_coordinates(t: np.ndarray) -> np.ndarray:
     its indices, so this map is a linear isometry on symmetric tensors and
     shrinks rank-``alpha`` data from 3^alpha to (alpha+2)(alpha+1)/2 numbers.
     """
+    return class_sums(t) / np.sqrt(class_multiplicities(np.ndim(t)))
+
+
+def class_sums(t: np.ndarray) -> np.ndarray:
+    """Entry sums of ``t`` per index class: ``<t, s> = class_sums(t) @ v`` for the
+    symmetric ``s`` with class values ``v``."""
     t = np.asarray(t, dtype=float)
     ids, _, mult = _classes(t.ndim)
-    sums = np.bincount(ids, weights=t.ravel(), minlength=len(mult))
-    return sums / np.sqrt(mult)
+    return np.bincount(ids, weights=t.ravel(), minlength=len(mult))
+
+
+def class_multiplicities(alpha: int) -> np.ndarray:
+    """Indices per class (read-only): symmetric tensors have inner product ``x @ (mult * y)``."""
+    return _classes(_check_rank(alpha))[2]
 
 
 def tensor_from_class_values(vals: np.ndarray, alpha: int) -> np.ndarray:

@@ -30,9 +30,11 @@ from so3embed.so3 import (
     SymmetryGroup,
     geodesic_distance,
     group_elements,
+    quaternions_to_matrices,
+    random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import inner, invariant_tensor, tuple_norm
+from so3embed.tensors import inner, invariant_tensor, outer_power, tuple_norm
 
 # measured affine-hull dimensions of the group-averaged (quotient) image;
 # averaging can only lose harmonic content, so these never exceed the
@@ -289,17 +291,11 @@ def test_empirical_mean_agrees_with_dense_average():
     spec = registry_lookup("D3")
     n = 50
     mean = empirical_embedding_mean(spec, n, seed=9)
-    rng = np.random.default_rng(9)
-    from so3embed.so3 import quaternions_to_matrices, random_quaternions
-    from so3embed.embedding import _embedding_tuple
-
-    mats = quaternions_to_matrices(random_quaternions(rng, n))
-    dense = None
-    for m in mats:
-        comps = _embedding_tuple(spec, m)
-        dense = comps if dense is None else [a + b for a, b in zip(dense, comps)]
-    dense = [a / n for a in dense]
-    for got, want in zip(mean, dense):
+    mats = quaternions_to_matrices(random_quaternions(np.random.default_rng(9), n))
+    for got, (vecs, wts), a, b in zip(mean, spec.orbits, spec.alpha, spec.beta):
+        want = b * sum(wt * outer_power(m @ v, a) for m in mats for v, wt in zip(vecs, wts)) / n
+        if a % 2 == 0:
+            want = want - (b / (a + 1)) * invariant_tensor(a)
         assert np.abs(got - want).max() < 1e-12
 
 

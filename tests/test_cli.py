@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from so3embed.cli import main
 from so3embed.embedding import embed, format_spec_document, registry_lookup
 from so3embed.so3 import Rotation, as_coset, coset_distance, random_rotation
 
@@ -83,6 +84,22 @@ def test_embed_accepts_euler_angles_in_degrees():
     va = np.array([float(x) for x in rows_a[0][1:]])
     vb = np.array([float(x) for x in rows_b[0][1:]])
     assert np.abs(va - vb).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv,table",
+    [
+        (["embed"], "id,qw,qx,qy,qz\nr0,1,0,0,0\nr1,nan,0,0,0\n"),
+        (["embed"], "id,alpha,beta,gamma\nr0,0,0,0\nr1,inf,1,0\n"),
+        (["project"], "id," + ",".join(f"e{i}" for i in range(9)) + "\nr0,1,0,0,0,1,0,0,0,1\nr1,nan,0,0,0,1,0,0,0,1\n"),
+    ],
+)
+def test_non_finite_numbers_are_data_errors(argv, table, tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    src.write_text(table)
+    code = main([*argv, "--group", "C1", "-i", str(src), "-o", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_embed_euler_rejects_out_of_range_beta():

@@ -102,6 +102,8 @@ def test_spec_renormalizes_slightly_off_unit_vectors():
         (((1.0, 0.0, 0.0),), (2, 2), (1.0,)),     # length mismatch
         ((), (), ()),                             # empty
         (((1.0, 0.0),), (2,), (1.0,)),            # not a 3-vector
+        (((math.nan, 0.0, 0.0),), (2,), (1.0,)),  # non-finite direction
+        (((1.0, 0.0, 0.0),), (2,), (math.inf,)),  # non-finite weight
     ],
 )
 def test_spec_validation_rejects_bad_parameters(u, alpha, beta):
@@ -137,6 +139,19 @@ def test_o_identity_embedding_matches_hand_average():
     hand = sum(outer_power(v, 4) for v in axes) / 6.0
     hand = beta * hand - (beta / 5.0) * invariant_tensor(4)
     assert np.abs(pt.value[0] - hand).max() < 1e-14
+
+
+@pytest.mark.parametrize("variant", ["isometric", "arnold"])
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_embed_matches_dense_orbit_average(name, variant, rng):
+    spec = registry_lookup(name, variant)
+    r = random_rotation(rng)
+    got = embed(spec, r).value
+    for i, ((vecs, wts), a, b) in enumerate(zip(spec.orbits, spec.alpha, spec.beta)):
+        want = b * sum(wt * outer_power(r.matrix @ v, a) for v, wt in zip(vecs, wts))
+        if a % 2 == 0:
+            want = want - (b / (a + 1)) * invariant_tensor(a)
+        assert np.abs(got[i] - want).max() < 1e-14
 
 
 def test_embedding_is_well_defined_on_cosets(rng, registered_spec):
@@ -267,6 +282,7 @@ def test_spec_document_overrides_and_comments():
     [
         "alpha = 2\n",                          # missing group
         "group = C2\ngroup = C3\n",             # duplicate key
+        "group = C4\nGROUP = O\n",              # duplicate key in another case
         "group = C2\nwhat = 1\n",               # unknown key
         "group = C2\ncentered = maybe\n",       # bad boolean
         "group = C2\nno equals sign here\n",    # malformed line

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3embed.so3 import random_rotation
 from so3embed.tensors import (
     MAX_RANK,
     binom_identity_check,
     class_counts,
+    class_monomials,
     index_class_ids,
     inner,
     invariant_tensor,
-    mode1_multiply,
+    monomial_derivatives,
     outer_power,
     rotate,
     rotate_tuple,
@@ -60,6 +63,37 @@ def test_index_classes_partition_all_indices(alpha):
         )
         assert sizes[ci] == expected
     assert sizes.sum() == 3**alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    v=st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=3),
+    alpha=st.integers(1, 8),
+)
+def test_class_monomials_expand_to_outer_power_and_derivatives_match(v, alpha):
+    v = np.array(v)
+    mono = class_monomials(v, alpha)
+    assert mono.shape == (len(class_counts(alpha)),)
+    scale = max(1.0, float(np.abs(v).max())) ** alpha  # bounds every monomial
+    assert np.abs(tensor_from_class_values(mono, alpha) - outer_power(v, alpha)).max() <= 1e-14 * scale
+    # partials from the derivative table against central differences, whose
+    # truncation error is below h^2 alpha^3 scale / 6
+    table = monomial_derivatives(alpha)
+    lower = class_monomials(v, alpha - 1)
+    h = 1e-5
+    for d in range(3):
+        step = np.zeros(3)
+        step[d] = h
+        fd = (class_monomials(v + step, alpha) - class_monomials(v - step, alpha)) / (2 * h)
+        assert np.abs(table[d].T @ lower - fd).max() <= 1e-8 * alpha**3 * scale
+
+
+def test_class_monomials_are_batched_over_trailing_axes(rng):
+    w = rng.normal(size=(3, 4, 2))
+    mono = class_monomials(w, 5)
+    assert mono.shape == (21, 4, 2)
+    assert np.array_equal(mono[:, 2, 1], class_monomials(w[:, 2, 1], 5))
+    assert np.array_equal(class_monomials(w, 0), np.ones((1, 4, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +179,6 @@ def test_rotate_tuple_maps_componentwise(rng):
     out = rotate_tuple(r, ts)
     assert np.array_equal(out[0], rotate(r, ts[0]))
     assert np.array_equal(out[1], rotate(r, ts[1]))
-
-
-def test_mode1_multiply_contracts_first_mode_only(rng):
-    m = rng.normal(size=(3, 3))
-    t = rng.normal(size=(3, 3, 3))
-    got = mode1_multiply(m, t)
-    want = np.einsum("ia,ajk->ijk", m, t)
-    assert np.abs(got - want).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
