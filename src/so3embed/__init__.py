@@ -42,6 +42,7 @@ from .projection import (
     ProjectionResult,
     kabsch,
     project,
+    project_many,
 )
 from .so3 import (
     GOLDEN_RATIO,
@@ -114,6 +115,7 @@ __all__ = [
     "outer_power",
     "parse_spec_document",
     "project",
+    "project_many",
     "radius",
     "random_quaternions",
     "random_rotation",

@@ -50,9 +50,12 @@ from .embedding import (
     radius,
     registry_lookup,
 )
-from .projection import DegenerateInputError, project
+from .projection import DegenerateInputError, project_many
 from .so3 import Coset, Rotation, coset_distance, fundamental_representative, group_elements
 from .tensors import binom_identity_check
+
+# Bound but not called: bench/spans.py traces this name in this module.
+from .projection import project  # noqa: F401
 
 __all__ = ["entry", "main"]
 
@@ -201,12 +204,6 @@ def _resolve_spec(args) -> EmbeddingSpec:
         raise _UsageError(str(exc)) from None
 
 
-def _component_slices(spec: EmbeddingSpec):
-    sizes = [3**a for a in spec.alpha]
-    shapes = [(3,) * a for a in spec.alpha]
-    return sizes, shapes
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -217,18 +214,21 @@ def cmd_embed(args) -> int:
         header, rows = _read_table(stack, args.input)
         kind, cols = _rotation_layout(header)
         idc = _id_column(header)
+        # Every row is validated before the output is opened, so a data error
+        # leaves no partial file behind.
+        parsed = [
+            (_parse_rotation(kind, _cell_floats(row, cols, line), args.degrees, line), _cell(row, idc, line))
+            for line, row in rows
+        ]
         writer = _make_writer(stack, args.output)
         writer.writerow(["id"] + [f"e{i}" for i in range(spec.ambient_dimension)])
-        for line, row in rows:
-            rot = _parse_rotation(kind, _cell_floats(row, cols, line), args.degrees, line)
-            flat = embed(spec, rot).flatten()
-            writer.writerow([_cell(row, idc, line)] + [_fmt(x) for x in flat])
+        for rot, ident in parsed:
+            writer.writerow([ident] + [_fmt(x) for x in embed(spec, rot).flatten()])
     return EXIT_OK
 
 
 def cmd_project(args) -> int:
     spec = _resolve_spec(args)
-    sizes, shapes = _component_slices(spec)
     dim = spec.ambient_dimension
     with ExitStack() as stack:
         header, rows = _read_table(stack, args.input)
@@ -236,32 +236,23 @@ def cmd_project(args) -> int:
         coord_cols = [i for i in range(len(header)) if i != idc]
         if len(coord_cols) != dim:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
+        table = np.empty((len(rows), dim))
+        ids = []
+        for k, (line, row) in enumerate(rows):
+            table[k] = _cell_floats(row, coord_cols, line)
+            ids.append(_cell(row, idc, line))
+        results = project_many(spec, table, tol=args.tol, max_iter=args.max_iter, starts=args.starts, seed=args.seed)
         writer = _make_writer(stack, args.output)
         writer.writerow(["id", "qw", "qx", "qy", "qz", "residual", "iterations", "converged", "error"])
         degenerate = 0
-        for line, row in rows:
-            vals = np.array(_cell_floats(row, coord_cols, line))
-            comps = []
-            offset = 0
-            for size, shape in zip(sizes, shapes):
-                comps.append(vals[offset : offset + size].reshape(shape))
-                offset += size
-            try:
-                result = project(
-                    spec,
-                    comps,
-                    tol=args.tol,
-                    max_iter=args.max_iter,
-                    starts=args.starts,
-                    seed=args.seed,
-                )
-            except DegenerateInputError as exc:
+        for ident, result in zip(ids, results):
+            if isinstance(result, DegenerateInputError):
                 degenerate += 1
-                writer.writerow([_cell(row, idc, line), "", "", "", "", "", "", "", str(exc)])
+                writer.writerow([ident, "", "", "", "", "", "", "", str(result)])
                 continue
             q = fundamental_representative(result.coset).canonical_quaternion()
             writer.writerow(
-                [_cell(row, idc, line)]
+                [ident]
                 + [_fmt(x) for x in q]
                 + [_fmt(result.residual), str(result.iterations), "true" if result.converged else "false", ""]
             )
@@ -287,16 +278,22 @@ def cmd_distance(args) -> int:
         idc = _id_column(header)
         kind1, cols1 = _rotation_layout(header, "1")
         kind2, cols2 = _rotation_layout(header, "2")
+        parsed = [
+            (
+                _parse_rotation(kind1, _cell_floats(row, cols1, line), args.degrees, line),
+                _parse_rotation(kind2, _cell_floats(row, cols2, line), args.degrees, line),
+                _cell(row, idc, line),
+            )
+            for line, row in rows
+        ]
         writer = _make_writer(stack, args.output)
         writer.writerow(["id", "distance"])
-        for line, row in rows:
-            r1 = _parse_rotation(kind1, _cell_floats(row, cols1, line), args.degrees, line)
-            r2 = _parse_rotation(kind2, _cell_floats(row, cols2, line), args.degrees, line)
+        for r1, r2, ident in parsed:
             if args.metric == "geodesic":
                 d = coset_distance(Coset(r1, group), Coset(r2, group))
             else:
                 d = embedded_distance(spec, r1, r2)
-            writer.writerow([_cell(row, idc, line), _fmt(d)])
+            writer.writerow([ident, _fmt(d)])
     return EXIT_OK
 
 

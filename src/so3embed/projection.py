@@ -3,7 +3,7 @@
 Given a target tuple T, the closest embedded point maximizes the linear
 objective ``J(R) = <E([R]), T>`` because every embedded point has the same
 norm.  Targets arrive as dense tensors, but J and its gradient are evaluated
-on class values (see ``_Evaluator``), so no outer power is ever materialized
+on class values (see ``_Targets``), so no outer power is ever materialized
 during the ascent.
 
 The solver is projected gradient ascent with an exponential-map retraction
@@ -14,6 +14,16 @@ quaternion sphere.  Seeds are screened by their initial objective, ascents
 run from the most promising ones, and a run that reaches the Cauchy-Schwarz
 upper bound ``radius * |T|`` certifies global optimality and stops the
 search early.  Everything is deterministic given the seed.
+
+:func:`project_many` projects a whole table at once.  Every (target, start)
+ascent is one lane of a lockstep iteration over ``(M, 4)`` quaternion and
+``(M, 3, 3)`` matrix arrays, with the objective and gradient of all lanes
+evaluated in one batch.  Each lane keeps its own step size, iteration count
+and stopping rule, so no row's result depends on the other rows.  The best
+screened start of every target runs first; the remaining starts of the
+targets it did not certify then run together, and the runs are resolved in
+screened order exactly as if they had run one after another.
+:func:`project` is the one-target call of the same code.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .embedding import EmbeddingSpec, class_values, embed, radius
-from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product
+from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, _quat_to_matrix
 from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
 
 # Bound but not called: bench/spans.py traces this name in this module.
@@ -39,6 +49,7 @@ __all__ = [
     "kabsch",
     "objective",
     "project",
+    "project_many",
 ]
 
 
@@ -98,44 +109,75 @@ def kabsch(us, vs) -> Rotation:
 # ---------------------------------------------------------------------------
 # fast objective/gradient evaluation
 
+_TANGENT_ROWS = TANGENT_BASIS.reshape(3, 9)
+# Sum g_l s_l over the tangent basis is the cross-product matrix of (g1, -g2, g3).
+_AXIS_SIGNS = np.array([1.0, -1.0, 1.0])
 
-class _Evaluator:
-    """Per-target precomputation for fast objective/gradient evaluations.
+
+def _flatten(spec: EmbeddingSpec, target) -> np.ndarray:
+    """One target tuple as a checked flat row (row-major components)."""
+    target = [np.asarray(t, dtype=float) for t in target]
+    if len(target) != spec.n_components:
+        raise ValueError(f"target has {len(target)} components, spec expects {spec.n_components}")
+    for a, t in zip(spec.alpha, target):
+        if t.shape != (3,) * a:
+            raise ValueError(f"target component has shape {t.shape}, expected {(3,) * a}")
+    return np.concatenate([t.ravel() for t in target])
+
+
+def _components(spec: EmbeddingSpec, row: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The dense component views of one flat row."""
+    ends = np.cumsum([3**a for a in spec.alpha])
+    return tuple(part.reshape((3,) * a) for part, a in zip(np.split(row, ends[:-1]), spec.alpha))
+
+
+@dataclass(frozen=True)
+class _Targets:
+    """Per-target precomputation for batched objective/gradient evaluations.
 
     ``P(w) = <w^{x a}, T>`` is a degree-a homogeneous polynomial whose monomial
     coefficients are the index-class sums of T (so only the symmetric part of
     the target ever enters, as it must).  The value dots these sums with the
     embedding's class values; the gradient evaluates the partials as
     rank-(a-1) monomials against the sums mapped through the derivative table.
-    Each call costs O(orbit * classes) and never touches a rank-a tensor.
+    Each row costs O(orbit * classes) and never touches a rank-a tensor.
+
+    Evaluations pair row ``m`` with rotation matrix ``mats[m]`` of an
+    ``(N, 3, 3)`` stack; ``take`` selects and repeats rows.
     """
 
-    def __init__(self, spec: EmbeddingSpec, target):
-        self.spec = spec
-        self.coeffs = []
-        self.dcoeffs = []
-        sym_sq = 0.0
-        for a, t in zip(spec.alpha, target):
-            t = np.asarray(t, dtype=float)
-            if t.shape != (3,) * a:
-                raise ValueError(f"target component has shape {t.shape}, expected {(3,) * a}")
-            coeff = class_sums(t)
-            sym_sq += float(coeff**2 @ (1.0 / class_multiplicities(a)))  # |sym(t)|^2
-            self.coeffs.append(coeff)
-            self.dcoeffs.append(monomial_derivatives(a) @ coeff)
-        self.sym_norm = math.sqrt(sym_sq)
+    spec: EmbeddingSpec
+    coeffs: list  # per component, (N, classes)
+    dcoeffs: list  # per component, (N, 3, classes of rank a - 1)
+    sym_norm: np.ndarray  # (N,), norm of the symmetric part of each target
 
-    def value(self, rm: np.ndarray) -> float:
-        return sum(float(v[0] @ c) for v, c in zip(class_values(self.spec, rm[None]), self.coeffs))
+    @classmethod
+    def from_rows(cls, spec: EmbeddingSpec, rows: np.ndarray) -> "_Targets":
+        """From ``(N, ambient_dimension)`` flat rows."""
+        coeffs, dcoeffs = [], []
+        sym_sq = np.zeros(len(rows))
+        for a, t in zip(spec.alpha, zip(*(_components(spec, row) for row in rows))):
+            coeff = np.array([class_sums(x) for x in t])
+            sym_sq += coeff**2 @ (1.0 / class_multiplicities(a))  # |sym(t)|^2
+            coeffs.append(coeff)
+            dcoeffs.append((monomial_derivatives(a) @ coeff.T).transpose(2, 0, 1))
+        return cls(spec, coeffs, dcoeffs, np.sqrt(sym_sq))
 
-    def value_and_grad(self, rm: np.ndarray) -> tuple[float, np.ndarray]:
-        grad = np.zeros(3)
+    def take(self, idx: np.ndarray) -> "_Targets":
+        return _Targets(self.spec, [c[idx] for c in self.coeffs], [d[idx] for d in self.dcoeffs], self.sym_norm[idx])
+
+    def values(self, mats: np.ndarray) -> np.ndarray:
+        return sum(np.einsum("mc,mc->m", v, c) for v, c in zip(class_values(self.spec, mats), self.coeffs))
+
+    def grads(self, mats: np.ndarray) -> np.ndarray:
+        grad = np.zeros((len(mats), 3))
         for (vecs, wts), a, b, dcoeff in zip(self.spec.orbits, self.spec.alpha, self.spec.beta, self.dcoeffs):
-            imgs = rm @ vecs.T  # (3, orbit)
-            dp = dcoeff @ class_monomials(imgs, a - 1)  # grad P(w) at every orbit image
+            imgs = mats @ vecs.T  # (N, 3, orbit)
+            mono = class_monomials(imgs.transpose(1, 0, 2), a - 1).transpose(1, 0, 2)
+            dp = dcoeff @ mono  # grad P(w) at every orbit image, (N, 3, orbit)
             # sum_j wts_j <s_l w_j, grad P(w_j)> for the three tangent matrices
-            grad += TANGENT_BASIS.reshape(3, 9) @ ((dp * (b * wts)) @ imgs.T).ravel()
-        return self.value(rm), grad
+            grad += ((dp * (b * wts)) @ imgs.transpose(0, 2, 1)).reshape(-1, 9) @ _TANGENT_ROWS.T
+        return grad
 
 
 def objective(spec: EmbeddingSpec, r: Rotation, target) -> float:
@@ -150,16 +192,16 @@ def objective(spec: EmbeddingSpec, r: Rotation, target) -> float:
 
 def gradient(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
     """Gradient of the projection objective in the tangent basis at ``r``."""
-    return _Evaluator(spec, target).value_and_grad(r.matrix)[1]
+    return _Targets.from_rows(spec, _flatten(spec, target)[None]).grads(r.matrix[None])[0]
 
 
 # ---------------------------------------------------------------------------
 # multi-start ascent
 
 
-def _sobol_rotations(n: int, seed: int) -> list[Rotation]:
-    """Low-discrepancy rotation seeds: scrambled Sobol points on [0,1)^3 pushed
-    through the uniform cube-to-quaternion map."""
+def _sobol_quaternions(n: int, seed: int) -> np.ndarray:
+    """Low-discrepancy rotation seeds ``(n, 4)``: scrambled Sobol points on
+    [0,1)^3 pushed through the uniform cube-to-quaternion map."""
     engine = qmc.Sobol(d=3, scramble=True, seed=seed)
     m = max(1, math.ceil(math.log2(max(2, n))))
     pts = engine.random_base2(m)[:n]
@@ -168,17 +210,13 @@ def _sobol_rotations(n: int, seed: int) -> list[Rotation]:
     quats = np.column_stack(
         [a * np.sin(2 * np.pi * u2), a * np.cos(2 * np.pi * u2), b * np.sin(2 * np.pi * u3), b * np.cos(2 * np.pi * u3)]
     )
-    return [Rotation(q) for q in quats]
+    return quats / np.linalg.norm(quats, axis=1)[:, None]
 
 
-def _quat_from_step(direction: np.ndarray, angle: float) -> np.ndarray:
-    """Unit quaternion of the retraction step exp(angle * [axis]x)."""
-    half = 0.5 * angle
-    return np.concatenate([[math.cos(half)], math.sin(half) * direction])
-
-
-def _ascend(ev: _Evaluator, q0: np.ndarray, tol: float, max_iter: int):
-    """Gradient ascent with Armijo backtracking from one seed quaternion.
+def _lockstep_ascent(ev: _Targets, q: np.ndarray, tol: float, max_iter: int):
+    """Gradient ascent with Armijo backtracking from the seed quaternions
+    ``q`` ``(M, 4)``, one lane each; lane ``m`` climbs the target of row
+    ``m`` of ``ev``.
 
     The search direction is the Frobenius-normalized tangent combination, so
     a step tau rotates by tau / sqrt(2) radians; the initial step of each
@@ -192,57 +230,70 @@ def _ascend(ev: _Evaluator, q0: np.ndarray, tol: float, max_iter: int):
     derivative (a curvature condition evaluated on gradients, not objective
     differences), which lets the iteration contract down to the gradient
     tolerance instead of stalling at ~1e-9.
+
+    Each pass of the loop tries one step on every live lane: a lane whose
+    step is accepted opens its next iteration, a lane whose step is rejected
+    halves it.  A lane leaves when it converges, reaches ``max_iter``
+    iterations or its step underflows, and the live state is compacted.
+
+    Returns per lane the final quaternion, objective, iteration count and
+    whether the gradient tolerance was met.
     """
-    q = q0
-    rm = Rotation(q).matrix
-    j, g = ev.value_and_grad(rm)
-    tau_prev = 0.5
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        gn = float(np.linalg.norm(g))
-        if gn < tol:
-            converged = True
-            break
-        iterations += 1
-        # Sum g_l s_l is the cross-product matrix of (g1, -g2, g3).
-        axis = np.array([g[0], -g[1], g[2]]) / gn
-        slope = gn / math.sqrt(2.0)
-        tau = min(0.5, 2.0 * tau_prev)
-        flat = 1e-13 * (1.0 + abs(j))
-        accepted = False
-        g_next = None
-        while tau > 1e-17:
-            step_q = _quat_from_step(axis, tau / math.sqrt(2.0))
-            q_new = _quat_product(step_q, q)
-            q_new /= np.linalg.norm(q_new)
-            rm_new = Rotation(q_new).matrix
-            gain = ev.value(rm_new) - j
-            if gain >= flat and gain >= 1e-4 * tau * slope:
-                accepted = True
-                break
-            if gain >= -flat:
-                # Objective differences are unresolvable here; certify the
-                # step by curvature instead.
-                j_new, g_trial = ev.value_and_grad(rm_new)
-                if abs(float(g_trial @ g)) <= 0.5 * gn * gn:
-                    accepted = True
-                    g_next = g_trial
-                    break
-            tau *= 0.5
-        if not accepted:
-            break  # step size underflow: numerically stationary
-        tau_prev = tau
-        q = q_new
-        rm = rm_new
-        if g_next is None:
-            j, g = ev.value_and_grad(rm)
-        else:
-            j, g = j_new, g_next
-    else:
-        gn = float(np.linalg.norm(g))
-        converged = gn < tol
-    return q, j, iterations, converged
+    out_q, out_j = q.copy(), np.empty(len(q))
+    out_iter, out_conv = np.zeros(len(q), dtype=np.int64), np.zeros(len(q), dtype=bool)
+    ids = np.arange(len(q))
+    mats = _quat_to_matrix(q)
+    j, g = ev.values(mats), ev.grads(mats)
+    iters = np.zeros(len(q), dtype=np.int64)
+    tau_prev = np.full(len(q), 0.5)
+    gn, tau, flat, axis = np.zeros(len(q)), np.zeros(len(q)), np.zeros(len(q)), np.zeros((len(q), 3))
+    opening = np.ones(len(q), dtype=bool)  # lanes that start a new iteration
+    while True:
+        gn = np.where(opening, np.sqrt(np.add.reduce(g * g, axis=1)), gn)
+        converged = opening & (gn < tol)
+        # A lane whose step underflowed is numerically stationary.
+        leave = converged | (opening & (iters >= max_iter)) | (~opening & (tau <= 1e-17))
+        if leave.any():
+            out = ids[leave]
+            out_q[out], out_j[out], out_iter[out], out_conv[out] = q[leave], j[leave], iters[leave], converged[leave]
+            keep = ~leave
+            if not keep.any():
+                return out_q, out_j, out_iter, out_conv
+            ids, q, j, g, iters, tau_prev, gn, tau, flat, axis, opening = (
+                x[keep] for x in (ids, q, j, g, iters, tau_prev, gn, tau, flat, axis, opening)
+            )
+            ev = ev.take(keep)
+        iters += opening
+        axis = np.where(opening[:, None], g * _AXIS_SIGNS / gn[:, None], axis)
+        tau = np.where(opening, np.minimum(0.5, 2.0 * tau_prev), tau)
+        flat = np.where(opening, 1e-13 * (1.0 + np.abs(j)), flat)
+
+        half = 0.5 * (tau / math.sqrt(2.0))
+        step = np.empty((len(q), 4))
+        step[:, 0] = np.cos(half)
+        step[:, 1:] = np.sin(half)[:, None] * axis
+        q_new = _quat_product(step, q)
+        q_new /= np.sqrt(np.add.reduce(q_new * q_new, axis=1))[:, None]
+        mats_new = _quat_to_matrix(q_new)
+        j_new = ev.values(mats_new)
+        gain = j_new - j
+        accepted = (gain >= flat) & (gain >= 1e-4 * tau * (gn / math.sqrt(2.0)))
+        # Steps whose gain is unresolvable are certified by curvature instead;
+        # accepted steps need the gradient at the new point anyway.
+        need = accepted | (gain >= -flat)
+        g_new = np.zeros((len(q), 3))
+        if need.all():
+            g_new = ev.grads(mats_new)
+        elif need.any():
+            g_new[need] = ev.take(need).grads(mats_new[need])
+        accepted |= need & (np.abs(np.add.reduce(g_new * g, axis=1)) <= 0.5 * gn * gn)
+
+        q = np.where(accepted[:, None], q_new, q)
+        j = np.where(accepted, j_new, j)
+        g = np.where(accepted[:, None], g_new, g)
+        tau_prev = np.where(accepted, tau, tau_prev)
+        tau = np.where(accepted, tau, 0.5 * tau)
+        opening = accepted
 
 
 def project(
@@ -286,50 +337,118 @@ def project(
     DegenerateInputError
         If the target is identically zero.
     """
-    target = tuple(np.asarray(t, dtype=float) for t in target)
-    if len(target) != spec.n_components:
-        raise ValueError(f"target has {len(target)} components, spec expects {spec.n_components}")
-    norm_sq = sum(float(np.sum(t**2)) for t in target)
-    if norm_sq == 0.0:
-        raise DegenerateInputError("cannot project the zero tuple: no direction is preferred")
+    result = project_many(
+        spec, _flatten(spec, target)[None], tol=tol, max_iter=max_iter, starts=starts, seed=seed, max_runs=max_runs
+    )[0]
+    if isinstance(result, DegenerateInputError):
+        raise result
+    return result
+
+
+def project_many(
+    spec: EmbeddingSpec,
+    targets,
+    *,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+    starts: int | None = None,
+    seed: int = 0,
+    max_runs: int = 8,
+) -> list[ProjectionResult | DegenerateInputError]:
+    """Project every row of a table onto the embedded quotient.
+
+    Parameters
+    ----------
+    spec : EmbeddingSpec
+    targets : array_like
+        Shape ``(N, spec.ambient_dimension)``: one target tuple per row,
+        its components flattened row-major and concatenated, the layout of
+        ``EmbeddedPoint.flatten``.
+    tol, max_iter, starts, seed, max_runs
+        As for :func:`project`, shared by all rows.
+
+    Returns
+    -------
+    list
+        Per row, the :class:`ProjectionResult` that :func:`project` returns
+        for that row alone, or a :class:`DegenerateInputError` for a row that
+        is identically zero.
+    """
+    rows = np.asarray(targets, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != spec.ambient_dimension:
+        raise ValueError(f"expected targets of shape (N, {spec.ambient_dimension}), got {rows.shape}")
+    nonzero = np.sum(rows * rows, axis=1) != 0.0
+    results: list = [
+        None if ok else DegenerateInputError("cannot project the zero tuple: no direction is preferred")
+        for ok in nonzero
+    ]
+    live = np.flatnonzero(nonzero)
+    comps = [_components(spec, rows[i]) for i in live]
 
     if len(spec.group) == 1 and all(a == 1 for a in spec.alpha):
-        r = kabsch(spec.u_vectors, np.array([b * t for b, t in zip(spec.beta, target)]))
-        return _finalize(spec, target, r, iterations=0, converged=True)
+        for i, target in zip(live, comps):
+            r = kabsch(spec.u_vectors, np.array([b * t for b, t in zip(spec.beta, target)]))
+            results[i] = _finalize(spec, target, r, iterations=0, converged=True)
+        return results
 
-    ev = _Evaluator(spec, target)
-    seeds: list[Rotation] = []
-    rank1 = [i for i, a in enumerate(spec.alpha) if a == 1]
-    if rank1:
-        # Each rank-1 component is beta_i * R v_mean with v_mean the orbit
-        # average, so their joint alignment is a Kabsch problem.
-        us = np.array([spec.orbits[i][1] @ spec.orbits[i][0] for i in rank1])
-        vs = np.array([spec.beta[i] * target[i] for i in rank1])
-        try:
-            seeds.append(kabsch(us, vs))
-        except DegenerateConfigurationError:
-            pass
+    if not live.size:
+        return results
     n_starts = max(8, len(spec.group)) if starts is None else int(starts)
     if n_starts < 1:
         raise ValueError("starts must be positive")
-    seeds.extend(_sobol_rotations(n_starts, seed))
+    sobol = _sobol_quaternions(n_starts, seed)
+    rank1 = [i for i, a in enumerate(spec.alpha) if a == 1]
+    seeds = []
+    for target in comps:
+        found = []
+        if rank1:
+            # Each rank-1 component is beta_i * R v_mean with v_mean the orbit
+            # average, so their joint alignment is a Kabsch problem.
+            us = np.array([spec.orbits[i][1] @ spec.orbits[i][0] for i in rank1])
+            vs = np.array([spec.beta[i] * target[i] for i in rank1])
+            try:
+                found.append(kabsch(us, vs).quat)
+            except DegenerateConfigurationError:
+                pass
+        seeds.append(np.concatenate([np.array(found).reshape(-1, 4), sobol]))
 
-    initial = np.array([ev.value(s.matrix) for s in seeds])
-    order = np.argsort(-initial, kind="stable")
+    ev = _Targets.from_rows(spec, rows[live])
+    counts = [len(s) for s in seeds]
+    initial = ev.take(np.repeat(np.arange(len(seeds)), counts)).values(_quat_to_matrix(np.concatenate(seeds)))
+    ends = np.cumsum(counts)
+    orders = [np.argsort(-v, kind="stable")[: max(1, max_runs)] for v in np.split(initial, ends[:-1])]
     certificate = radius(spec) * ev.sym_norm * (1.0 - 1e-10)
 
-    best = None  # (objective, seed_index, quaternion, iterations, converged)
-    total_iter = 0
-    for idx in order[: max(1, max_runs)]:
-        q, j, iters, conv = _ascend(ev, seeds[int(idx)].quat, tol, max_iter)
-        total_iter += iters
-        if best is None or j > best[0] or (j == best[0] and int(idx) < best[1]):
-            best = (j, int(idx), q, conv)
-        if j >= certificate:
-            # No other start can improve the objective by more than
-            # 1e-10 * radius * |target|: stop searching.
-            break
-    return _finalize(spec, target, Rotation(best[2]), iterations=total_iter, converged=best[3])
+    # runs[t]: (seed index, quaternion, objective, iterations, converged) in
+    # screened order.
+    runs = [[] for _ in seeds]
+
+    def climb(lanes):
+        lane_t = np.array([t for t, _ in lanes], dtype=np.int64)
+        q0 = np.array([seeds[t][k] for t, k in lanes])
+        for (t, k), *run in zip(lanes, *_lockstep_ascent(ev.take(lane_t), q0, tol, max_iter)):
+            runs[t].append((k, *run))
+
+    # The best screened seed of every target first, then all further seeds of
+    # the targets that its run left uncertified.
+    climb([(t, int(order[0])) for t, order in enumerate(orders)])
+    rest = [(t, int(k)) for t, order in enumerate(orders) if runs[t][0][2] < certificate[t] for k in order[1:]]
+    if rest:
+        climb(rest)
+
+    for t, i in enumerate(live):
+        best = None
+        total = 0
+        for k, q, j, iters, conv in runs[t]:
+            total += int(iters)
+            if best is None or j > best[0] or (j == best[0] and k < best[1]):
+                best = (j, k, q, bool(conv))
+            if j >= certificate[t]:
+                # No other start can improve the objective by more than
+                # 1e-10 * radius * |target|: stop searching.
+                break
+        results[i] = _finalize(spec, comps[t], Rotation(best[2]), iterations=total, converged=best[3])
+    return results
 
 
 def _finalize(spec: EmbeddingSpec, target, r: Rotation, iterations: int, converged: bool) -> ProjectionResult:

@@ -81,26 +81,32 @@ def _normalized(q: np.ndarray) -> np.ndarray:
 
 def _quat_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternion arrays (..., 4), broadcasting."""
-    w1, v1 = q1[..., 0], q1[..., 1:]
-    w2, v2 = q2[..., 0], q2[..., 1:]
-    w = w1 * w2 - np.sum(v1 * v2, axis=-1)
-    v = w1[..., None] * v2 + w2[..., None] * v1 + np.cross(v1, v2)
-    return np.concatenate([w[..., None], v], axis=-1)
+    w1, x1, y1, z1 = q1[..., 0], q1[..., 1], q1[..., 2], q1[..., 3]
+    w2, x2, y2, z2 = q2[..., 0], q2[..., 1], q2[..., 2], q2[..., 3]
+    out = np.empty(np.broadcast_shapes(q1.shape, q2.shape))
+    out[..., 0] = w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2)
+    out[..., 1] = w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2)
+    out[..., 2] = w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2)
+    out[..., 3] = w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2)
+    return out
 
 
 def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices from unit quaternions (..., 4) -> (..., 3, 3)."""
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = x * w, y * w, z * w
     m = np.empty(q.shape[:-1] + (3, 3))
-    m[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    m[..., 0, 1] = 2.0 * (x * y - z * w)
-    m[..., 0, 2] = 2.0 * (x * z + y * w)
-    m[..., 1, 0] = 2.0 * (x * y + z * w)
-    m[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    m[..., 1, 2] = 2.0 * (y * z - x * w)
-    m[..., 2, 0] = 2.0 * (x * z - y * w)
-    m[..., 2, 1] = 2.0 * (y * z + x * w)
-    m[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    m[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
+    m[..., 0, 1] = 2.0 * (xy - wz)
+    m[..., 0, 2] = 2.0 * (xz + wy)
+    m[..., 1, 0] = 2.0 * (xy + wz)
+    m[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
+    m[..., 1, 2] = 2.0 * (yz - wx)
+    m[..., 2, 0] = 2.0 * (xz - wy)
+    m[..., 2, 1] = 2.0 * (yz + wx)
+    m[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
     return m
 
 

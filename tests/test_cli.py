@@ -8,6 +8,7 @@ import pytest
 
 from so3embed.cli import main
 from so3embed.embedding import embed, format_spec_document, registry_lookup
+from so3embed.projection import project
 from so3embed.so3 import Rotation, as_coset, coset_distance, random_rotation
 
 
@@ -92,14 +93,22 @@ def test_embed_accepts_euler_angles_in_degrees():
         (["embed"], "id,qw,qx,qy,qz\nr0,1,0,0,0\nr1,nan,0,0,0\n"),
         (["embed"], "id,alpha,beta,gamma\nr0,0,0,0\nr1,inf,1,0\n"),
         (["project"], "id," + ",".join(f"e{i}" for i in range(9)) + "\nr0,1,0,0,0,1,0,0,0,1\nr1,nan,0,0,0,1,0,0,0,1\n"),
+        (["distance"], "id,qw1,qx1,qy1,qz1,qw2,qx2,qy2,qz2\np0,1,0,0,0,1,0,0,0\np1,1,0,0,0,nan,0,0,0\n"),
     ],
 )
 def test_non_finite_numbers_are_data_errors(argv, table, tmp_path, capsys):
+    # every row is validated before the output is opened: a data error on a
+    # later row creates no output file and leaves an existing one untouched
     src = tmp_path / "in.csv"
     src.write_text(table)
-    code = main([*argv, "--group", "C1", "-i", str(src), "-o", str(tmp_path / "out.csv")])
+    out = tmp_path / "out.csv"
+    code = main([*argv, "--group", "C1", "-i", str(src), "-o", str(out)])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_bytes(b"earlier output\n")
+    assert main([*argv, "--group", "C1", "-i", str(src), "-o", str(out)]) == 2
+    assert out.read_bytes() == b"earlier output\n"
 
 
 def test_embed_euler_rejects_out_of_range_beta():
@@ -167,6 +176,33 @@ def test_project_zero_row_records_error_and_warns():
     assert rows[0][0] == "z"
     assert rows[0][8] != ""
     assert "1" in out.stderr  # warning mentions the failed-row count
+
+
+def test_project_zero_row_keeps_its_place_in_a_batch(tmp_path, capsys):
+    # rows around a zero row come out as project() gives them one by one
+    rng = np.random.default_rng(11)
+    spec = registry_lookup("O")
+    exact = embed(spec, random_rotation(rng)).flatten()
+    noise = rng.normal(size=exact.shape)
+    noisy = embed(spec, random_rotation(rng)).flatten() + 0.05 * noise / np.linalg.norm(noise)
+    rows = {"a": exact, "z": np.zeros_like(exact), "b": noisy}
+    src = tmp_path / "in.csv"
+    src.write_text(
+        "id," + ",".join(f"e{i}" for i in range(81)) + "\n"
+        + "".join(f"{k}," + ",".join(repr(float(x)) for x in v) + "\n" for k, v in rows.items())
+    )
+    out = tmp_path / "out.csv"
+    assert main(["project", "--group", "O", "--seed", "2", "-i", str(src), "-o", str(out)]) == 0
+    assert "1 degenerate row" in capsys.readouterr().err
+    _, got = read_csv(out.read_text())
+    assert [row[0] for row in got] == ["a", "z", "b"]
+    assert got[1][1:8] == [""] * 7 and got[1][8] != ""
+    for row, key, tol in ((got[0], "a", 1e-12), (got[2], "b", 1e-8)):
+        alone = project(spec, [rows[key].reshape(3, 3, 3, 3)], seed=2)
+        q = np.array([float(x) for x in row[1:5]])
+        assert coset_distance(as_coset(Rotation.from_quaternion(q), spec.group), alone.coset) < tol
+        assert abs(float(row[5]) - alone.residual) <= 1e-12
+        assert row[6:9] == [str(alone.iterations), "true" if alone.converged else "false", ""]
 
 
 # ---------------------------------------------------------------------------

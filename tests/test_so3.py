@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from so3embed.embedding import TABLE_GROUPS
 from so3embed.so3 import (
     ConsistencyError,
     Coset,
@@ -272,6 +275,25 @@ def test_coset_distance_triangle_inequality(rng):
         c1, c2, c3 = (Coset(random_rotation(rng), g) for _ in range(3))
         d13 = coset_distance(c1, c3)
         assert d13 <= coset_distance(c1, c2) + coset_distance(c2, c3) + 1e-12
+
+
+_QUATERNION = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(TABLE_GROUPS), q1=_QUATERNION, q2=_QUATERNION, q3=_QUATERNION)
+def test_coset_distance_is_a_symmetric_metric(name, q1, q2, q3):
+    for q in (q1, q2, q3):
+        assume(np.linalg.norm(q) > 1e-3)
+    g = group_elements(name)
+    # The Y elements are built as products of products and close under
+    # multiplication only to ~2.5e-11, which bounds how symmetric the minimum
+    # over the group can be (4.4e-12 seen); the other groups close to 2e-14.
+    tol = 1e-10 if name == "Y" else 1e-12
+    c1, c2, c3 = (Coset(Rotation.from_quaternion(q), g) for q in (q1, q2, q3))
+    d12 = coset_distance(c1, c2)
+    assert abs(d12 - coset_distance(c2, c1)) <= tol
+    assert coset_distance(c1, c3) <= d12 + coset_distance(c2, c3) + tol
 
 
 def test_coset_distance_rejects_mismatched_groups(rng):
