@@ -22,7 +22,9 @@ evaluated in one batch.  Each lane keeps its own step size, iteration count
 and stopping rule, so no row's result depends on the other rows.  The best
 screened start of every target runs first; the remaining starts of the
 targets it did not certify then run together, and the runs are resolved in
-screened order exactly as if they had run one after another.
+screened order exactly as if they had run one after another.  A large table
+runs in batches of rows whose lanes' power tables fit a fixed entry budget,
+so memory stays bounded however many rows there are.
 :func:`project` is the one-target call of the same code.
 """
 
@@ -152,11 +154,11 @@ class _Targets:
     sym_norm: np.ndarray  # (N,), norm of the symmetric part of each target
 
     @classmethod
-    def from_rows(cls, spec: EmbeddingSpec, rows: np.ndarray) -> "_Targets":
-        """From ``(N, ambient_dimension)`` flat rows."""
+    def from_components(cls, spec: EmbeddingSpec, comps) -> "_Targets":
+        """From ``N`` target tuples of dense components."""
         coeffs, dcoeffs = [], []
-        sym_sq = np.zeros(len(rows))
-        for a, t in zip(spec.alpha, zip(*(_components(spec, row) for row in rows))):
+        sym_sq = np.zeros(len(comps))
+        for a, t in zip(spec.alpha, zip(*comps)):
             coeff = np.array([class_sums(x) for x in t])
             sym_sq += coeff**2 @ (1.0 / class_multiplicities(a))  # |sym(t)|^2
             coeffs.append(coeff)
@@ -192,11 +194,16 @@ def objective(spec: EmbeddingSpec, r: Rotation, target) -> float:
 
 def gradient(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
     """Gradient of the projection objective in the tangent basis at ``r``."""
-    return _Targets.from_rows(spec, _flatten(spec, target)[None]).grads(r.matrix[None])[0]
+    return _Targets.from_components(spec, [_components(spec, _flatten(spec, target))]).grads(r.matrix[None])[0]
 
 
 # ---------------------------------------------------------------------------
 # multi-start ascent
+
+# Power-table entries per lockstep batch of rows.  Every lane of a batch holds
+# its class monomials at once, so batching bounds the memory of a large table;
+# rows are independent, so the batch size changes a result only by round-off.
+_BLOCK_ENTRIES = 2**20
 
 
 def _sobol_quaternions(n: int, seed: int) -> np.ndarray:
@@ -377,7 +384,7 @@ def project_many(
     rows = np.asarray(targets, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != spec.ambient_dimension:
         raise ValueError(f"expected targets of shape (N, {spec.ambient_dimension}), got {rows.shape}")
-    nonzero = np.sum(rows * rows, axis=1) != 0.0
+    nonzero = np.einsum("ij,ij->i", rows, rows) != 0.0
     results: list = [
         None if ok else DegenerateInputError("cannot project the zero tuple: no direction is preferred")
         for ok in nonzero
@@ -397,6 +404,18 @@ def project_many(
     if n_starts < 1:
         raise ValueError("starts must be positive")
     sobol = _sobol_quaternions(n_starts, seed)
+    # A lane's power tables hold about orbit * (alpha + 1)**2 entries per component.
+    lane = sum(len(vecs) * (a + 1) ** 2 for (vecs, _), a in zip(spec.orbits, spec.alpha))
+    size = max(1, _BLOCK_ENTRIES // ((n_starts + 1) * lane))
+    for lo in range(0, len(live), size):
+        block = _project_block(spec, comps[lo : lo + size], sobol, tol, max_iter, max_runs)
+        for i, result in zip(live[lo : lo + size], block):
+            results[i] = result
+    return results
+
+
+def _project_block(spec, comps, sobol, tol, max_iter, max_runs) -> list[ProjectionResult]:
+    """The multi-start ascents of the targets ``comps``, all in lockstep."""
     rank1 = [i for i, a in enumerate(spec.alpha) if a == 1]
     seeds = []
     for target in comps:
@@ -412,7 +431,7 @@ def project_many(
                 pass
         seeds.append(np.concatenate([np.array(found).reshape(-1, 4), sobol]))
 
-    ev = _Targets.from_rows(spec, rows[live])
+    ev = _Targets.from_components(spec, comps)
     counts = [len(s) for s in seeds]
     initial = ev.take(np.repeat(np.arange(len(seeds)), counts)).values(_quat_to_matrix(np.concatenate(seeds)))
     ends = np.cumsum(counts)
@@ -436,7 +455,8 @@ def project_many(
     if rest:
         climb(rest)
 
-    for t, i in enumerate(live):
+    results = []
+    for t, target in enumerate(comps):
         best = None
         total = 0
         for k, q, j, iters, conv in runs[t]:
@@ -447,7 +467,7 @@ def project_many(
                 # No other start can improve the objective by more than
                 # 1e-10 * radius * |target|: stop searching.
                 break
-        results[i] = _finalize(spec, comps[t], Rotation(best[2]), iterations=total, converged=best[3])
+        results.append(_finalize(spec, target, Rotation(best[2]), iterations=total, converged=best[3]))
     return results
 
 

@@ -94,19 +94,16 @@ def _quat_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices from unit quaternions (..., 4) -> (..., 3, 3)."""
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    wx, wy, wz = x * w, y * w, z * w
     m = np.empty(q.shape[:-1] + (3, 3))
-    m[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
-    m[..., 0, 1] = 2.0 * (xy - wz)
-    m[..., 0, 2] = 2.0 * (xz + wy)
-    m[..., 1, 0] = 2.0 * (xy + wz)
-    m[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
-    m[..., 1, 2] = 2.0 * (yz - wx)
-    m[..., 2, 0] = 2.0 * (xz - wy)
-    m[..., 2, 1] = 2.0 * (yz + wx)
-    m[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
+    m[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    m[..., 0, 1] = 2.0 * (x * y - z * w)
+    m[..., 0, 2] = 2.0 * (x * z + y * w)
+    m[..., 1, 0] = 2.0 * (x * y + z * w)
+    m[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    m[..., 1, 2] = 2.0 * (y * z - x * w)
+    m[..., 2, 0] = 2.0 * (x * z - y * w)
+    m[..., 2, 1] = 2.0 * (y * z + x * w)
+    m[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
     return m
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from so3embed import projection
 from so3embed.embedding import EmbeddingSpec, embed, radius, registry_lookup
 from so3embed.projection import (
     DegenerateConfigurationError,
@@ -256,6 +257,27 @@ def test_project_many_rows_match_their_single_calls(rng, name):
         assert got.converged == alone.converged
         assert abs(got.residual - alone.residual) <= 1e-12
         assert coset_distance(got.coset, alone.coset) <= (1e-12 if i < 4 else 1e-8)
+
+
+def test_project_many_batches_rows_without_changing_them(rng, monkeypatch):
+    # one row per lockstep batch must give every row, the zero row in place
+    # included, the same result as one batch for the whole table
+    spec = registry_lookup("O")
+    truth = [random_rotation(rng) for _ in range(6)]
+    targets = [embed(spec, r).value for r in truth[:3]] + [_noisy_target(spec, r, 0.05, rng) for r in truth[3:]]
+    table = np.array([np.concatenate([t.ravel() for t in target]) for target in targets])
+    table = np.insert(table, 2, 0.0, axis=0)
+    whole = project_many(spec, table, seed=5)
+    monkeypatch.setattr(projection, "_BLOCK_ENTRIES", 1)
+    split = project_many(spec, table, seed=5)
+    assert isinstance(split[2], DegenerateInputError)
+    for i, (got, ref) in enumerate(zip(split, whole)):
+        if i == 2:
+            continue
+        assert got.iterations == ref.iterations
+        assert got.converged == ref.converged
+        assert abs(got.residual - ref.residual) <= 1e-12
+        assert coset_distance(got.coset, ref.coset) <= (1e-12 if i < 2 else 1e-8)
 
 
 @pytest.mark.parametrize(
