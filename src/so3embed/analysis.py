@@ -10,13 +10,14 @@ registered isometric weights through :func:`derive_beta`.
 
 Beyond the infinitesimal picture, :func:`global_bounds` estimates the global
 distortion envelope ``c_min <= |E1 - E2| / d([R1], [R2]) <= c_max`` by Haar
-sampling plus a deterministic near-identity ladder and local refinement.
-Embedded distances are evaluated through the pairwise closed form
-
-    <E(R1), E(R2)> = sum_i beta_i^2 sum_{j,j'} w_j w_j' <R1 v_j, R2 v_j'>^alpha_i
-
-over the orbit vectors, which avoids materializing any tensors and makes
-1e5-pair sweeps cheap.
+sampling plus a deterministic near-identity ladder, and polishes the extreme
+samples with a lockstep compass search.  By equivariance a pair reduces to
+its relative rotation Q, and one batched function gives the geodesic and
+embedded distances of ``(N, 4)`` quaternions to the identity coset for the
+sampling, the polish and :func:`distance_scatter` alike.  Both distances are
+taken from differences, ``4 arcsin(|q -+ s| / 2)`` and the class-value
+difference ``class_values(Q) - class_values(I)``, so the ratio stays accurate
+down to tiny distances.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 
 import numpy as np
-from scipy import optimize
 
 from .embedding import EmbeddingSpec, class_values, registry_lookup
-from .so3 import TANGENT_BASIS, group_elements, quaternions_to_matrices, random_quaternions
+from .so3 import TANGENT_BASIS, _quat_product, group_elements, quaternions_to_matrices, random_quaternions
 from .tensors import class_monomials, class_multiplicities, monomial_derivatives, tensor_from_class_values, tuple_norm
 
 # Bound but not called: bench/spans.py traces these names in this module.
@@ -157,57 +157,95 @@ def derive_beta(family: str, k: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# fast pairwise distances through the orbit inner-product form
+# distances to the identity coset
+
+# Rotations per block of a sampled sweep: a block's class values stay in cache,
+# and memory does not grow with the sample count.
+_BLOCK = 512
+
+# Samples polished at each end of the ratio envelope, and compass passes each.
+_POLISH_STARTS = 10
+_POLISH_PASSES = 80
+
+# Compass axes: the six face and the eight corner directions of a cube.
+_COMPASS = np.array([d for d in product((-1.0, 0.0, 1.0), repeat=3) if sum(map(abs, d)) in (1.0, 3.0)])
+_COMPASS /= np.linalg.norm(_COMPASS, axis=1)[:, None]
 
 
-def _uncentered_radius_sq(spec: EmbeddingSpec) -> float:
-    total = 0.0
-    for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
-        gram = vecs @ vecs.T
-        total += b * b * float(wts @ (gram**a) @ wts)
-    return total
+def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient geodesic and embedded distance from each rotation ``(N, 4)``
+    to the identity coset; the ratio of the second to the first is the
+    distortion ``|E(Q) - E(I)| / d([Q], [I])``.
+
+    Both work on differences and so resolve small distances to machine
+    precision: the angle is ``4 arcsin(|q -+ s| / 2)`` for the nearest group
+    quaternion ``s``, as in ``so3._quaternion_angle``, and the embedded
+    distance is the multiplicity-weighted norm of
+    ``class_values(Q) - class_values(I)``.
+    """
+    group = spec.group.quaternions
+    near = group[np.abs(quats @ group.T).argmax(axis=1)]
+    gap = np.minimum(np.linalg.norm(quats - near, axis=1), np.linalg.norm(quats + near, axis=1))
+    d_geo = 4.0 * np.arcsin(np.minimum(1.0, 0.5 * gap))
+    here = class_values(spec, quaternions_to_matrices(quats))
+    base = class_values(spec, np.eye(3)[None])
+    d_emb = np.sqrt(sum(((v - v0) ** 2) @ class_multiplicities(a) for v, v0, a in zip(here, base, spec.alpha)))
+    return d_geo, d_emb
 
 
-def _pair_inner(spec: EmbeddingSpec, rel: np.ndarray) -> np.ndarray:
-    """<E(I), E(Q)> for a batch of relative rotations Q, uncentered."""
-    total = np.zeros(rel.shape[0])
-    for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
-        gram = np.einsum("ja,nab,kb->njk", vecs, rel, vecs, optimize=True)
-        total += b * b * np.einsum("njk,j,k->n", gram**a, wts, wts, optimize=True)
-    return total
+def _sampled_distances(spec: EmbeddingSpec, rng: np.random.Generator, n: int):
+    """Yield ``(quats, d_geo, d_emb)`` for ``n`` Haar rotations, block by block.
+
+    Rotations whose coset coincides numerically with the identity coset
+    (quotient distance below 1e-9) are dropped.  Blocks draw from ``rng`` in
+    turn, so the stream is the one a single draw of ``n`` would give.
+    """
+    for lo in range(0, n, _BLOCK):
+        quats = random_quaternions(rng, min(_BLOCK, n - lo))
+        d_geo, d_emb = _identity_distances(spec, quats)
+        keep = d_geo > 1e-9
+        yield quats[keep], d_geo[keep], d_emb[keep]
 
 
-def _embedded_distances(spec: EmbeddingSpec, rel: np.ndarray) -> np.ndarray:
-    """|E(R1) - E(R2)| for relative rotations R1^T R2; centering cancels."""
-    r_sq = _uncentered_radius_sq(spec)
-    return np.sqrt(np.clip(2.0 * r_sq - 2.0 * _pair_inner(spec, rel), 0.0, None))
+def _polish(spec: EmbeddingSpec, quats: np.ndarray, values: np.ndarray, signs: np.ndarray):
+    """Compass search that lowers ``signs * ratio`` from every start in lockstep.
 
+    ``values`` holds the starts' ratios.  Each pass tries, on every live lane,
+    the left multiplications by a rotation of ``step`` radians about each
+    ``_COMPASS`` axis, all lanes' trials in one batch; the corner axes let a
+    lane follow a crease of the ratio that no coordinate axis crosses.  A
+    lane moves to its best trial when that lowers ``signs * ratio`` and keeps
+    its step, or halves its step when no trial does.  The first step is an eighth of the
+    start's distance to the identity coset, so starts close to it take steps
+    at their own scale.  A lane stops once its step falls below 1e-9 rad, and
+    every lane after ``_POLISH_PASSES`` passes.  Trials at the identity coset
+    (distance below 1e-9) have no ratio and are never taken.
 
-def _coset_angles(spec: EmbeddingSpec, quats: np.ndarray) -> np.ndarray:
-    """Quotient geodesic distance of each rotation to the identity coset."""
-    overlap = np.abs(quats @ spec.group.quaternions.T).max(axis=1)
-    return 2.0 * np.arccos(np.clip(overlap, -1.0, 1.0))
-
-
-def _ratio_batch(spec: EmbeddingSpec, quats: np.ndarray, floor: float = 1e-9):
-    mats = quaternions_to_matrices(quats)
-    d_geo = _coset_angles(spec, quats)
-    d_emb = _embedded_distances(spec, mats)
-    keep = d_geo > floor
-    return d_geo[keep], d_emb[keep]
-
-
-def _ratio_single(spec: EmbeddingSpec, rotvec: np.ndarray) -> float:
-    angle = float(np.linalg.norm(rotvec))
-    if angle < 1e-12:
-        return math.nan
-    axis = rotvec / angle
-    angle = min(max(angle, 1e-7), math.pi)  # clamp away from the removable singularity
-    q = np.concatenate([[math.cos(angle / 2.0)], math.sin(angle / 2.0) * axis])
-    d_geo, d_emb = _ratio_batch(spec, q[None, :], floor=1e-12)
-    if d_geo.size == 0:
-        return math.nan
-    return float(d_emb[0] / d_geo[0])
+    Returns the polished ratios and the number of ratios evaluated.
+    """
+    quats, best = quats.copy(), signs * values
+    step = _identity_distances(spec, quats)[0] / 8.0
+    evaluations = 0
+    for _ in range(_POLISH_PASSES):
+        live = np.flatnonzero(step >= 1e-9)
+        if not live.size:
+            break
+        half = 0.5 * step[live]
+        turns = np.empty((len(live), len(_COMPASS), 4))
+        turns[..., 0] = np.cos(half)[:, None]
+        turns[..., 1:] = np.sin(half)[:, None, None] * _COMPASS
+        trials = _quat_product(turns, quats[live, None, :]).reshape(-1, 4)
+        d_geo, d_emb = _identity_distances(spec, trials)
+        evaluations += len(trials)
+        ratio = np.divide(d_emb, d_geo, out=np.full(len(trials), np.nan), where=d_geo > 1e-9)
+        scores = np.nan_to_num(ratio.reshape(len(live), -1) * signs[live, None], nan=np.inf)
+        pick = scores.argmin(axis=1)
+        gain = scores[np.arange(len(live)), pick] < best[live]
+        moved = live[gain]
+        quats[moved] = trials.reshape(len(live), -1, 4)[gain, pick[gain]]
+        best[moved] = scores[gain, pick[gain]]
+        step[live[~gain]] *= 0.5
+    return signs * best, evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +281,14 @@ def global_bounds(
 ) -> BoundsEstimate:
     """Estimate the global bounds on ``|E1 - E2| / d([R1], [R2])``.
 
-    Haar pair sampling reduces to sampling the relative rotation; a
-    deterministic near-identity ladder captures the small-distance limit, and
-    optional Nelder-Mead refinement polishes the 10 worst samples at each end
-    (at most 200 ratio evaluations per start).  Deterministic given ``seed``,
-    and the sample stream is nested: the first n draws of a 2n-pair run are
-    the n-pair run's draws.
+    Haar pair sampling reduces to sampling the relative rotation, evaluated
+    in blocks so that only each sample's rotation and ratio outlive its
+    block; a deterministic near-identity ladder captures the small-distance
+    limit.  Optional refinement polishes the 10 lowest and the 10 highest
+    samples together by a compass search over left-multiplied small
+    rotations (see ``_polish``); ``refine_evaluations`` counts the ratios it
+    evaluates.  Deterministic given ``seed``, and the sample stream is
+    nested: the first n draws of a 2n-pair run are the n-pair run's draws.
 
     Returns
     -------
@@ -256,68 +296,24 @@ def global_bounds(
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    ss = np.random.SeedSequence(seed)
-    pair_seq, ladder_seq = ss.spawn(2)
-    pair_rng = np.random.default_rng(pair_seq)
-
-    geos = []
-    embs = []
-    done = 0
-    while done < n_pairs:  # chunked to bound peak memory on large orbits
-        block = min(20_000, n_pairs - done)
-        d_geo, d_emb = _ratio_batch(spec, random_quaternions(pair_rng, block))
-        geos.append(d_geo)
-        embs.append(d_emb)
-        done += block
-    d_geo, d_emb = np.concatenate(geos), np.concatenate(embs)
-    lad_geo, lad_emb = _ratio_batch(spec, _ladder_quaternions(np.random.default_rng(ladder_seq)))
-    d_geo = np.concatenate([d_geo, lad_geo])
-    d_emb = np.concatenate([d_emb, lad_emb])
-    ratios = d_emb / d_geo
-
-    c_min = float(ratios.min())
-    c_max = float(ratios.max())
-    evaluations = 0
+    pair_seq, ladder_seq = np.random.SeedSequence(seed).spawn(2)
+    ladder = _ladder_quaternions(np.random.default_rng(ladder_seq))
+    parts = list(_sampled_distances(spec, np.random.default_rng(pair_seq), n_pairs))
+    parts.append((ladder, *_identity_distances(spec, ladder)))
+    ratios = np.concatenate([d_emb / d_geo for _, d_geo, d_emb in parts])
+    order = np.argsort(ratios, kind="stable")
+    ends = np.concatenate([order[:_POLISH_STARTS], order[::-1][:_POLISH_STARTS]])  # lowest, then highest
+    signs = np.repeat([1.0, -1.0], _POLISH_STARTS)
+    ratios, evaluations = ratios[ends], 0
     if refine:
-        # Rebuild the rotation vectors of every probed rotation; the pair
-        # stream is regenerated from its seed so the chunking above does not
-        # have to retain the quaternions.
-        rot_qs = np.concatenate(
-            [
-                random_quaternions(np.random.default_rng(pair_seq), n_pairs),
-                _ladder_quaternions(np.random.default_rng(ladder_seq)),
-            ]
-        )
-        mask = _coset_angles(spec, rot_qs) > 1e-9
-        rot_qs = rot_qs[mask]
-        halves = np.arccos(np.clip(np.abs(rot_qs[:, 0]), -1.0, 1.0))
-        signs = np.where(rot_qs[:, 0] < 0.0, -1.0, 1.0)
-        norms = np.linalg.norm(rot_qs[:, 1:], axis=1)
-        safe = np.maximum(norms, 1e-300)
-        rotvecs = (2.0 * halves * signs / safe)[:, None] * rot_qs[:, 1:]
-
-        for which in ("min", "max"):
-            sign = 1.0 if which == "min" else -1.0
-
-            def penalized(x, s=sign):
-                r = _ratio_single(spec, x)
-                return 1e6 if math.isnan(r) else s * r
-
-            order = np.argsort(sign * ratios)[:10]
-            for idx in order:
-                res = optimize.minimize(
-                    penalized,
-                    rotvecs[idx],
-                    method="Nelder-Mead",
-                    options={"maxfev": 200, "xatol": 1e-8, "fatol": 1e-13},
-                )
-                evaluations += int(res.nfev)
-                val = sign * float(res.fun)
-                if which == "min" and math.isfinite(val) and val < c_min:
-                    c_min = val
-                elif which == "max" and math.isfinite(val) and abs(val) < 1e5 and val > c_max:
-                    c_max = val
-    return BoundsEstimate(c_min=c_min, c_max=c_max, sample_count=int(n_pairs), refine_evaluations=evaluations)
+        quats = np.concatenate([q for q, _, _ in parts])[ends]
+        ratios, evaluations = _polish(spec, quats, ratios, signs)
+    return BoundsEstimate(
+        c_min=float(ratios[signs > 0].min()),
+        c_max=float(ratios[signs < 0].max()),
+        sample_count=int(n_pairs),
+        refine_evaluations=evaluations,
+    )
 
 
 def bound_ratio_table(
@@ -342,9 +338,8 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    rng = np.random.default_rng(seed)
-    d_geo, d_emb = _ratio_batch(spec, random_quaternions(rng, n_pairs))
-    return np.column_stack([d_geo, d_emb])
+    blocks = _sampled_distances(spec, np.random.default_rng(seed), n_pairs)
+    return np.concatenate([np.column_stack([d_geo, d_emb]) for _, d_geo, d_emb in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +349,16 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
 def empirical_embedding_mean(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> tuple[np.ndarray, ...]:
     """Mean embedding of ``n_samples`` Haar rotations, one tensor per component.
 
-    Summed as class values in blocks of 512 rotations, so the cost per sample
-    is polynomial in the rank and memory stays flat.
+    Summed as class values in blocks of ``_BLOCK`` rotations, so the cost per
+    sample is polynomial in the rank and memory stays flat.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     mats = quaternions_to_matrices(random_quaternions(rng, n_samples))
     sums = [np.zeros(math.comb(a + 2, 2)) for a in spec.alpha]
-    for start in range(0, n_samples, 512):
-        for acc, vals in zip(sums, class_values(spec, mats[start : start + 512])):
+    for start in range(0, n_samples, _BLOCK):
+        for acc, vals in zip(sums, class_values(spec, mats[start : start + _BLOCK])):
             acc += vals.sum(axis=0)
     return tuple(tensor_from_class_values(acc / n_samples, a) for acc, a in zip(sums, spec.alpha))
 

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .so3 import Coset, GOLDEN_RATIO, Rotation, SymmetryGroup, as_coset, group_elements
-from .tensors import class_monomials, class_multiplicities, invariant_class_values, rotate_tuple
+from .tensors import MAX_RANK, class_monomials, class_multiplicities, invariant_class_values, rotate_tuple
 from .tensors import tensor_from_class_values, tuple_norm
 
 # Bound but not called: bench/spans.py traces these names in this module.
@@ -65,7 +65,7 @@ class EmbeddingSpec:
         Directions, one per component.  Vectors within 1e-6 of unit length
         are renormalized; anything farther off is rejected.
     alpha : tuple of int
-        Tensor rank of each component, at least 1.
+        Tensor rank of each component, from 1 to ``tensors.MAX_RANK``.
     beta : tuple of float
         Positive component weights.
     centered : bool
@@ -93,8 +93,8 @@ class EmbeddingSpec:
                 raise ValueError(f"u[{i}] has norm {n:.8f}, more than 1e-6 away from 1")
             fixed.append(tuple(x / n for x in vec))
         for i, a in enumerate(alpha):
-            if a < 1:
-                raise ValueError(f"alpha[{i}] must be at least 1, got {a}")
+            if not 1 <= a <= MAX_RANK:
+                raise ValueError(f"alpha[{i}] must lie between 1 and {MAX_RANK}, got {a}")
         for i, b in enumerate(beta):
             if not (b > 0.0 and math.isfinite(b)):
                 raise ValueError(f"beta[{i}] must be positive and finite, got {b}")

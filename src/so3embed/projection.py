@@ -9,11 +9,12 @@ during the ascent.
 The solver is projected gradient ascent with an exponential-map retraction
 and Armijo backtracking, run from a small multi-start family: one seed from
 the Kabsch alignment of the rank-1 components (when nondegenerate) plus
-quasi-random seeds from a scrambled Sobol sequence mapped uniformly onto the
-quaternion sphere.  Seeds are screened by their initial objective, ascents
-run from the most promising ones, and a run that reaches the Cauchy-Schwarz
-upper bound ``radius * |T|`` certifies global optimality and stops the
-search early.  Everything is deterministic given the seed.
+low-discrepancy seeds from a super-Fibonacci spiral on the quaternion sphere,
+turned as a whole by a Haar rotation drawn from the seed.  Seeds are screened
+by their initial objective, ascents run from the most promising ones, and a
+run that reaches the Cauchy-Schwarz upper bound ``radius * |T|`` certifies
+global optimality and stops the search early.  Everything is deterministic
+given the seed.
 
 :func:`project_many` projects a whole table at once.  Every (target, start)
 ascent is one lane of a lockstep iteration over ``(M, 4)`` quaternion and
@@ -34,10 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .embedding import EmbeddingSpec, class_values, embed, radius
-from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, _quat_to_matrix
+from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, _quat_to_matrix, random_quaternions
 from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
 
 # Bound but not called: bench/spans.py traces this name in this module.
@@ -206,18 +206,21 @@ def gradient(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
 _BLOCK_ENTRIES = 2**20
 
 
-def _sobol_quaternions(n: int, seed: int) -> np.ndarray:
-    """Low-discrepancy rotation seeds ``(n, 4)``: scrambled Sobol points on
-    [0,1)^3 pushed through the uniform cube-to-quaternion map."""
-    engine = qmc.Sobol(d=3, scramble=True, seed=seed)
-    m = max(1, math.ceil(math.log2(max(2, n))))
-    pts = engine.random_base2(m)[:n]
-    u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    a, b = np.sqrt(1.0 - u1), np.sqrt(u1)
-    quats = np.column_stack(
-        [a * np.sin(2 * np.pi * u2), a * np.cos(2 * np.pi * u2), b * np.sin(2 * np.pi * u3), b * np.cos(2 * np.pi * u3)]
-    )
-    return quats / np.linalg.norm(quats, axis=1)[:, None]
+# Super-Fibonacci spiral constants: sqrt(2) and the real root of psi^4 = psi + 4.
+_PHI = math.sqrt(2.0)
+_PSI = 1.533751168755204288118041
+
+
+def _spiral_quaternions(n: int, seed: int) -> np.ndarray:
+    """Low-discrepancy rotation seeds ``(n, 4)``: the super-Fibonacci spiral
+    (M. Alexa, "Super-Fibonacci Spirals: Fast, Low-Discrepancy Sampling of
+    SO(3)", CVPR 2022), turned as a whole by one Haar rotation drawn from
+    ``seed``."""
+    s = np.arange(n) + 0.5
+    near, far = np.sqrt(s / n), np.sqrt(1.0 - s / n)
+    alpha, beta = (2.0 * math.pi / _PHI) * s, (2.0 * math.pi / _PSI) * s
+    spiral = np.column_stack([near * np.sin(alpha), near * np.cos(alpha), far * np.sin(beta), far * np.cos(beta)])
+    return _quat_product(random_quaternions(np.random.default_rng(seed), 1), spiral)
 
 
 def _lockstep_ascent(ev: _Targets, q: np.ndarray, tol: float, max_iter: int):
@@ -326,9 +329,10 @@ def project(
     max_iter : int
         Ascent iteration cap per start.
     starts : int, optional
-        Number of quasi-random seeds; defaults to ``max(8, |S|)``.
+        Number of spiral seeds; defaults to ``max(8, |S|)``.
     seed : int
-        Seed of the quasi-random sequence; the whole call is pure given it.
+        Seed of the Haar rotation that turns the super-Fibonacci spiral of
+        starts; the whole call is pure given it.
     max_runs : int
         Ascents actually executed, taken from the seeds in screened order.
 
@@ -337,7 +341,8 @@ def project(
     ProjectionResult
         Best run by objective (ties: lowest seed index).  For a spec over the
         trivial group with all ranks 1 the solution is the closed-form Kabsch
-        alignment instead of an iterative ascent.
+        alignment instead of an iterative ascent, unless that alignment is
+        not unique (correlation rank below 2).
 
     Raises
     ------
@@ -389,32 +394,33 @@ def project_many(
         None if ok else DegenerateInputError("cannot project the zero tuple: no direction is preferred")
         for ok in nonzero
     ]
-    live = np.flatnonzero(nonzero)
-    comps = [_components(spec, rows[i]) for i in live]
-
     if len(spec.group) == 1 and all(a == 1 for a in spec.alpha):
-        for i, target in zip(live, comps):
-            r = kabsch(spec.u_vectors, np.array([b * t for b, t in zip(spec.beta, target)]))
+        for i in np.flatnonzero(nonzero):
+            target = _components(spec, rows[i])
+            try:
+                r = kabsch(spec.u_vectors, np.array([b * t for b, t in zip(spec.beta, target)]))
+            except DegenerateConfigurationError:
+                continue  # no unique alignment: the row climbs like any other
             results[i] = _finalize(spec, target, r, iterations=0, converged=True)
-        return results
-
+    live = np.array([i for i, result in enumerate(results) if result is None], dtype=np.int64)
     if not live.size:
         return results
+    comps = [_components(spec, rows[i]) for i in live]
     n_starts = max(8, len(spec.group)) if starts is None else int(starts)
     if n_starts < 1:
         raise ValueError("starts must be positive")
-    sobol = _sobol_quaternions(n_starts, seed)
+    spiral = _spiral_quaternions(n_starts, seed)
     # A lane's power tables hold about orbit * (alpha + 1)**2 entries per component.
     lane = sum(len(vecs) * (a + 1) ** 2 for (vecs, _), a in zip(spec.orbits, spec.alpha))
     size = max(1, _BLOCK_ENTRIES // ((n_starts + 1) * lane))
     for lo in range(0, len(live), size):
-        block = _project_block(spec, comps[lo : lo + size], sobol, tol, max_iter, max_runs)
+        block = _project_block(spec, comps[lo : lo + size], spiral, tol, max_iter, max_runs)
         for i, result in zip(live[lo : lo + size], block):
             results[i] = result
     return results
 
 
-def _project_block(spec, comps, sobol, tol, max_iter, max_runs) -> list[ProjectionResult]:
+def _project_block(spec, comps, spiral, tol, max_iter, max_runs) -> list[ProjectionResult]:
     """The multi-start ascents of the targets ``comps``, all in lockstep."""
     rank1 = [i for i, a in enumerate(spec.alpha) if a == 1]
     seeds = []
@@ -429,7 +435,7 @@ def _project_block(spec, comps, sobol, tol, max_iter, max_runs) -> list[Projecti
                 found.append(kabsch(us, vs).quat)
             except DegenerateConfigurationError:
                 pass
-        seeds.append(np.concatenate([np.array(found).reshape(-1, 4), sobol]))
+        seeds.append(np.concatenate([np.array(found).reshape(-1, 4), spiral]))
 
     ev = _Targets.from_components(spec, comps)
     counts = [len(s) for s in seeds]

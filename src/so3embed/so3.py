@@ -373,20 +373,17 @@ _E3 = np.array([0.0, 0.0, 1.0])
 def _closure(name: str, generators: list[Rotation], expected: int) -> tuple[Rotation, ...]:
     """Close a generator list under composition; |S| is verified afterwards."""
     elems: list[Rotation] = [Rotation.identity()]
-    quats = [elems[0].quat]
-
-    def known(q: np.ndarray) -> bool:
-        return any(abs(float(q @ p)) > 1.0 - 1e-12 for p in quats)
-
+    quats = np.empty((4 * expected, 4))  # quats[:len(elems)] are the elements found so far
+    quats[0] = elems[0].quat
     frontier = list(generators)
     while frontier:
         r = frontier.pop()
-        if known(r.quat):
+        if (np.abs(quats[: len(elems)] @ r.quat) > 1.0 - 1e-12).any():
             continue
-        elems.append(r)
-        quats.append(r.quat)
-        if len(elems) > 4 * expected:
+        if len(elems) == 4 * expected:
             raise ConsistencyError(f"closure of {name} generators exceeded {4 * expected} elements")
+        quats[len(elems)] = r.quat
+        elems.append(r)
         frontier.extend(r @ e for e in elems)
         frontier.extend(e @ r for e in elems)
     if len(elems) != expected:

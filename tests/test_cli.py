@@ -127,6 +127,17 @@ def test_embed_with_spec_document(tmp_path):
     assert np.abs(got - want.flatten()).max() < 1e-16
 
 
+def test_embed_rejects_spec_rank_past_the_storage_limit(tmp_path, capsys):
+    doc = tmp_path / "spec.txt"
+    doc.write_text("group = C1\nu = 1 0 0\nalpha = 20\nbeta = 1\n")
+    src = tmp_path / "in.csv"
+    src.write_text("id,qw,qx,qy,qz\nr0,1,0,0,0\n")
+    out = tmp_path / "out.csv"
+    assert main(["embed", "--spec", str(doc), "-i", str(src), "-o", str(out)]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_output_floats_round_trip_exactly():
     out = run_cli("embed", "--group", "C2", stdin="id,qw,qx,qy,qz\nr0,0.6,0.8,0,0\n")
     _, rows = read_csv(out.stdout)
@@ -165,6 +176,17 @@ def test_project_dimension_mismatch_names_counts():
     out = run_cli("project", "--group", "O", stdin="id,e0,e1\nr0,0.1,0.2\n")
     assert out.returncode == 2
     assert "81" in out.stderr and "2" in out.stderr
+
+
+def test_project_c1_row_without_a_unique_alignment_climbs():
+    # only e0 is set, so the rank-1 alignment has correlation rank 1 and no
+    # unique solution; the row takes the multi-start ascent instead
+    header = "id," + ",".join(f"e{i}" for i in range(9))
+    out = run_cli("project", "--group", "C1", stdin=f"{header}\nr0,1,0,0,0,0,0,0,0,0\n")
+    assert out.returncode == 0
+    _, rows = read_csv(out.stdout)
+    assert rows[0][7] == "true" and rows[0][8] == ""
+    assert math.isfinite(float(rows[0][5]))
 
 
 def test_project_zero_row_records_error_and_warns():
@@ -295,6 +317,21 @@ def test_scatter_deterministic_and_positive():
     assert header == ["geodesic", "embedded"]
     assert len(rows) == 50
     assert all(float(x) > 0 for row in rows for x in row)
+
+
+def test_cli_import_loads_no_dependency_but_numpy():
+    # numpy is the only runtime dependency: past numpy itself, a fresh import
+    # of the CLI loads standard-library and so3embed modules only
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import so3embed.cli\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'so3embed'}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

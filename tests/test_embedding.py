@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from so3embed.embedding import (
     TABLE_GROUPS,
@@ -104,6 +106,7 @@ def test_spec_renormalizes_slightly_off_unit_vectors():
         (((1.0, 0.0),), (2,), (1.0,)),            # not a 3-vector
         (((math.nan, 0.0, 0.0),), (2,), (1.0,)),  # non-finite direction
         (((1.0, 0.0, 0.0),), (2,), (math.inf,)),  # non-finite weight
+        (((1.0, 0.0, 0.0),), (20,), (1.0,)),      # rank past MAX_RANK
     ],
 )
 def test_spec_validation_rejects_bad_parameters(u, alpha, beta):
@@ -162,6 +165,26 @@ def test_embedding_is_well_defined_on_cosets(rng, registered_spec):
     b = embed(registered_spec, Coset(r @ s, g))
     for x, y in zip(a.value, b.value):
         assert np.abs(x - y).max() < 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(TABLE_GROUPS),
+    q=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4),
+)
+def test_embed_does_not_depend_on_the_representative(name, q):
+    # embed(R s) = embed(R) for every element s.  Y gets 1e-10: its elements
+    # are built as products of products and close under multiplication only
+    # to ~2.5e-11, so the images R s u of its rank-10 direction miss the
+    # orbit vectors by that much (observed gaps up to ~1.2e-11, against
+    # ~1e-14 for the other groups).
+    assume(np.linalg.norm(q) > 1e-3)
+    spec = registry_lookup(name)
+    r = Rotation.from_quaternion(q)
+    want = embed(spec, r).flatten()
+    tol = 1e-10 if name == "Y" else 1e-13
+    for s in spec.group:
+        assert np.abs(embed(spec, r @ s).flatten() - want).max() < tol
 
 
 def test_embed_coerces_rotations(rng):

@@ -283,9 +283,9 @@ def test_project_many_batches_rows_without_changing_them(rng, monkeypatch):
 @pytest.mark.parametrize(
     "quat,seed",
     [
-        ((-0.3752917860211544, 0.6266261345732076, 0.07945620170582766, -0.6783675072004668), 3),
-        ((0.4605037113414382, -0.6857077322014524, -0.2067100608613801, -0.5244160453100071), 13),
-        ((-0.7695259280151364, 0.0796242647217524, -0.4728859843353211, -0.4217447906011145), 41),
+        ((-0.739005371810822, -0.14788771049360827, 0.0641915695066222, -0.6541251622770552), 3),
+        ((0.6321192709031239, 0.575739796327803, 0.33673715100509677, -0.39440715689537564), 13),
+        ((0.6450485037803041, -0.24051111044607812, 0.013319943156665796, 0.7251823306156105), 41),
     ],
 )
 def test_project_counts_runs_up_to_the_first_certified_one(quat, seed):
@@ -301,6 +301,19 @@ def test_project_counts_runs_up_to_the_first_certified_one(quat, seed):
     for res in prefix[first:]:
         assert res.iterations == prefix[first].iterations
         assert coset_distance(res.coset, prefix[first].coset) == 0.0
+
+
+def test_project_many_climbs_c1_rows_without_a_unique_alignment():
+    # e0 alone gives a rank-1 correlation, so the closed-form alignment is
+    # not unique; the ascent still reaches the maximum beta_1 |t_0|
+    spec = registry_lookup("C1")
+    table = np.zeros((2, 9))
+    table[0, 0] = 1.0
+    table[1] = embed(spec, Rotation.from_axis_angle([1.0, 2.0, 3.0], 0.7)).flatten()
+    degenerate, regular = project_many(spec, table)
+    assert degenerate.converged
+    assert degenerate.objective == pytest.approx(spec.beta[0], abs=1e-12)
+    assert regular.iterations == 0
 
 
 def test_project_many_rejects_misshaped_tables():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from so3embed.embedding import TABLE_GROUPS
 from so3embed.so3 import (
@@ -345,7 +344,11 @@ def test_random_quaternions_are_unit_and_deterministic():
 
 
 def test_random_rotations_follow_haar_angle_law(rng):
-    # under Haar measure the rotation angle has CDF (x - sin x) / pi
-    angles = np.array([random_rotation(rng).angle for _ in range(4000)])
-    result = stats.kstest(angles, lambda x: (x - np.sin(x)) / math.pi)
-    assert result.statistic < 0.03
+    # under Haar measure the rotation angle has CDF (x - sin x) / pi; the
+    # Kolmogorov-Smirnov statistic is the largest gap between it and the
+    # empirical CDF, taken on both sides of each step
+    angles = np.sort([random_rotation(rng).angle for _ in range(4000)])
+    cdf = (angles - np.sin(angles)) / math.pi
+    steps = np.arange(len(angles) + 1) / len(angles)
+    statistic = max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max())
+    assert statistic < 0.03
