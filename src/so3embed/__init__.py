@@ -58,11 +58,9 @@ from .so3 import (
     group_elements,
     random_quaternions,
     random_rotation,
-    safe_arccos,
 )
 from .tensors import (
     binom_identity_check,
-    index_class_ids,
     inner,
     invariant_tensor,
     outer_power,
@@ -106,7 +104,6 @@ __all__ = [
     "geodesic_distance",
     "global_bounds",
     "group_elements",
-    "index_class_ids",
     "inner",
     "invariant_tensor",
     "isometry_check",
@@ -122,7 +119,6 @@ __all__ = [
     "rank_check",
     "registry_lookup",
     "rotate",
-    "safe_arccos",
     "symmetrize",
     "tuple_norm",
     "__version__",

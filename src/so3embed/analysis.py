@@ -12,12 +12,11 @@ Beyond the infinitesimal picture, :func:`global_bounds` estimates the global
 distortion envelope ``c_min <= |E1 - E2| / d([R1], [R2]) <= c_max`` by Haar
 sampling plus a deterministic near-identity ladder, and polishes the extreme
 samples with a lockstep compass search.  By equivariance a pair reduces to
-its relative rotation Q, and one batched function gives the geodesic and
-embedded distances of ``(N, 4)`` quaternions to the identity coset for the
-sampling, the polish and :func:`distance_scatter` alike.  Both distances are
-taken from differences, ``4 arcsin(|q -+ s| / 2)`` and the class-value
-difference ``class_values(Q) - class_values(I)``, so the ratio stays accurate
-down to tiny distances.
+its relative rotation Q, and the sampling, the polish and
+:func:`distance_scatter` take the distances of ``(N, 4)`` quaternions to the
+identity coset from the package's two distance kernels,
+``so3.quotient_angles`` and ``embedding.class_norms``.  Both work on
+differences, so the ratio stays accurate down to tiny distances.
 """
 
 from __future__ import annotations
@@ -29,8 +28,9 @@ from itertools import product
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, class_values, registry_lookup
-from .so3 import TANGENT_BASIS, _quat_product, group_elements, quaternions_to_matrices, random_quaternions
+from .embedding import EmbeddingSpec, class_norms, class_values, registry_lookup
+from .so3 import TANGENT_BASIS, _quat_product, group_elements, quaternions_to_matrices, quotient_angles
+from .so3 import random_quaternions
 from .tensors import class_monomials, class_multiplicities, monomial_derivatives, tensor_from_class_values, tuple_norm
 
 # Bound but not called: bench/spans.py traces these names in this module.
@@ -167,6 +167,11 @@ _BLOCK = 512
 _POLISH_STARTS = 10
 _POLISH_PASSES = 80
 
+# Closest distance (rad) to the identity coset a polish trial may take.  Nearer,
+# class-value round-off (about 2e-14 on rank 10) outgrows the ratio's true gap
+# to its limit, and isometric specs would report c_max above 1.
+_POLISH_FLOOR = 1e-5
+
 # Compass axes: the six face and the eight corner directions of a cube.
 _COMPASS = np.array([d for d in product((-1.0, 0.0, 1.0), repeat=3) if sum(map(abs, d)) in (1.0, 3.0)])
 _COMPASS /= np.linalg.norm(_COMPASS, axis=1)[:, None]
@@ -175,22 +180,11 @@ _COMPASS /= np.linalg.norm(_COMPASS, axis=1)[:, None]
 def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quotient geodesic and embedded distance from each rotation ``(N, 4)``
     to the identity coset; the ratio of the second to the first is the
-    distortion ``|E(Q) - E(I)| / d([Q], [I])``.
-
-    Both work on differences and so resolve small distances to machine
-    precision: the angle is ``4 arcsin(|q -+ s| / 2)`` for the nearest group
-    quaternion ``s``, as in ``so3._quaternion_angle``, and the embedded
-    distance is the multiplicity-weighted norm of
-    ``class_values(Q) - class_values(I)``.
-    """
-    group = spec.group.quaternions
-    near = group[np.abs(quats @ group.T).argmax(axis=1)]
-    gap = np.minimum(np.linalg.norm(quats - near, axis=1), np.linalg.norm(quats + near, axis=1))
-    d_geo = 4.0 * np.arcsin(np.minimum(1.0, 0.5 * gap))
+    distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
     here = class_values(spec, quaternions_to_matrices(quats))
     base = class_values(spec, np.eye(3)[None])
-    d_emb = np.sqrt(sum(((v - v0) ** 2) @ class_multiplicities(a) for v, v0, a in zip(here, base, spec.alpha)))
-    return d_geo, d_emb
+    d_emb = class_norms(spec, [v - v0 for v, v0 in zip(here, base)])
+    return quotient_angles(quats, spec.group.quaternions), d_emb
 
 
 def _sampled_distances(spec: EmbeddingSpec, rng: np.random.Generator, n: int):
@@ -218,8 +212,8 @@ def _polish(spec: EmbeddingSpec, quats: np.ndarray, values: np.ndarray, signs: n
     its step, or halves its step when no trial does.  The first step is an eighth of the
     start's distance to the identity coset, so starts close to it take steps
     at their own scale.  A lane stops once its step falls below 1e-9 rad, and
-    every lane after ``_POLISH_PASSES`` passes.  Trials at the identity coset
-    (distance below 1e-9) have no ratio and are never taken.
+    every lane after ``_POLISH_PASSES`` passes.  Trials within
+    ``_POLISH_FLOOR`` of the identity coset are never taken.
 
     Returns the polished ratios and the number of ratios evaluated.
     """
@@ -237,7 +231,7 @@ def _polish(spec: EmbeddingSpec, quats: np.ndarray, values: np.ndarray, signs: n
         trials = _quat_product(turns, quats[live, None, :]).reshape(-1, 4)
         d_geo, d_emb = _identity_distances(spec, trials)
         evaluations += len(trials)
-        ratio = np.divide(d_emb, d_geo, out=np.full(len(trials), np.nan), where=d_geo > 1e-9)
+        ratio = np.divide(d_emb, d_geo, out=np.full(len(trials), np.nan), where=d_geo > _POLISH_FLOOR)
         scores = np.nan_to_num(ratio.reshape(len(live), -1) * signs[live, None], nan=np.inf)
         pick = scores.argmin(axis=1)
         gain = scores[np.arange(len(live)), pick] < best[live]

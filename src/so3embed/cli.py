@@ -15,6 +15,9 @@ first; norm may deviate from 1 by at most 1e-3) or as ZYZ Euler angles
 CSV is comma-separated UTF-8 with a header row; numeric output carries 17
 significant digits so 64-bit floats round-trip exactly, and every command is
 deterministic given --seed: identical invocations produce identical bytes.
+embed and distance read a table into arrays, validate every row before the
+output is opened, and compute and write it in blocks of rows, so memory does
+not grow with the table.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from contextlib import ExitStack
@@ -43,19 +47,22 @@ from .analysis import (
 from .embedding import (
     TABLE_GROUPS,
     EmbeddingSpec,
-    embed,
-    embedded_distance,
+    class_norms,
+    class_values,
     expected_hull_dimension,
     parse_spec_document,
     radius,
     registry_lookup,
 )
-from .projection import DegenerateInputError, project_many
-from .so3 import Coset, Rotation, coset_distance, fundamental_representative, group_elements
-from .tensors import binom_identity_check
+from .projection import _BLOCK_ENTRIES, DegenerateInputError, project_many
+from .so3 import fundamental_representative, group_elements, normalized_quaternions, quaternions_from_euler_zyz
+from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
+from .tensors import binom_identity_check, tensor_from_class_values
 
-# Bound but not called: bench/spans.py traces this name in this module.
+# Bound but not called: bench/spans.py traces these names in this module.
+from .embedding import embed, embedded_distance  # noqa: F401
 from .projection import project  # noqa: F401
+from .so3 import Rotation, coset_distance  # noqa: F401
 
 __all__ = ["entry", "main"]
 
@@ -111,11 +118,30 @@ def _read_table(stack: ExitStack, path: str | None):
     return header, rows
 
 
-def _make_writer(stack: ExitStack, path: str | None):
+def _open_output(stack: ExitStack, path: str | None):
     if path is None or path == "-":
-        return csv.writer(sys.stdout, lineterminator="\n")
-    fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-    return csv.writer(fh, lineterminator="\n")
+        return sys.stdout
+    return stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+
+
+def _make_writer(stack: ExitStack, path: str | None):
+    return csv.writer(_open_output(stack, path), lineterminator="\n")
+
+
+def _row_blocks(n_rows: int, width: int):
+    """Slices of at most ``_BLOCK_ENTRIES // width`` rows (at least one)."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+def _write_rows(fh, ids, values: np.ndarray) -> None:
+    """One line per row: the id, quoted as the csv module quotes it, then the
+    floats of ``values`` ``(N, width)`` at 17 significant digits."""
+    fmt = ",%.17g" * values.shape[1] + "\n"
+    for ident, row in zip(ids, values):
+        field = io.StringIO()  # the line terminator takes part in the quoting rule
+        csv.writer(field, lineterminator="\n").writerow((ident, ""))
+        fh.write(field.getvalue()[:-2] + fmt % tuple(row.tolist()))
 
 
 _QUAT_COLS = ("qw", "qx", "qy", "qz")
@@ -169,17 +195,33 @@ def _cell_floats(row, cols, line: int):
     return out
 
 
-def _parse_rotation(kind: str, vals, degrees: bool, line: int) -> Rotation:
+def _read_cells(rows, cols, idc: int):
+    """The cells ``cols`` of every row as one ``(N, len(cols))`` float array,
+    and the id cell of every row."""
+    vals = np.empty((len(rows), len(cols)))
+    ids = []
+    for k, (line, row) in enumerate(rows):
+        vals[k] = _cell_floats(row, cols, line)
+        ids.append(_cell(row, idc, line))
+    return vals, ids
+
+
+def _orientations(kind: str, vals: np.ndarray, rows, degrees: bool) -> np.ndarray:
+    """Unit quaternions ``(N, 4)`` from the orientation cells of every row."""
     if kind == "quaternion":
-        q = np.asarray(vals, dtype=float)
-        norm = float(np.linalg.norm(q))
-        if abs(norm - 1.0) > 1e-3:
-            raise _DataError(f"line {line}: quaternion norm {norm:.6g} deviates from 1 by more than 1e-3")
-        return Rotation.from_quaternion(q)
-    a, b, g = (math.radians(v) for v in vals) if degrees else vals
-    if not 0.0 <= b <= math.pi + 1e-12:
-        raise _DataError(f"line {line}: Euler beta must lie in [0, pi], got {b:.6g}")
-    return Rotation.from_euler_zyz(a, b, g)
+        norms = np.linalg.norm(vals, axis=1)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-3)
+        if bad.size:
+            k = bad[0]
+            raise _DataError(f"line {rows[k][0]}: quaternion norm {norms[k]:.6g} deviates from 1 by more than 1e-3")
+        return normalized_quaternions(vals)
+    if degrees:
+        vals = np.radians(vals)
+    bad = np.flatnonzero(~((vals[:, 1] >= 0.0) & (vals[:, 1] <= math.pi + 1e-12)))
+    if bad.size:
+        k = bad[0]
+        raise _DataError(f"line {rows[k][0]}: Euler beta must lie in [0, pi], got {vals[k, 1]:.6g}")
+    return quaternions_from_euler_zyz(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +258,14 @@ def cmd_embed(args) -> int:
         idc = _id_column(header)
         # Every row is validated before the output is opened, so a data error
         # leaves no partial file behind.
-        parsed = [
-            (_parse_rotation(kind, _cell_floats(row, cols, line), args.degrees, line), _cell(row, idc, line))
-            for line, row in rows
-        ]
-        writer = _make_writer(stack, args.output)
-        writer.writerow(["id"] + [f"e{i}" for i in range(spec.ambient_dimension)])
-        for rot, ident in parsed:
-            writer.writerow([ident] + [_fmt(x) for x in embed(spec, rot).flatten()])
+        vals, ids = _read_cells(rows, cols, idc)
+        quats = _orientations(kind, vals, rows, args.degrees)
+        fh = _open_output(stack, args.output)
+        csv.writer(fh, lineterminator="\n").writerow(["id"] + [f"e{i}" for i in range(spec.ambient_dimension)])
+        for block in _row_blocks(len(rows), spec.ambient_dimension):
+            comps = class_values(spec, quaternions_to_matrices(quats[block]))
+            dense = [tensor_from_class_values(v, a).reshape(len(v), -1) for v, a in zip(comps, spec.alpha)]
+            _write_rows(fh, ids[block], np.concatenate(dense, axis=1))
     return EXIT_OK
 
 
@@ -236,11 +278,7 @@ def cmd_project(args) -> int:
         coord_cols = [i for i in range(len(header)) if i != idc]
         if len(coord_cols) != dim:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
-        table = np.empty((len(rows), dim))
-        ids = []
-        for k, (line, row) in enumerate(rows):
-            table[k] = _cell_floats(row, coord_cols, line)
-            ids.append(_cell(row, idc, line))
+        table, ids = _read_cells(rows, coord_cols, idc)
         results = project_many(spec, table, tol=args.tol, max_iter=args.max_iter, starts=args.starts, seed=args.seed)
         writer = _make_writer(stack, args.output)
         writer.writerow(["id", "qw", "qx", "qy", "qz", "residual", "iterations", "converged", "error"])
@@ -278,22 +316,20 @@ def cmd_distance(args) -> int:
         idc = _id_column(header)
         kind1, cols1 = _rotation_layout(header, "1")
         kind2, cols2 = _rotation_layout(header, "2")
-        parsed = [
-            (
-                _parse_rotation(kind1, _cell_floats(row, cols1, line), args.degrees, line),
-                _parse_rotation(kind2, _cell_floats(row, cols2, line), args.degrees, line),
-                _cell(row, idc, line),
-            )
-            for line, row in rows
-        ]
-        writer = _make_writer(stack, args.output)
-        writer.writerow(["id", "distance"])
-        for r1, r2, ident in parsed:
-            if args.metric == "geodesic":
-                d = coset_distance(Coset(r1, group), Coset(r2, group))
+        vals, ids = _read_cells(rows, cols1 + cols2, idc)
+        q1 = _orientations(kind1, vals[:, : len(cols1)], rows, args.degrees)
+        q2 = _orientations(kind2, vals[:, len(cols1) :], rows, args.degrees)
+        fh = _open_output(stack, args.output)
+        csv.writer(fh, lineterminator="\n").writerow(["id", "distance"])
+        geodesic = args.metric == "geodesic"
+        for block in _row_blocks(len(rows), len(group) if geodesic else spec.ambient_dimension):
+            if geodesic:
+                d = quotient_angles(relative_quaternions(q1[block], q2[block]), group.quaternions)
             else:
-                d = embedded_distance(spec, r1, r2)
-            writer.writerow([ident, _fmt(d)])
+                here = class_values(spec, quaternions_to_matrices(q1[block]))
+                there = class_values(spec, quaternions_to_matrices(q2[block]))
+                d = class_norms(spec, [v1 - v2 for v1, v2 in zip(here, there)])
+            _write_rows(fh, ids[block], d[:, None])
     return EXIT_OK
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "EmbeddedPoint",
     "EmbeddingSpec",
     "TABLE_GROUPS",
+    "class_norms",
     "class_values",
     "embed",
     "equivariance_defect",
@@ -254,8 +255,10 @@ def class_values(spec: EmbeddingSpec, mats: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _class_norm(spec: EmbeddingSpec, comps) -> float:
-    return math.sqrt(sum(float(class_multiplicities(a) @ v**2) for a, v in zip(spec.alpha, comps)))
+def class_norms(spec: EmbeddingSpec, comps) -> np.ndarray:
+    """Norms ``(N,)`` of the dense tuples whose class values per component are
+    ``comps`` ``(N, C(alpha_i + 2, 2))``, such as :func:`class_values` differences."""
+    return np.sqrt(sum((v**2) @ class_multiplicities(a) for v, a in zip(comps, spec.alpha)))
 
 
 def embed(spec: EmbeddingSpec, c) -> EmbeddedPoint:
@@ -272,7 +275,7 @@ def embed(spec: EmbeddingSpec, c) -> EmbeddedPoint:
 @lru_cache(maxsize=None)
 def radius(spec: EmbeddingSpec) -> float:
     """Norm of every embedded point; constant over the whole quotient."""
-    return _class_norm(spec, [v[0] for v in class_values(spec, np.eye(3)[None])])
+    return float(class_norms(spec, class_values(spec, np.eye(3)[None]))[0])
 
 
 def equivariance_defect(spec: EmbeddingSpec, r: Rotation, c) -> float:
@@ -302,7 +305,7 @@ def expected_hull_dimension(spec: EmbeddingSpec) -> int:
 def embedded_distance(spec: EmbeddingSpec, c1, c2) -> float:
     """Euclidean distance between two embedded cosets."""
     mats = np.array([as_coset(c1, spec.group).rep.matrix, as_coset(c2, spec.group).rep.matrix])
-    return _class_norm(spec, [v[0] - v[1] for v in class_values(spec, mats)])
+    return float(class_norms(spec, [v[:1] - v[1:] for v in class_values(spec, mats)])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ Symmetry groups are explicit element lists in a fixed orientation:
 * icosahedral Y: the vertex direction (0, 1, phi), phi the golden ratio,
   is a five-fold axis.
 
+Batched functions take and return quaternion arrays ``(N, 4)``: ZYZ Euler
+conversion, normalization, relative rotations and quotient angles.  The
+scalar API on Rotation and Coset objects makes their N = 1 calls.
+
 All functions are pure; groups and rotations are immutable after construction
 and safe to share between threads.
 """
@@ -34,9 +38,12 @@ __all__ = [
     "fundamental_representative",
     "geodesic_distance",
     "group_elements",
+    "normalized_quaternions",
+    "quaternions_from_euler_zyz",
+    "quotient_angles",
     "random_quaternions",
     "random_rotation",
-    "safe_arccos",
+    "relative_quaternions",
 ]
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -59,24 +66,34 @@ class ConsistencyError(ArithmeticError):
     """An exact mathematical bound was violated by more than round-off allows."""
 
 
-def safe_arccos(x: float, tol: float = 1e-9) -> float:
-    """arccos that clamps round-off but rejects genuinely out-of-range input.
+def normalized_quaternions(q) -> np.ndarray:
+    """Quaternions ``(N, 4)`` scaled to unit norm; a zero norm raises ValueError."""
+    q = np.asarray(q, dtype=float)
+    # One dot product per row, as in _normalized: a table row and a Rotation
+    # built from it hold identical bits.
+    norms = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    if (norms < 1e-12).any():
+        raise ValueError("quaternion norm is numerically zero")
+    return q / norms
 
-    Arguments farther than ``tol`` outside [-1, 1] indicate corrupted data
-    (for example a matrix that is not a rotation) and raise
-    :class:`ConsistencyError` instead of being silently clamped.
-    """
-    if x > 1.0 + tol or x < -1.0 - tol:
-        raise ConsistencyError(f"arccos argument {x!r} is out of range beyond tolerance {tol}")
-    return math.acos(min(1.0, max(-1.0, x)))
 
-
-def _normalized(q: np.ndarray) -> np.ndarray:
+# normalized_quaternions for N = 1 at a third of its call cost, which every
+# Rotation constructor (and so group closure) pays.
+def _normalized(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(4)
     n = math.sqrt(float(q @ q))
     if n < 1e-12:
         raise ValueError("quaternion norm is numerically zero")
     return q / n
+
+
+def quaternions_from_euler_zyz(angles) -> np.ndarray:
+    """Unit quaternions ``(N, 4)`` of the rotations ``Rz(alpha) Ry(beta) Rz(gamma)``
+    for ZYZ Euler angles ``(N, 3)`` in radians."""
+    a, b, g = 0.5 * np.asarray(angles, dtype=float).T
+    cb, sb = np.cos(b), np.sin(b)
+    q = [cb * np.cos(a + g), sb * np.sin(g - a), sb * np.cos(g - a), cb * np.sin(a + g)]
+    return normalized_quaternions(np.column_stack(q))
 
 
 def _quat_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -196,10 +213,7 @@ class Rotation:
     @classmethod
     def from_euler_zyz(cls, alpha: float, beta: float, gamma: float) -> "Rotation":
         """Rotation Rz(alpha) Ry(beta) Rz(gamma) from ZYZ Euler angles in radians."""
-        rz1 = cls.from_axis_angle([0.0, 0.0, 1.0], alpha)
-        ry = cls.from_axis_angle([0.0, 1.0, 0.0], beta)
-        rz2 = cls.from_axis_angle([0.0, 0.0, 1.0], gamma)
-        return rz1 @ ry @ rz2
+        return cls(quaternions_from_euler_zyz([[alpha, beta, gamma]])[0])
 
     # -- conversions --------------------------------------------------------
 
@@ -209,10 +223,6 @@ class Rotation:
         m = _quat_to_matrix(self.quat)
         m.setflags(write=False)
         return m
-
-    def as_quaternion(self) -> np.ndarray:
-        """Copy of the unit quaternion (w, x, y, z)."""
-        return self.quat.copy()
 
     def canonical_quaternion(self) -> np.ndarray:
         """Quaternion with the sign fixed so the scalar part is nonnegative."""
@@ -263,25 +273,32 @@ class Rotation:
         """Rotation angle in [0, pi] (geodesic distance to the identity)."""
         return 2.0 * math.atan2(np.linalg.norm(self.quat[1:]), abs(self.quat[0]))
 
-    def isclose(self, other: "Rotation", tol: float = 1e-12) -> bool:
-        """Whether the two rotations agree up to quaternion sign within ``tol``."""
-        return bool(min(np.abs(self.quat - other.quat).max(), np.abs(self.quat + other.quat).max()) <= tol)
-
     def __repr__(self) -> str:
         w, x, y, z = self.quat
         return f"Rotation(w={w:+.6f}, x={x:+.6f}, y={y:+.6f}, z={z:+.6f})"
 
 
-def _quaternion_angle(q1: np.ndarray, q2: np.ndarray) -> float:
-    """Rotation angle between two unit quaternions, resolved for tiny angles.
+_IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
 
-    ``2 arccos |q1 . q2|`` saturates near zero (the overlap cannot exceed
-    1 - eps/2), so angles below ~2e-8 would all collapse.  The equivalent
-    ``4 arcsin(|q1 -+ q2| / 2)`` works on component differences instead and
-    resolves small angles to machine precision.
+
+def relative_quaternions(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """``conj(q2) q1`` for unit quaternions ``(N, 4)``, renormalized, so that
+    equal rows give the identity exactly and so a quotient angle of 0."""
+    return normalized_quaternions(_quat_product(q2 * np.array([1.0, -1.0, -1.0, -1.0]), q1))
+
+
+def quotient_angles(rel: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Geodesic distance from each unit quaternion of ``rel`` ``(N, 4)`` to the
+    identity coset of the group with quaternions ``group`` ``(|S|, 4)``; for
+    ``rel = conj(q2) q1``, the distance between the cosets of q1 and q2.
+
+    The angle ``4 arcsin(|rel -+ s| / 2)`` to the nearest element ``s`` works
+    on component differences, so it resolves small angles to machine
+    precision where ``2 arccos |rel . s|`` saturates.
     """
-    d = float(min(np.linalg.norm(q1 - q2), np.linalg.norm(q1 + q2)))
-    return 4.0 * math.asin(min(1.0, 0.5 * d))
+    near = group[np.abs(rel @ group.T).argmax(axis=1)]
+    gap = np.minimum(np.linalg.norm(rel - near, axis=1), np.linalg.norm(rel + near, axis=1))
+    return 4.0 * np.arcsin(np.minimum(1.0, 0.5 * gap))
 
 
 def geodesic_distance(r1: Rotation, r2: Rotation) -> float:
@@ -292,7 +309,7 @@ def geodesic_distance(r1: Rotation, r2: Rotation) -> float:
     arguments with a fixed rotation on either side leaves the value
     unchanged.
     """
-    return _quaternion_angle(r1.quat, r2.quat)
+    return float(quotient_angles(relative_quaternions(r1.quat[None], r2.quat[None]), _IDENTITY)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +519,8 @@ def coset_distance(c1: Coset, c2: Coset) -> float:
     """
     if not c1.group.matches(c2.group):
         raise ValueError(f"cannot compare cosets of {c1.group.name!r} and {c2.group.name!r}")
-    # d(r1 s, r2) = 2 arccos |<q(r1 s), q(r2)>|; the scalar part of
-    # q(r2)^-1 q(r1 s) is the dot product below, so one pass over the group
-    # quaternions suffices to pick the minimizing element.
-    prods = _quat_product(c1.rep.quat, c1.group.quaternions)
-    overlaps = prods @ c2.rep.quat
-    best = int(np.abs(overlaps).argmax())
-    if abs(float(overlaps[best])) > 1.0 + 1e-9:
-        raise ConsistencyError(f"quaternion overlap {overlaps[best]!r} exceeds 1 beyond tolerance")
-    return _quaternion_angle(prods[best], c2.rep.quat)
+    rel = relative_quaternions(c1.rep.quat[None], c2.rep.quat[None])
+    return float(quotient_angles(rel, c1.group.quaternions)[0])
 
 
 def fundamental_representative(c: Coset) -> Rotation:

@@ -31,7 +31,6 @@ __all__ = [
     "class_monomials",
     "class_multiplicities",
     "class_sums",
-    "index_class_ids",
     "inner",
     "invariant_class_values",
     "invariant_tensor",
@@ -119,11 +118,6 @@ def monomial_derivatives(alpha: int) -> np.ndarray:
                 table[d, lower[n[:d] + (n[d] - 1,) + n[d + 1 :]], c] = n[d]
     table.setflags(write=False)
     return table
-
-
-def index_class_ids(alpha: int) -> np.ndarray:
-    """Flat-index -> symmetry-class map for rank ``alpha`` (read-only)."""
-    return _classes(_check_rank(alpha))[0]
 
 
 @lru_cache(maxsize=None)
@@ -231,12 +225,16 @@ def class_multiplicities(alpha: int) -> np.ndarray:
 
 
 def tensor_from_class_values(vals: np.ndarray, alpha: int) -> np.ndarray:
-    """Dense symmetric tensor whose entry at each index is its class value."""
+    """Dense symmetric tensors whose entry at each index is its class value.
+
+    ``vals`` has shape ``(..., C(alpha+2, 2))``; the result has shape
+    ``(...) + (3,) * alpha``, one tensor per leading index.
+    """
     ids, counts, _ = _classes(_check_rank(alpha))
     vals = np.asarray(vals, dtype=float)
-    if vals.shape != (len(counts),):
+    if vals.shape[-1:] != (len(counts),):
         raise ValueError(f"expected {len(counts)} class values, got shape {vals.shape}")
-    return vals[ids].reshape((3,) * alpha)
+    return vals[..., ids].reshape(vals.shape[:-1] + (3,) * alpha)
 
 
 def class_counts(alpha: int) -> tuple[tuple[int, int, int], ...]:

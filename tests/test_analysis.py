@@ -217,6 +217,18 @@ def test_global_bounds_ladder_reaches_unit_slope(registered_spec):
     assert est.c_max < 1.0 + 5e-3
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_global_bounds_c_max_never_exceeds_one_on_isometric_specs(seed):
+    # the exact c_max of a locally isometric spec is 1; the polish must not
+    # walk so close to the identity coset that round-off lifts it above
+    over = {}
+    for name in TABLE_GROUPS:
+        est = global_bounds(registry_lookup(name), n_pairs=20_000, seed=seed)
+        if est.c_max > 1.0 + 1e-9:
+            over[name] = est.c_max
+    assert not over
+
+
 def test_global_bounds_min_shrinks_under_nested_seeding():
     spec = registry_lookup("D4")
     small = global_bounds(spec, n_pairs=10_000, seed=7, refine=False)

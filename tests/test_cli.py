@@ -1,15 +1,23 @@
 import csv
+import importlib
+import importlib.util
+import io
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3embed.cli import main
-from so3embed.embedding import embed, format_spec_document, registry_lookup
-from so3embed.projection import project
-from so3embed.so3 import Rotation, as_coset, coset_distance, random_rotation
+from so3embed.embedding import TABLE_GROUPS, embed, format_spec_document, registry_lookup
+from so3embed.projection import _BLOCK_ENTRIES, project
+from so3embed.so3 import Coset, Rotation, as_coset, coset_distance, random_quaternions, random_rotation
 
 
 def run_cli(*args, stdin=None):
@@ -25,6 +33,15 @@ def run_cli(*args, stdin=None):
 def read_csv(text):
     rows = list(csv.reader(text.splitlines()))
     return rows[0], rows[1:]
+
+
+def quaternion_table(quats) -> str:
+    rows = (f"r{i}," + ",".join(map(repr, map(float, q))) + "\n" for i, q in enumerate(quats))
+    return "id,qw,qx,qy,qz\n" + "".join(rows)
+
+
+# A Y row holds 59,049 entries, so a few dozen rows span several row blocks.
+Y_BLOCK_ROWS = _BLOCK_ENTRIES // registry_lookup("Y").ambient_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +155,99 @@ def test_embed_rejects_spec_rank_past_the_storage_limit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_embed_y_table_past_one_row_block_matches_row_by_row_embed(tmp_path):
+    spec = registry_lookup("Y")
+    quats = random_quaternions(np.random.default_rng(5), Y_BLOCK_ROWS + 3)
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text(quaternion_table(quats))
+    assert main(["embed", "--group", "Y", "-i", str(src), "-o", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[0] for row in rows] == [f"r{i}" for i in range(len(quats))]
+    for row, q in zip(rows, quats):
+        want = embed(spec, Rotation(q)).flatten()
+        assert np.abs(np.array(row[1:], dtype=float) - want).max() <= 1e-15
+
+
+def _embed_peak_rss(tmp_path, n_rows: int) -> int:
+    src = tmp_path / f"in{n_rows}.csv"
+    src.write_text(quaternion_table(random_quaternions(np.random.default_rng(n_rows), n_rows)))
+    code = (
+        "import resource, sys\n"
+        "from so3embed.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["embed", "--group", "Y", "-i", str(src), "-o", os.devnull]
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout)
+
+
+def test_embed_peak_memory_does_not_grow_with_row_count(tmp_path):
+    # rows are expanded and written block by block, so a table five times as
+    # long peaks at the same resident size
+    assert _embed_peak_rss(tmp_path, 100) <= 1.1 * _embed_peak_rss(tmp_path, 20)
+
+
+def test_embed_degree_rows_match_rotation_from_euler_zyz(tmp_path):
+    rng = np.random.default_rng(6)
+    deg = np.column_stack([rng.uniform(-180, 180, 8), rng.uniform(0, 180, 8), rng.uniform(-180, 180, 8)])
+    deg[:2] = [(0.0, 0.0, 0.0), (30.0, 180.0, -75.0)]  # both ends of the beta range
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("id,alpha,beta,gamma\n" + "".join("r," + ",".join(map(repr, map(float, d))) + "\n" for d in deg))
+    assert main(["embed", "--group", "C1", "--degrees", "-i", str(src), "-o", str(out)]) == 0
+    _, rows = read_csv(out.read_text())
+    for row, angles in zip(rows, deg):
+        want = embed(registry_lookup("C1"), Rotation.from_euler_zyz(*np.radians(angles))).flatten()
+        assert np.abs(np.array(row[1:], dtype=float) - want).max() <= 1e-15
+
+
+def test_bad_row_after_the_first_block_exits_2_and_writes_nothing(tmp_path, capsys):
+    quats = random_quaternions(np.random.default_rng(7), Y_BLOCK_ROWS + 5)
+    quats[Y_BLOCK_ROWS + 2] = [1.0, 0.0, 0.0, 0.5]
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text(quaternion_table(quats))
+    assert main(["embed", "--group", "Y", "-i", str(src), "-o", str(out)]) == 2
+    assert f"line {Y_BLOCK_ROWS + 4}: quaternion norm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _csv_bytes(rows) -> str:
+    """Rows as the csv module writes them, every float at 17 digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([row[0]] + [format(float(x), ".17g") for x in row[1:]] for row in rows)
+    return buf.getvalue()
+
+
+def test_ids_keep_the_csv_module_quoting(tmp_path):
+    ids = ["a,b", 'say "hi"', "two\nlines", "plain", ""]
+    quats = random_quaternions(np.random.default_rng(9), len(ids))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["id", "qw1", "qx1", "qy1", "qz1", "qw2", "qx2", "qy2", "qz2"]]
+        + [[i, *map(repr, map(float, q)), *map(repr, map(float, q[::-1]))] for i, q in zip(ids, quats)]
+    )
+    pairs, single = tmp_path / "pairs.csv", tmp_path / "single.csv"
+    pairs.write_text(buf.getvalue())
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["id", "qw", "qx", "qy", "qz"]] + [[i, *map(repr, map(float, q))] for i, q in zip(ids, quats)]
+    )
+    single.write_text(buf.getvalue())
+    for argv, src in ((["embed", "--group", "O"], single), (["distance", "--group", "O"], pairs),
+                      (["distance", "--group", "O", "--metric", "embedded"], pairs)):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "-i", str(src), "-o", str(out)]) == 0
+        text = out.read_text()
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert [row[0] for row in rows] == ids
+        assert text == ",".join(header) + "\n" + _csv_bytes(rows)
+
+
 def test_embed_output_floats_round_trip_exactly():
     out = run_cli("embed", "--group", "C2", stdin="id,qw,qx,qy,qz\nr0,0.6,0.8,0,0\n")
     _, rows = read_csv(out.stdout)
@@ -170,6 +280,27 @@ def test_project_round_trip_through_files(tmp_path):
         assert coset_distance(back, as_coset(r, spec.group)) < 1e-8
         assert row[7] == "true"
         assert row[8] == ""
+
+
+SMALL_GROUPS = tuple(g for g in TABLE_GROUPS if registry_lookup(g).ambient_dimension <= 1000)
+UNIT_QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: math.sqrt(sum(x * x for x in q)) > 0.1
+).map(lambda q: np.array(q) / np.linalg.norm(q))
+
+
+@settings(max_examples=25, deadline=None)
+@given(group=st.sampled_from(SMALL_GROUPS), quats=st.lists(UNIT_QUATERNIONS, min_size=1, max_size=3))
+def test_embed_csv_projects_back_to_its_coset(group, quats):
+    spec = registry_lookup(group)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, emb, proj = (os.path.join(tmp, name) for name in ("in.csv", "embed.csv", "project.csv"))
+        Path(src).write_text(quaternion_table(quats))
+        assert main(["embed", "--group", group, "-i", src, "-o", emb]) == 0
+        assert main(["project", "--group", group, "-i", emb, "-o", proj]) == 0
+        _, rows = read_csv(Path(proj).read_text())
+    for row, q in zip(rows, quats):
+        back = Coset(Rotation.from_quaternion(np.array(row[1:5], dtype=float)), spec.group)
+        assert coset_distance(back, Coset(Rotation(q), spec.group)) < 1e-8
 
 
 def test_project_dimension_mismatch_names_counts():
@@ -242,6 +373,14 @@ def test_distance_geodesic_c4_examples():
     _, rows = read_csv(out.stdout)
     assert float(rows[0][1]) < 1e-12
     assert float(rows[1][1]) == pytest.approx(math.pi / 4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["geodesic", "embedded"])
+def test_distance_empty_input_yields_header_only(metric, tmp_path):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("id,qw1,qx1,qy1,qz1,alpha2,beta2,gamma2\n")
+    assert main(["distance", "--group", "O", "--metric", metric, "-i", str(src), "-o", str(out)]) == 0
+    assert out.read_text() == "id,distance\n"
 
 
 def test_distance_embedded_consistent_with_embed_rows(tmp_path):
@@ -317,6 +456,20 @@ def test_scatter_deterministic_and_positive():
     assert header == ["geodesic", "embedded"]
     assert len(rows) == 50
     assert all(float(x) > 0 for row in rows for x in row)
+
+
+def test_bench_tracer_names_stay_bound():
+    # bench/spans.py swaps these attributes for traced wrappers; a name the
+    # package stops binding would break the traced benchmark runs
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    for module, attr, _ in spans.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    cli = importlib.import_module("so3embed.cli")
+    for ctor in spans.ROTATION_CTORS:
+        assert callable(getattr(cli.Rotation, ctor))
 
 
 def test_cli_import_loads_no_dependency_but_numpy():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from so3embed.embedding import TABLE_GROUPS
 from so3embed.so3 import (
-    ConsistencyError,
     Coset,
     Rotation,
     SymmetryGroup,
@@ -19,7 +18,6 @@ from so3embed.so3 import (
     group_elements,
     random_quaternions,
     random_rotation,
-    safe_arccos,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -141,13 +139,6 @@ def test_geodesic_distance_symmetry_and_triangle(rng):
     r1, r2, r3 = (random_rotation(rng) for _ in range(3))
     assert abs(geodesic_distance(r1, r2) - geodesic_distance(r2, r1)) < 1e-14
     assert geodesic_distance(r1, r3) <= geodesic_distance(r1, r2) + geodesic_distance(r2, r3) + 1e-12
-
-
-def test_safe_arccos_clamps_round_off_but_rejects_garbage():
-    assert safe_arccos(1.0 + 5e-16) == 0.0
-    assert abs(safe_arccos(-1.0 - 5e-16) - math.pi) < 1e-15
-    with pytest.raises(ConsistencyError):
-        safe_arccos(1.01)
 
 
 # ---------------------------------------------------------------------------

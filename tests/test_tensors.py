@@ -12,7 +12,7 @@ from so3embed.tensors import (
     binom_identity_check,
     class_counts,
     class_monomials,
-    index_class_ids,
+    class_multiplicities,
     inner,
     invariant_tensor,
     monomial_derivatives,
@@ -50,11 +50,11 @@ def test_rank_validation(bad):
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 5, 8])
 def test_index_classes_partition_all_indices(alpha):
-    ids = index_class_ids(alpha)
     counts = class_counts(alpha)
-    assert len(ids) == 3**alpha
     assert len(counts) == (alpha + 2) * (alpha + 1) // 2
+    ids = [counts.index(_value_counts(idx)) for idx in itertools.product(range(3), repeat=alpha)]
     sizes = np.bincount(ids, minlength=len(counts))
+    assert np.array_equal(sizes, class_multiplicities(alpha))
     # class size is the multinomial coefficient of its count triple
     for ci, (a, b, c) in enumerate(counts):
         assert a + b + c == alpha
@@ -213,14 +213,29 @@ def test_sym_coordinates_is_an_isometry_on_symmetric_tensors(rng):
     assert float(np.sum(t * u)) == pytest.approx(float(coords @ sym_coordinates(u)), rel=1e-12)
 
 
+def _value_counts(idx):
+    return tuple(idx.count(v) for v in range(3))
+
+
 def test_tensor_from_class_values_round_trip(rng):
-    vals = rng.normal(size=len(class_counts(3)))
+    counts = class_counts(3)
+    vals = rng.normal(size=len(counts))
     t = tensor_from_class_values(vals, 3)
     assert np.abs(symmetrize(t) - t).max() < 1e-14
-    ids = index_class_ids(3)
-    assert np.array_equal(t.ravel(), vals[ids])
+    for idx in itertools.product(range(3), repeat=3):
+        assert t[idx] == vals[counts.index(_value_counts(idx))]
     with pytest.raises(ValueError):
         tensor_from_class_values(vals[:-1], 3)
+    with pytest.raises(ValueError):
+        tensor_from_class_values(1.0, 3)
+
+
+def test_tensor_from_class_values_takes_leading_batch_axes(rng):
+    vals = rng.normal(size=(2, 5, len(class_counts(4))))
+    batch = tensor_from_class_values(vals, 4)
+    assert batch.shape == (2, 5) + (3,) * 4
+    for i, j in itertools.product(range(2), range(5)):
+        assert np.array_equal(batch[i, j], tensor_from_class_values(vals[i, j], 4))
 
 
 # ---------------------------------------------------------------------------
