@@ -47,7 +47,6 @@ from .projection import (
 from .so3 import (
     GOLDEN_RATIO,
     TANGENT_BASIS,
-    ConsistencyError,
     Coset,
     Rotation,
     SymmetryGroup,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsEstimate",
-    "ConsistencyError",
     "Coset",
     "DegenerateConfigurationError",
     "DegenerateInputError",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingSpec, class_values, embed, radius
-from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, _quat_to_matrix, random_quaternions
+from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, quaternions_to_matrices, random_quaternions
 from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
 
 # Bound but not called: bench/spans.py traces this name in this module.
@@ -252,7 +252,7 @@ def _lockstep_ascent(ev: _Targets, q: np.ndarray, tol: float, max_iter: int):
     out_q, out_j = q.copy(), np.empty(len(q))
     out_iter, out_conv = np.zeros(len(q), dtype=np.int64), np.zeros(len(q), dtype=bool)
     ids = np.arange(len(q))
-    mats = _quat_to_matrix(q)
+    mats = quaternions_to_matrices(q)
     j, g = ev.values(mats), ev.grads(mats)
     iters = np.zeros(len(q), dtype=np.int64)
     tau_prev = np.full(len(q), 0.5)
@@ -284,7 +284,7 @@ def _lockstep_ascent(ev: _Targets, q: np.ndarray, tol: float, max_iter: int):
         step[:, 1:] = np.sin(half)[:, None] * axis
         q_new = _quat_product(step, q)
         q_new /= np.sqrt(np.add.reduce(q_new * q_new, axis=1))[:, None]
-        mats_new = _quat_to_matrix(q_new)
+        mats_new = quaternions_to_matrices(q_new)
         j_new = ev.values(mats_new)
         gain = j_new - j
         accepted = (gain >= flat) & (gain >= 1e-4 * tau * (gn / math.sqrt(2.0)))
@@ -439,7 +439,7 @@ def _project_block(spec, comps, spiral, tol, max_iter, max_runs) -> list[Project
 
     ev = _Targets.from_components(spec, comps)
     counts = [len(s) for s in seeds]
-    initial = ev.take(np.repeat(np.arange(len(seeds)), counts)).values(_quat_to_matrix(np.concatenate(seeds)))
+    initial = ev.take(np.repeat(np.arange(len(seeds)), counts)).values(quaternions_to_matrices(np.concatenate(seeds)))
     ends = np.cumsum(counts)
     orders = [np.argsort(-v, kind="stable")[: max(1, max_runs)] for v in np.split(initial, ends[:-1])]
     certificate = radius(spec) * ev.sym_norm * (1.0 - 1e-10)

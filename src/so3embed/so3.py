@@ -2,13 +2,18 @@
 
 Rotations are stored as unit quaternions (scalar first) and renormalized after
 every composition, so long product chains cannot drift away from SO(3).
-Symmetry groups are explicit element lists in a fixed orientation:
+Symmetry groups are explicit element lists, each built from a closed-form
+quaternion table (no products of generators, so no accumulated round-off),
+in a fixed orientation:
 
-* cyclic C_k: major rotation axis along e1,
-* dihedral D_k: major axis along e1, a two-fold axis along e2,
-* tetrahedral T and octahedral O: a three-fold axis along (1, 1, 1),
-* icosahedral Y: the vertex direction (0, 1, phi), phi the golden ratio,
-  is a five-fold axis.
+* cyclic C_k: (cos(pi j/k), sin(pi j/k), 0, 0), major rotation axis along e1,
+* dihedral D_k: C_k and (0, 0, cos(pi j/k), sin(pi j/k)), a two-fold axis
+  along e2,
+* tetrahedral T: the 8 units and 16 half-units (+-1/2, +-1/2, +-1/2, +-1/2),
+  a three-fold axis along (1, 1, 1),
+* octahedral O: T and the signed permutations of (1, 1, 0, 0)/sqrt(2),
+* icosahedral Y: T and the signed odd permutations of (phi, 1, 1/phi, 0)/2,
+  phi the golden ratio; the vertex direction (0, 1, phi) is a five-fold axis.
 
 Batched functions take and return quaternion arrays ``(N, 4)``: ZYZ Euler
 conversion, normalization, relative rotations and quotient angles.  The
@@ -20,6 +25,7 @@ and safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -30,7 +36,6 @@ import numpy as np
 __all__ = [
     "GOLDEN_RATIO",
     "TANGENT_BASIS",
-    "ConsistencyError",
     "Coset",
     "Rotation",
     "SymmetryGroup",
@@ -62,29 +67,13 @@ TANGENT_BASIS = np.array(
 TANGENT_BASIS.setflags(write=False)
 
 
-class ConsistencyError(ArithmeticError):
-    """An exact mathematical bound was violated by more than round-off allows."""
-
-
 def normalized_quaternions(q) -> np.ndarray:
     """Quaternions ``(N, 4)`` scaled to unit norm; a zero norm raises ValueError."""
     q = np.asarray(q, dtype=float)
-    # One dot product per row, as in _normalized: a table row and a Rotation
-    # built from it hold identical bits.
     norms = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
     if (norms < 1e-12).any():
         raise ValueError("quaternion norm is numerically zero")
     return q / norms
-
-
-# normalized_quaternions for N = 1 at a third of its call cost, which every
-# Rotation constructor (and so group closure) pays.
-def _normalized(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(4)
-    n = math.sqrt(float(q @ q))
-    if n < 1e-12:
-        raise ValueError("quaternion norm is numerically zero")
-    return q / n
 
 
 def quaternions_from_euler_zyz(angles) -> np.ndarray:
@@ -108,8 +97,9 @@ def _quat_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices from unit quaternions (..., 4) -> (..., 3, 3)."""
+def quaternions_to_matrices(q) -> np.ndarray:
+    """Rotation matrices ``(..., 3, 3)`` of unit quaternions ``(..., 4)``."""
+    q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     m = np.empty(q.shape[:-1] + (3, 3))
     m[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
@@ -130,9 +120,8 @@ def _quat_from_matrix(m: np.ndarray) -> np.ndarray:
     t = m[0, 0] + m[1, 1] + m[2, 2]
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
-        return _normalized(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
+        q = [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        return normalized_quaternions([q])[0]
     i = int(np.argmax([m[0, 0], m[1, 1], m[2, 2]]))
     if i == 0:
         s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
@@ -143,7 +132,7 @@ def _quat_from_matrix(m: np.ndarray) -> np.ndarray:
     else:
         s = math.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2]) * 2.0
         q = [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-    return _normalized(q)
+    return normalized_quaternions([q])[0]
 
 
 def canonical_quaternion(q: np.ndarray) -> np.ndarray:
@@ -166,7 +155,7 @@ class Rotation:
     quat: np.ndarray
 
     def __post_init__(self):
-        q = _normalized(self.quat)
+        q = normalized_quaternions(np.reshape(self.quat, (1, 4)))[0]
         q.setflags(write=False)
         object.__setattr__(self, "quat", q)
 
@@ -220,7 +209,7 @@ class Rotation:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The 3x3 rotation matrix (read-only)."""
-        m = _quat_to_matrix(self.quat)
+        m = quaternions_to_matrices(self.quat)
         m.setflags(write=False)
         return m
 
@@ -339,7 +328,7 @@ class SymmetryGroup:
     @cached_property
     def matrices(self) -> np.ndarray:
         """All element matrices stacked into shape (|S|, 3, 3) (read-only)."""
-        m = _quat_to_matrix(self.quaternions)
+        m = quaternions_to_matrices(self.quaternions)
         m.setflags(write=False)
         return m
 
@@ -382,61 +371,50 @@ class SymmetryGroup:
         return f"SymmetryGroup({self.name!r}, order={len(self)})"
 
 
-_E1 = np.array([1.0, 0.0, 0.0])
-_E2 = np.array([0.0, 1.0, 0.0])
-_E3 = np.array([0.0, 0.0, 1.0])
+def _signed_rows(v, perms) -> np.ndarray:
+    """The rows ``v[p]`` for each permutation ``p`` in ``perms``, under all 16
+    sign patterns."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+    rows = np.asarray(v, dtype=float)[np.array(perms)]
+    return (rows[:, None, :] * signs).reshape(-1, 4)
 
 
-def _closure(name: str, generators: list[Rotation], expected: int) -> tuple[Rotation, ...]:
-    """Close a generator list under composition; |S| is verified afterwards."""
-    elems: list[Rotation] = [Rotation.identity()]
-    quats = np.empty((4 * expected, 4))  # quats[:len(elems)] are the elements found so far
-    quats[0] = elems[0].quat
-    frontier = list(generators)
-    while frontier:
-        r = frontier.pop()
-        if (np.abs(quats[: len(elems)] @ r.quat) > 1.0 - 1e-12).any():
-            continue
-        if len(elems) == 4 * expected:
-            raise ConsistencyError(f"closure of {name} generators exceeded {4 * expected} elements")
-        quats[len(elems)] = r.quat
-        elems.append(r)
-        frontier.extend(r @ e for e in elems)
-        frontier.extend(e @ r for e in elems)
-    if len(elems) != expected:
-        raise ConsistencyError(f"group {name} closed with {len(elems)} elements, expected {expected}")
-    # Deterministic element order: sort by sign-canonical quaternion, identity first.
-    keyed = sorted(elems, key=lambda e: tuple(-canonical_quaternion(e.quat)))
-    return tuple(keyed)
+def _polyhedral_table(family: str) -> np.ndarray:
+    """Closed-form unit quaternions of T, O or Y (J. H. Conway and D. A. Smith,
+    *On Quaternions and Octonions*, 2003, ch. 3), one per rotation.
+
+    T is the 8 units and 16 half-units; O adds the signed permutations of
+    (1, 1, 0, 0)/sqrt(2); Y adds the signed odd permutations of
+    (phi, 1, 1/phi, 0)/2, whose five-fold axes include (0, 1, phi).  Rows are
+    sign-canonical and sorted in descending lexicographic order, identity first.
+    """
+    perms = list(itertools.permutations(range(4)))
+    parts = [_signed_rows((1.0, 0.0, 0.0, 0.0), perms), _signed_rows((0.5,) * 4, perms[:1])]
+    if family == "O":
+        parts.append(_signed_rows(np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0), perms))
+    if family == "Y":
+        odd = [p for p in perms if np.linalg.det(np.eye(4)[list(p)]) < 0.0]
+        parts.append(_signed_rows(np.array([GOLDEN_RATIO, 1.0, 1.0 / GOLDEN_RATIO, 0.0]) / 2.0, odd))
+    q = np.concatenate(parts)
+    first = q[np.arange(len(q)), (q != 0.0).argmax(axis=1)]
+    q = q * np.sign(first)[:, None] + 0.0  # + 0.0 turns -0.0 into 0.0
+    return np.unique(q, axis=0)[::-1]
 
 
 @lru_cache(maxsize=None)
 def _build_group(family: str, k: int) -> SymmetryGroup:
-    if family == "C":
-        elems = tuple(Rotation.from_axis_angle(_E1, 2.0 * math.pi * j / k) for j in range(k))
-        return SymmetryGroup(f"C{k}", elems)
-    if family == "D":
-        flip = Rotation.from_axis_angle(_E2, math.pi)
-        axial = [Rotation.from_axis_angle(_E1, 2.0 * math.pi * j / k) for j in range(k)]
-        return SymmetryGroup(f"D{k}", tuple(axial + [r @ flip for r in axial]))
-    three_fold = Rotation.from_axis_angle([1.0, 1.0, 1.0], 2.0 * math.pi / 3.0)
-    if family == "T":
-        gens = [Rotation.from_axis_angle(_E1, math.pi), three_fold]
-        return SymmetryGroup("T", _closure("T", gens, 12))
-    if family == "O":
-        gens = [Rotation.from_axis_angle(_E1, math.pi / 2.0), three_fold]
-        return SymmetryGroup("O", _closure("O", gens, 24))
-    if family == "Y":
-        # Icosahedron with vertices (0, +-1, +-Phi) and cyclic permutations.
-        # The two-fold must not be perpendicular to the five-fold axis, or the
-        # pair only spans the pentagon dihedral subgroup of order 10.
-        vertex = np.array([0.0, 1.0, GOLDEN_RATIO])
-        gens = [
-            Rotation.from_axis_angle(vertex, 2.0 * math.pi / 5.0),
-            Rotation.from_axis_angle(_E3, math.pi),
-        ]
-        return SymmetryGroup("Y", _closure("Y", gens, 60))
-    raise ValueError(f"unknown group family {family!r}")
+    if family in ("C", "D"):
+        # Rotations by 2 pi j / k about e1; D_k appends each of them composed
+        # with the half turn about e2, (c, s, 0, 0) (0, 0, 1, 0) = (0, 0, c, s).
+        rows = [(math.cos(math.pi * j / k), math.sin(math.pi * j / k), 0.0, 0.0) for j in range(k)]
+        if family == "D":
+            rows += [(0.0, 0.0, c, s) for c, s, _, _ in rows]
+        name = f"{family}{k}"
+    elif family in ("T", "O", "Y"):
+        rows, name = _polyhedral_table(family), family
+    else:
+        raise ValueError(f"unknown group family {family!r}")
+    return SymmetryGroup.from_elements(name, map(Rotation.from_quaternion, rows), check=True)
 
 
 def group_elements(name: str, k: int | None = None) -> SymmetryGroup:
@@ -561,8 +539,3 @@ def random_rotation(rng: np.random.Generator) -> Rotation:
     seeded identically yield identical rotation streams.
     """
     return Rotation(random_quaternions(rng, 1)[0])
-
-
-def quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
-    """Vectorized conversion of unit quaternions (..., 4) to matrices (..., 3, 3)."""
-    return _quat_to_matrix(np.asarray(q, dtype=float))

@@ -147,14 +147,18 @@ def test_o_identity_embedding_matches_hand_average():
 @pytest.mark.parametrize("variant", ["isometric", "arnold"])
 @pytest.mark.parametrize("name", TABLE_GROUPS)
 def test_embed_matches_dense_orbit_average(name, variant, rng):
+    # Against the deduplicated orbit average, and against the plain average
+    # over all |S| elements, which needs no orbit bookkeeping.
     spec = registry_lookup(name, variant)
     r = random_rotation(rng)
     got = embed(spec, r).value
-    for i, ((vecs, wts), a, b) in enumerate(zip(spec.orbits, spec.alpha, spec.beta)):
-        want = b * sum(wt * outer_power(r.matrix @ v, a) for v, wt in zip(vecs, wts))
-        if a % 2 == 0:
-            want = want - (b / (a + 1)) * invariant_tensor(a)
-        assert np.abs(got[i] - want).max() < 1e-14
+    for i, ((vecs, wts), u, a, b) in enumerate(zip(spec.orbits, spec.u_vectors, spec.alpha, spec.beta)):
+        orbit = b * sum(wt * outer_power(r.matrix @ v, a) for v, wt in zip(vecs, wts))
+        plain = (b / len(spec.group)) * sum(outer_power(r.matrix @ s @ u, a) for s in spec.group.matrices)
+        for want in (orbit, plain):
+            if a % 2 == 0:
+                want = want - (b / (a + 1)) * invariant_tensor(a)
+            assert np.abs(got[i] - want).max() < 1e-14
 
 
 def test_embedding_is_well_defined_on_cosets(rng, registered_spec):
@@ -164,7 +168,7 @@ def test_embedding_is_well_defined_on_cosets(rng, registered_spec):
     a = embed(registered_spec, Coset(r, g))
     b = embed(registered_spec, Coset(r @ s, g))
     for x, y in zip(a.value, b.value):
-        assert np.abs(x - y).max() < 1e-11
+        assert np.abs(x - y).max() < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,18 +177,13 @@ def test_embedding_is_well_defined_on_cosets(rng, registered_spec):
     q=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4),
 )
 def test_embed_does_not_depend_on_the_representative(name, q):
-    # embed(R s) = embed(R) for every element s.  Y gets 1e-10: its elements
-    # are built as products of products and close under multiplication only
-    # to ~2.5e-11, so the images R s u of its rank-10 direction miss the
-    # orbit vectors by that much (observed gaps up to ~1.2e-11, against
-    # ~1e-14 for the other groups).
+    # embed(R s) = embed(R) for every element s.
     assume(np.linalg.norm(q) > 1e-3)
     spec = registry_lookup(name)
     r = Rotation.from_quaternion(q)
     want = embed(spec, r).flatten()
-    tol = 1e-10 if name == "Y" else 1e-13
     for s in spec.group:
-        assert np.abs(embed(spec, r @ s).flatten() - want).max() < tol
+        assert np.abs(embed(spec, r @ s).flatten() - want).max() < 1e-13
 
 
 def test_embed_coerces_rotations(rng):

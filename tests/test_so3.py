@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from so3embed.embedding import TABLE_GROUPS
 from so3embed.so3 import (
+    GOLDEN_RATIO,
     Coset,
     Rotation,
     SymmetryGroup,
+    _quat_product,
     as_coset,
     canonical_quaternion,
     coset_distance,
@@ -169,6 +171,29 @@ def test_group_closure_inverses_identity(name):
             assert g.contains(r @ s)
 
 
+# (axis, angle) of two rotations that generate each polyhedral group in the
+# orientation of so3embed.so3
+POLYHEDRAL_GENERATORS = {
+    "T": [(E1, math.pi), ((1.0, 1.0, 1.0), 2.0 * math.pi / 3.0)],
+    "O": [(E1, math.pi / 2.0), ((1.0, 1.0, 1.0), 2.0 * math.pi / 3.0)],
+    "Y": [((0.0, 1.0, GOLDEN_RATIO), 2.0 * math.pi / 5.0), (E3, math.pi)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYHEDRAL_GENERATORS))
+def test_polyhedral_table_holds_its_generators_and_closes_exactly(name):
+    # The tables are closed-form, not closures of these generators; a table in
+    # another orientation (Y from even permutations, say) misses them.
+    g = group_elements(name)
+    for axis, angle in POLYHEDRAL_GENERATORS[name]:
+        assert g.contains(Rotation.from_axis_angle(axis, angle), tol=1e-14)
+    q = g.quaternions
+    prods = _quat_product(q[:, None, :], q[None, :, :]).reshape(-1, 4)
+    near = q[np.abs(prods @ q.T).argmax(axis=1)]
+    gap = np.minimum(np.abs(prods - near).max(axis=1), np.abs(prods + near).max(axis=1))
+    assert gap.max() <= 4.4e-16
+
+
 def test_cyclic_group_axis_is_e1():
     g = group_elements("C6")
     for q in g.quaternions:
@@ -213,8 +238,8 @@ def test_icosahedral_orbit_of_vertex_axis():
     assert len(orbit) == 12
     dots = np.abs(orbit @ orbit.T)
     off = dots[~np.eye(12, dtype=bool)]
-    good = np.abs(off - 1.0 / math.sqrt(5.0)) < 1e-10
-    antipodal = np.abs(off - 1.0) < 1e-10
+    good = np.abs(off - 1.0 / math.sqrt(5.0)) < 1e-12
+    antipodal = np.abs(off - 1.0) < 1e-12
     assert np.all(good | antipodal)
 
 
@@ -276,10 +301,7 @@ def test_coset_distance_is_a_symmetric_metric(name, q1, q2, q3):
     for q in (q1, q2, q3):
         assume(np.linalg.norm(q) > 1e-3)
     g = group_elements(name)
-    # The Y elements are built as products of products and close under
-    # multiplication only to ~2.5e-11, which bounds how symmetric the minimum
-    # over the group can be (4.4e-12 seen); the other groups close to 2e-14.
-    tol = 1e-10 if name == "Y" else 1e-12
+    tol = 1e-12
     c1, c2, c3 = (Coset(Rotation.from_quaternion(q), g) for q in (q1, q2, q3))
     d12 = coset_distance(c1, c2)
     assert abs(d12 - coset_distance(c2, c1)) <= tol
