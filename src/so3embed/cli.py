@@ -49,6 +49,7 @@ from .embedding import (
     EmbeddingSpec,
     class_norms,
     class_values,
+    dense_rows,
     expected_hull_dimension,
     parse_spec_document,
     radius,
@@ -57,7 +58,7 @@ from .embedding import (
 from .projection import _BLOCK_ENTRIES, DegenerateInputError, project_many
 from .so3 import fundamental_representative, group_elements, normalized_quaternions, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
-from .tensors import binom_identity_check, tensor_from_class_values
+from .tensors import binom_identity_check
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .embedding import embed, embedded_distance  # noqa: F401
@@ -86,6 +87,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _number(kind, low, strict: bool = False):
+    """An argparse type: a finite ``kind`` value of at least ``low``, or above it if ``strict``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"expected a finite value {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -94,16 +106,19 @@ def _fmt(x: float) -> str:
 # CSV plumbing
 
 
+def _open(stack: ExitStack, path: str | None, mode: str):
+    """``path`` opened in ``mode`` "r" or "w"; no path or "-" is stdin or stdout."""
+    if path is None or path == "-":
+        return sys.stdin if mode == "r" else sys.stdout
+    try:
+        return stack.enter_context(open(path, mode, encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise _DataError(f"cannot {'read' if mode == 'r' else 'write'} {path}: {exc.strerror}") from None
+
+
 def _read_table(stack: ExitStack, path: str | None):
     """Header plus data rows as (line_number, cells) pairs."""
-    if path is None or path == "-":
-        fh = sys.stdin
-    else:
-        try:
-            fh = stack.enter_context(open(path, "r", encoding="utf-8", newline=""))
-        except OSError as exc:
-            raise _DataError(f"cannot read {path}: {exc.strerror}") from None
-    reader = csv.reader(fh)
+    reader = csv.reader(_open(stack, path, "r"))
     header = None
     rows = []
     for cells in reader:
@@ -116,16 +131,6 @@ def _read_table(stack: ExitStack, path: str | None):
     if header is None:
         raise _DataError("input is empty: missing header row")
     return header, rows
-
-
-def _open_output(stack: ExitStack, path: str | None):
-    if path is None or path == "-":
-        return sys.stdout
-    return stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-
-
-def _make_writer(stack: ExitStack, path: str | None):
-    return csv.writer(_open_output(stack, path), lineterminator="\n")
 
 
 def _row_blocks(n_rows: int, width: int):
@@ -157,12 +162,10 @@ def _find_columns(header, names):
 
 
 def _rotation_layout(header, suffix: str = ""):
-    cols = _find_columns(header, tuple(n + suffix for n in _QUAT_COLS))
-    if cols is not None:
-        return "quaternion", cols
-    cols = _find_columns(header, tuple(n + suffix for n in _EULER_COLS))
-    if cols is not None:
-        return "euler", cols
+    for kind, names in (("quaternion", _QUAT_COLS), ("euler", _EULER_COLS)):
+        cols = _find_columns(header, tuple(n + suffix for n in names))
+        if cols is not None:
+            return kind, cols
     need_q = ",".join(n + suffix for n in _QUAT_COLS)
     need_e = ",".join(n + suffix for n in _EULER_COLS)
     raise _DataError(f"header must contain columns {need_q} or {need_e}")
@@ -181,27 +184,23 @@ def _cell(row, col: int, line: int) -> str:
     return row[col]
 
 
-def _cell_floats(row, cols, line: int):
-    out = []
-    for c in cols:
-        text = _cell(row, c, line)
-        try:
-            value = float(text)
-        except ValueError:
-            raise _DataError(f"line {line}: {text!r} is not a number") from None
-        if not math.isfinite(value):
-            raise _DataError(f"line {line}: {text!r} is not a finite number")
-        out.append(value)
-    return out
-
-
 def _read_cells(rows, cols, idc: int):
-    """The cells ``cols`` of every row as one ``(N, len(cols))`` float array,
-    and the id cell of every row."""
+    """The cells ``cols`` of every row as one ``(N, len(cols))`` array of finite
+    floats, and the id cell of every row."""
     vals = np.empty((len(rows), len(cols)))
     ids = []
     for k, (line, row) in enumerate(rows):
-        vals[k] = _cell_floats(row, cols, line)
+        out = []
+        for c in cols:
+            text = _cell(row, c, line)
+            try:
+                value = float(text)
+            except ValueError:
+                raise _DataError(f"line {line}: {text!r} is not a number") from None
+            if not math.isfinite(value):
+                raise _DataError(f"line {line}: {text!r} is not a finite number")
+            out.append(value)
+        vals[k] = out
         ids.append(_cell(row, idc, line))
     return vals, ids
 
@@ -260,12 +259,10 @@ def cmd_embed(args) -> int:
         # leaves no partial file behind.
         vals, ids = _read_cells(rows, cols, idc)
         quats = _orientations(kind, vals, rows, args.degrees)
-        fh = _open_output(stack, args.output)
+        fh = _open(stack, args.output, "w")
         csv.writer(fh, lineterminator="\n").writerow(["id"] + [f"e{i}" for i in range(spec.ambient_dimension)])
         for block in _row_blocks(len(rows), spec.ambient_dimension):
-            comps = class_values(spec, quaternions_to_matrices(quats[block]))
-            dense = [tensor_from_class_values(v, a).reshape(len(v), -1) for v, a in zip(comps, spec.alpha)]
-            _write_rows(fh, ids[block], np.concatenate(dense, axis=1))
+            _write_rows(fh, ids[block], dense_rows(spec, class_values(spec, quaternions_to_matrices(quats[block]))))
     return EXIT_OK
 
 
@@ -280,7 +277,7 @@ def cmd_project(args) -> int:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
         table, ids = _read_cells(rows, coord_cols, idc)
         results = project_many(spec, table, tol=args.tol, max_iter=args.max_iter, starts=args.starts, seed=args.seed)
-        writer = _make_writer(stack, args.output)
+        writer = csv.writer(_open(stack, args.output, "w"), lineterminator="\n")
         writer.writerow(["id", "qw", "qx", "qy", "qz", "residual", "iterations", "converged", "error"])
         degenerate = 0
         for ident, result in zip(ids, results):
@@ -289,11 +286,8 @@ def cmd_project(args) -> int:
                 writer.writerow([ident, "", "", "", "", "", "", "", str(result)])
                 continue
             q = fundamental_representative(result.coset).canonical_quaternion()
-            writer.writerow(
-                [ident]
-                + [_fmt(x) for x in q]
-                + [_fmt(result.residual), str(result.iterations), "true" if result.converged else "false", ""]
-            )
+            converged = "true" if result.converged else "false"
+            writer.writerow([ident, *map(_fmt, q), _fmt(result.residual), str(result.iterations), converged, ""])
         if degenerate:
             print(f"warning: {degenerate} degenerate row(s) could not be projected", file=sys.stderr)
     return EXIT_OK
@@ -319,7 +313,7 @@ def cmd_distance(args) -> int:
         vals, ids = _read_cells(rows, cols1 + cols2, idc)
         q1 = _orientations(kind1, vals[:, : len(cols1)], rows, args.degrees)
         q2 = _orientations(kind2, vals[:, len(cols1) :], rows, args.degrees)
-        fh = _open_output(stack, args.output)
+        fh = _open(stack, args.output, "w")
         csv.writer(fh, lineterminator="\n").writerow(["id", "distance"])
         geodesic = args.metric == "geodesic"
         for block in _row_blocks(len(rows), len(group) if geodesic else spec.ambient_dimension):
@@ -412,7 +406,7 @@ def cmd_bounds(args) -> int:
         spec = EmbeddingSpec(spec.group, spec.u, spec.alpha, betas, centered=spec.centered)
     est = global_bounds(spec, n_pairs=args.pairs, refine=args.refine, seed=args.seed)
     with ExitStack() as stack:
-        writer = _make_writer(stack, args.output)
+        writer = csv.writer(_open(stack, args.output, "w"), lineterminator="\n")
         writer.writerow(["group", "variant", "c_min", "c_max", "ratio", "pairs", "refine_evaluations"])
         writer.writerow(
             [
@@ -432,7 +426,7 @@ def cmd_scatter(args) -> int:
     spec = _resolve_spec(args)
     points = distance_scatter(spec, n_pairs=args.pairs, seed=args.seed)
     with ExitStack() as stack:
-        writer = _make_writer(stack, args.output)
+        writer = csv.writer(_open(stack, args.output, "w"), lineterminator="\n")
         writer.writerow(["geodesic", "embedded"])
         for d_geo, d_emb in points:
             writer.writerow([_fmt(d_geo), _fmt(d_emb)])
@@ -467,10 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project ambient coordinates back onto the quotient")
     _add_spec_flags(p)
     _add_io_flags(p)
-    p.add_argument("--tol", type=float, default=1e-10, help="gradient norm tolerance")
-    p.add_argument("--max-iter", type=int, default=200, help="ascent iteration cap per start")
-    p.add_argument("--starts", type=int, default=None, help="number of quasi-random starts")
-    p.add_argument("--seed", type=int, default=0, help="seed for the quasi-random starts")
+    p.add_argument("--tol", type=_number(float, 0, strict=True), default=1e-10, help="gradient norm tolerance")
+    p.add_argument("--max-iter", type=_number(int, 0), default=200, help="ascent iteration cap per start")
+    p.add_argument("--starts", type=_number(int, 1), default=None, help="number of quasi-random starts")
+    p.add_argument("--seed", type=_number(int, 0), default=0, help="seed for the quasi-random starts")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("distance", help="distances between orientation pairs")
@@ -483,24 +477,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numerical verification suites")
     p.add_argument("--suite", choices=("isometry", "norms", "mean", "rank", "binom", "all"), default="all")
     p.add_argument("--group", default="all", help="restrict group-wise suites to one group")
-    p.add_argument("--samples", type=int, default=100_000, help="sample count for the mean suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_number(int, 1), default=100_000, help="sample count for the mean suite")
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="estimate the distance-distortion constants")
     _add_spec_flags(p)
     p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
-    p.add_argument("--pairs", type=int, default=100_000, help="number of sampled coset pairs")
+    p.add_argument("--pairs", type=_number(int, 1), default=100_000, help="number of sampled coset pairs")
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True, help="local ratio refinement")
-    p.add_argument("--beta", type=float, nargs="+", help="override the spec weights")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--beta", type=_number(float, 0, strict=True), nargs="+", help="override the spec weights")
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("scatter", help="sample (geodesic, embedded) distance pairs")
     _add_spec_flags(p)
     p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
-    p.add_argument("--pairs", type=int, default=2000, help="number of sampled coset pairs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pairs", type=_number(int, 1), default=2000, help="number of sampled coset pairs")
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(func=cmd_scatter)
 
     return parser

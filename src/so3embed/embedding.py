@@ -13,8 +13,8 @@ cosets, equivariant under left multiplication, and its image lies on a sphere
 whose radius depends only on the spec.
 
 Components are computed as class values (see ``tensors``) by
-:func:`class_values`; :func:`embed` and :func:`equivariance_defect` expand
-them to dense tensors, the public layout.
+:func:`class_values`; :func:`dense_rows` expands them to flat rows of dense
+tensors, the public layout, for :func:`embed`, the CLI and projection.
 
 Two named parameter sets are registered per group: ``"arnold"`` (the classic
 unit-weight vectors and ranks) and ``"isometric"`` (weights chosen so the
@@ -42,6 +42,7 @@ __all__ = [
     "TABLE_GROUPS",
     "class_norms",
     "class_values",
+    "dense_rows",
     "embed",
     "equivariance_defect",
     "expected_hull_dimension",
@@ -142,9 +143,15 @@ class EmbeddingSpec:
         return tuple(out)
 
     @cached_property
+    def columns(self) -> tuple[slice, ...]:
+        """The flat-row layout: where each component's entries, row-major, sit in a row."""
+        ends = np.cumsum([3**a for a in self.alpha]).tolist()
+        return tuple(slice(end - 3**a, end) for end, a in zip(ends, self.alpha))
+
+    @property
     def ambient_dimension(self) -> int:
         """Total entry count of the embedding tuple, sum of 3^alpha_i."""
-        return int(sum(3**a for a in self.alpha))
+        return self.columns[-1].stop
 
 
 @dataclass(frozen=True)
@@ -261,15 +268,22 @@ def class_norms(spec: EmbeddingSpec, comps) -> np.ndarray:
     return np.sqrt(sum((v**2) @ class_multiplicities(a) for v, a in zip(comps, spec.alpha)))
 
 
+def dense_rows(spec: EmbeddingSpec, comps) -> np.ndarray:
+    """Flat rows ``(N, ambient_dimension)`` of the dense tuples whose class values per
+    component are ``comps`` ``(N, C(alpha_i + 2, 2))``: the components' entries,
+    row-major, one after another, which ``spec.columns`` locates."""
+    dense = [tensor_from_class_values(v, a).reshape(len(v), -1) for v, a in zip(comps, spec.alpha)]
+    return dense[0] if len(dense) == 1 else np.concatenate(dense, axis=1)
+
+
 def embed(spec: EmbeddingSpec, c) -> EmbeddedPoint:
     """Embed a coset (or a rotation, read as its coset) into tensor space.
 
     The result does not depend on the chosen representative, and rotating the
     coset on the left rotates every tensor component accordingly.
     """
-    c = as_coset(c, spec.group)
-    comps = class_values(spec, c.rep.matrix[None])
-    return EmbeddedPoint(tuple(tensor_from_class_values(v[0], a) for v, a in zip(comps, spec.alpha)), spec)
+    row = dense_rows(spec, class_values(spec, as_coset(c, spec.group).rep.matrix[None]))[0]
+    return EmbeddedPoint(tuple(row[cols].reshape((3,) * a) for cols, a in zip(spec.columns, spec.alpha)), spec)
 
 
 @lru_cache(maxsize=None)

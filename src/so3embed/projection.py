@@ -2,9 +2,9 @@
 
 Given a target tuple T, the closest embedded point maximizes the linear
 objective ``J(R) = <E([R]), T>`` because every embedded point has the same
-norm.  Targets arrive as dense tensors, but J and its gradient are evaluated
-on class values (see ``_Targets``), so no outer power is ever materialized
-during the ascent.
+norm.  Targets arrive as flat rows of dense tensors (``EmbeddingSpec.columns``),
+but J and its gradient are evaluated on the class sums of those rows (see
+``_Targets``), so no outer power is ever materialized during the ascent.
 
 The solver is projected gradient ascent with an exponential-map retraction
 and Armijo backtracking, run from a small multi-start family: one seed from
@@ -25,8 +25,9 @@ screened start of every target runs first; the remaining starts of the
 targets it did not certify then run together, and the runs are resolved in
 screened order exactly as if they had run one after another.  A large table
 runs in batches of rows whose lanes' power tables fit a fixed entry budget,
-so memory stays bounded however many rows there are.
-:func:`project` is the one-target call of the same code.
+so memory stays bounded however many rows there are; one batch of dense image
+rows then gives their objectives and residuals.  :func:`project` is the
+one-target call of the same code.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, class_values, embed, radius
+from .embedding import EmbeddingSpec, class_values, dense_rows, embed, radius
 from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, quaternions_to_matrices, random_quaternions
 from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
 
@@ -127,12 +128,6 @@ def _flatten(spec: EmbeddingSpec, target) -> np.ndarray:
     return np.concatenate([t.ravel() for t in target])
 
 
-def _components(spec: EmbeddingSpec, row: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The dense component views of one flat row."""
-    ends = np.cumsum([3**a for a in spec.alpha])
-    return tuple(part.reshape((3,) * a) for part, a in zip(np.split(row, ends[:-1]), spec.alpha))
-
-
 @dataclass(frozen=True)
 class _Targets:
     """Per-target precomputation for batched objective/gradient evaluations.
@@ -154,12 +149,12 @@ class _Targets:
     sym_norm: np.ndarray  # (N,), norm of the symmetric part of each target
 
     @classmethod
-    def from_components(cls, spec: EmbeddingSpec, comps) -> "_Targets":
-        """From ``N`` target tuples of dense components."""
+    def from_rows(cls, spec: EmbeddingSpec, rows: np.ndarray) -> "_Targets":
+        """From ``N`` flat target rows ``(N, ambient_dimension)``."""
         coeffs, dcoeffs = [], []
-        sym_sq = np.zeros(len(comps))
-        for a, t in zip(spec.alpha, zip(*comps)):
-            coeff = np.array([class_sums(x) for x in t])
+        sym_sq = np.zeros(len(rows))
+        for a, cols in zip(spec.alpha, spec.columns):
+            coeff = class_sums(rows[:, cols], a)
             sym_sq += coeff**2 @ (1.0 / class_multiplicities(a))  # |sym(t)|^2
             coeffs.append(coeff)
             dcoeffs.append((monomial_derivatives(a) @ coeff.T).transpose(2, 0, 1))
@@ -194,7 +189,7 @@ def objective(spec: EmbeddingSpec, r: Rotation, target) -> float:
 
 def gradient(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
     """Gradient of the projection objective in the tangent basis at ``r``."""
-    return _Targets.from_components(spec, [_components(spec, _flatten(spec, target))]).grads(r.matrix[None])[0]
+    return _Targets.from_rows(spec, _flatten(spec, target)[None]).grads(r.matrix[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +199,9 @@ def gradient(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
 # its class monomials at once, so batching bounds the memory of a large table;
 # rows are independent, so the batch size changes a result only by round-off.
 _BLOCK_ENTRIES = 2**20
+
+# Ascents run per target at most, taken from the starts in screened order.
+_MAX_RUNS = 8
 
 
 # Super-Fibonacci spiral constants: sqrt(2) and the real root of psi^4 = psi + 4.
@@ -314,7 +312,6 @@ def project(
     max_iter: int = 200,
     starts: int | None = None,
     seed: int = 0,
-    max_runs: int = 8,
 ) -> ProjectionResult:
     """Project an ambient tensor tuple onto the embedded quotient.
 
@@ -333,25 +330,21 @@ def project(
     seed : int
         Seed of the Haar rotation that turns the super-Fibonacci spiral of
         starts; the whole call is pure given it.
-    max_runs : int
-        Ascents actually executed, taken from the seeds in screened order.
 
     Returns
     -------
     ProjectionResult
-        Best run by objective (ties: lowest seed index).  For a spec over the
-        trivial group with all ranks 1 the solution is the closed-form Kabsch
-        alignment instead of an iterative ascent, unless that alignment is
-        not unique (correlation rank below 2).
+        Best run by objective (ties: lowest seed index) from the ``_MAX_RUNS``
+        best screened seeds.  For a spec over the trivial group with all ranks
+        1 the solution is the closed-form Kabsch alignment, unless that
+        alignment is not unique (correlation rank below 2).
 
     Raises
     ------
     DegenerateInputError
         If the target is identically zero.
     """
-    result = project_many(
-        spec, _flatten(spec, target)[None], tol=tol, max_iter=max_iter, starts=starts, seed=seed, max_runs=max_runs
-    )[0]
+    result = project_many(spec, _flatten(spec, target)[None], tol=tol, max_iter=max_iter, starts=starts, seed=seed)[0]
     if isinstance(result, DegenerateInputError):
         raise result
     return result
@@ -365,7 +358,6 @@ def project_many(
     max_iter: int = 200,
     starts: int | None = None,
     seed: int = 0,
-    max_runs: int = 8,
 ) -> list[ProjectionResult | DegenerateInputError]:
     """Project every row of a table onto the embedded quotient.
 
@@ -373,10 +365,9 @@ def project_many(
     ----------
     spec : EmbeddingSpec
     targets : array_like
-        Shape ``(N, spec.ambient_dimension)``: one target tuple per row,
-        its components flattened row-major and concatenated, the layout of
-        ``EmbeddedPoint.flatten``.
-    tol, max_iter, starts, seed, max_runs
+        Shape ``(N, spec.ambient_dimension)``: one target tuple per row in the
+        layout of ``spec.columns``, as ``EmbeddedPoint.flatten`` gives it.
+    tol, max_iter, starts, seed
         As for :func:`project`, shared by all rows.
 
     Returns
@@ -389,82 +380,74 @@ def project_many(
     rows = np.asarray(targets, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != spec.ambient_dimension:
         raise ValueError(f"expected targets of shape (N, {spec.ambient_dimension}), got {rows.shape}")
+    n_starts = max(8, len(spec.group)) if starts is None else int(starts)
+    if n_starts < 1:
+        raise ValueError("starts must be positive")
     nonzero = np.einsum("ij,ij->i", rows, rows) != 0.0
     results: list = [
         None if ok else DegenerateInputError("cannot project the zero tuple: no direction is preferred")
         for ok in nonzero
     ]
-    if len(spec.group) == 1 and all(a == 1 for a in spec.alpha):
-        for i in np.flatnonzero(nonzero):
-            target = _components(spec, rows[i])
-            try:
-                r = kabsch(spec.u_vectors, np.array([b * t for b, t in zip(spec.beta, target)]))
-            except DegenerateConfigurationError:
-                continue  # no unique alignment: the row climbs like any other
-            results[i] = _finalize(spec, target, r, iterations=0, converged=True)
-    live = np.array([i for i, result in enumerate(results) if result is None], dtype=np.int64)
-    if not live.size:
-        return results
-    comps = [_components(spec, rows[i]) for i in live]
-    n_starts = max(8, len(spec.group)) if starts is None else int(starts)
-    if n_starts < 1:
-        raise ValueError("starts must be positive")
+    live = np.flatnonzero(nonzero)
     spiral = _spiral_quaternions(n_starts, seed)
     # A lane's power tables hold about orbit * (alpha + 1)**2 entries per component.
     lane = sum(len(vecs) * (a + 1) ** 2 for (vecs, _), a in zip(spec.orbits, spec.alpha))
     size = max(1, _BLOCK_ENTRIES // ((n_starts + 1) * lane))
     for lo in range(0, len(live), size):
-        block = _project_block(spec, comps[lo : lo + size], spiral, tol, max_iter, max_runs)
-        for i, result in zip(live[lo : lo + size], block):
+        block = live[lo : lo + size]
+        sub = rows[lo : lo + size] if len(live) == len(rows) else rows[block]  # a view when no row is zero
+        for i, result in zip(block, _project_block(spec, sub, spiral, tol, max_iter)):
             results[i] = result
     return results
 
 
-def _project_block(spec, comps, spiral, tol, max_iter, max_runs) -> list[ProjectionResult]:
-    """The multi-start ascents of the targets ``comps``, all in lockstep."""
+def _project_block(spec, rows, spiral, tol, max_iter) -> list[ProjectionResult]:
+    """The projections of the nonzero target rows ``rows``, their ascents in lockstep."""
     rank1 = [i for i, a in enumerate(spec.alpha) if a == 1]
+    # Each rank-1 component is beta_i * R v_mean with v_mean the orbit average,
+    # so their joint alignment is a Kabsch problem.  Over the trivial group with
+    # all ranks 1 that alignment is the answer itself.
+    us = np.array([spec.orbits[i][1] @ spec.orbits[i][0] for i in rank1])
+    closed_form = len(spec.group) == 1 and len(rank1) == spec.n_components
+    answers = [None] * len(rows)  # per row: (rotation, iterations, converged)
     seeds = []
-    for target in comps:
+    for t, row in enumerate(rows):
         found = []
         if rank1:
-            # Each rank-1 component is beta_i * R v_mean with v_mean the orbit
-            # average, so their joint alignment is a Kabsch problem.
-            us = np.array([spec.orbits[i][1] @ spec.orbits[i][0] for i in rank1])
-            vs = np.array([spec.beta[i] * target[i] for i in rank1])
             try:
-                found.append(kabsch(us, vs).quat)
+                r = kabsch(us, np.array([spec.beta[i] * row[spec.columns[i]] for i in rank1]))
+                found.append(r.quat)
+                if closed_form:
+                    answers[t] = (r, 0, True)
             except DegenerateConfigurationError:
-                pass
+                pass  # no unique alignment: the row climbs like any other
         seeds.append(np.concatenate([np.array(found).reshape(-1, 4), spiral]))
 
-    ev = _Targets.from_components(spec, comps)
+    ev = _Targets.from_rows(spec, rows)
     counts = [len(s) for s in seeds]
     initial = ev.take(np.repeat(np.arange(len(seeds)), counts)).values(quaternions_to_matrices(np.concatenate(seeds)))
-    ends = np.cumsum(counts)
-    orders = [np.argsort(-v, kind="stable")[: max(1, max_runs)] for v in np.split(initial, ends[:-1])]
+    orders = [np.argsort(-v, kind="stable")[:_MAX_RUNS] for v in np.split(initial, np.cumsum(counts)[:-1])]
     certificate = radius(spec) * ev.sym_norm * (1.0 - 1e-10)
 
-    # runs[t]: (seed index, quaternion, objective, iterations, converged) in
-    # screened order.
+    # runs[t]: (seed index, quaternion, objective, iterations, converged) in screened order.
     runs = [[] for _ in seeds]
 
     def climb(lanes):
+        if not lanes:
+            return
         lane_t = np.array([t for t, _ in lanes], dtype=np.int64)
         q0 = np.array([seeds[t][k] for t, k in lanes])
         for (t, k), *run in zip(lanes, *_lockstep_ascent(ev.take(lane_t), q0, tol, max_iter)):
             runs[t].append((k, *run))
 
-    # The best screened seed of every target first, then all further seeds of
-    # the targets that its run left uncertified.
-    climb([(t, int(order[0])) for t, order in enumerate(orders)])
-    rest = [(t, int(k)) for t, order in enumerate(orders) if runs[t][0][2] < certificate[t] for k in order[1:]]
-    if rest:
-        climb(rest)
+    # The best screened seed of every open target first, then all further
+    # seeds of the targets that its run left uncertified.
+    open_ = [t for t, answer in enumerate(answers) if answer is None]
+    climb([(t, int(orders[t][0])) for t in open_])
+    climb([(t, int(k)) for t in open_ if runs[t][0][2] < certificate[t] for k in orders[t][1:]])
 
-    results = []
-    for t, target in enumerate(comps):
-        best = None
-        total = 0
+    for t in open_:
+        best, total = None, 0
         for k, q, j, iters, conv in runs[t]:
             total += int(iters)
             if best is None or j > best[0] or (j == best[0] and k < best[1]):
@@ -473,18 +456,17 @@ def _project_block(spec, comps, spiral, tol, max_iter, max_runs) -> list[Project
                 # No other start can improve the objective by more than
                 # 1e-10 * radius * |target|: stop searching.
                 break
-        results.append(_finalize(spec, target, Rotation(best[2]), iterations=total, converged=best[3]))
-    return results
+        answers[t] = (Rotation(best[2]), total, best[3])
+    return _finalize(spec, rows, answers)
 
 
-def _finalize(spec: EmbeddingSpec, target, r: Rotation, iterations: int, converged: bool) -> ProjectionResult:
-    image = embed(spec, r).value
-    obj = inner(image, target)
-    residual = math.sqrt(sum(float(np.sum((x - t) ** 2)) for x, t in zip(image, target)))
-    return ProjectionResult(
-        coset=Coset(r, spec.group),
-        objective=obj,
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-    )
+def _finalize(spec: EmbeddingSpec, rows: np.ndarray, answers) -> list[ProjectionResult]:
+    """The results of the target rows ``rows`` from their ``(rotation, iterations,
+    converged)`` answers, objectives and residuals from one batch of image rows."""
+    images = dense_rows(spec, class_values(spec, np.array([r.matrix for r, _, _ in answers])))
+    objectives = np.einsum("ij,ij->i", images, rows).tolist()
+    residuals = np.sqrt(np.sum(np.square(np.subtract(images, rows, out=images), out=images), axis=1)).tolist()
+    return [
+        ProjectionResult(Coset(r, spec.group), j, d, iterations, converged)
+        for (r, iterations, converged), j, d in zip(answers, objectives, residuals)
+    ]

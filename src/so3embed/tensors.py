@@ -198,7 +198,7 @@ def symmetrize(t: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     ids, _, mult = _classes(t.ndim)
-    return (class_sums(t) / mult)[ids].reshape(t.shape)
+    return (class_sums(t.reshape(1, -1), t.ndim)[0] / mult)[ids].reshape(t.shape)
 
 
 def sym_coordinates(t: np.ndarray) -> np.ndarray:
@@ -208,15 +208,17 @@ def sym_coordinates(t: np.ndarray) -> np.ndarray:
     its indices, so this map is a linear isometry on symmetric tensors and
     shrinks rank-``alpha`` data from 3^alpha to (alpha+2)(alpha+1)/2 numbers.
     """
-    return class_sums(t) / np.sqrt(class_multiplicities(np.ndim(t)))
+    return class_sums(np.reshape(t, (1, -1)), np.ndim(t))[0] / np.sqrt(class_multiplicities(np.ndim(t)))
 
 
-def class_sums(t: np.ndarray) -> np.ndarray:
-    """Entry sums of ``t`` per index class: ``<t, s> = class_sums(t) @ v`` for the
-    symmetric ``s`` with class values ``v``."""
-    t = np.asarray(t, dtype=float)
-    ids, _, mult = _classes(t.ndim)
-    return np.bincount(ids, weights=t.ravel(), minlength=len(mult))
+def class_sums(rows, alpha: int) -> np.ndarray:
+    """Entry sums per index class ``(N, C(alpha+2, 2))`` of flat rank-``alpha`` tensors
+    ``(N, 3**alpha)``, each summed in index order: ``<t, s> = class_sums(t) @ v`` for
+    the symmetric ``s`` with class values ``v``."""
+    rows = np.asarray(rows, dtype=float)
+    ids, _, mult = _classes(alpha)
+    n, c = len(rows), len(mult)
+    return np.bincount((ids + c * np.arange(n)[:, None]).ravel(), weights=rows.ravel(), minlength=n * c).reshape(n, c)
 
 
 def class_multiplicities(alpha: int) -> np.ndarray:

@@ -494,6 +494,51 @@ def test_cli_import_loads_no_dependency_but_numpy():
 # usage errors
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", "--group", "O", "--starts", "0"],
+        ["project", "--group", "O", "--seed", "-1"],
+        ["bounds", "--group", "C4", "--seed", "-1"],
+        ["scatter", "--group", "C4", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
+        ["bounds", "--group", "C4", "--pairs", "0"],
+        ["scatter", "--group", "C4", "--pairs", "0"],
+        ["verify", "--suite", "mean", "--samples", "0"],
+        ["bounds", "--group", "C4", "--beta", "-1", "1"],
+        ["bounds", "--group", "C4", "--beta", "nan", "1"],
+        ["project", "--group", "O", "--tol", "nan"],
+        ["project", "--group", "O", "--tol", "-1"],
+        ["project", "--group", "O", "--tol", "inf"],
+        ["project", "--group", "O", "--max-iter", "-1"],
+    ],
+)
+def test_out_of_range_option_values_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: argument --")
+
+
+@pytest.mark.parametrize(
+    "argv,table",
+    [
+        (["embed", "--group", "C4"], "id,qw,qx,qy,qz\nr0,1,0,0,0\n"),
+        (["project", "--group", "C1"], "id," + ",".join(f"e{i}" for i in range(9)) + "\nr0,1,0,0,0,1,0,0,0,1\n"),
+        (["distance", "--group", "C4"], "id,qw1,qx1,qy1,qz1,qw2,qx2,qy2,qz2\np0,1,0,0,0,1,0,0,0\n"),
+        (["bounds", "--group", "C4", "--pairs", "10", "--no-refine"], None),
+        (["scatter", "--group", "C4", "--pairs", "10"], None),
+    ],
+)
+def test_unwritable_output_path_is_a_data_error(argv, table, tmp_path, capsys):
+    if table is not None:
+        src = tmp_path / "in.csv"
+        src.write_text(table)
+        argv = [*argv, "-i", str(src)]
+    out = tmp_path / "missing" / "out.csv"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
 def test_missing_group_and_spec_is_a_usage_error():
     out = run_cli("embed", stdin="id,qw,qx,qy,qz\n")
     assert out.returncode == 1

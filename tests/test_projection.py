@@ -288,13 +288,16 @@ def test_project_many_batches_rows_without_changing_them(rng, monkeypatch):
         ((0.6450485037803041, -0.24051111044607812, 0.013319943156665796, 0.7251823306156105), 41),
     ],
 )
-def test_project_counts_runs_up_to_the_first_certified_one(quat, seed):
+def test_project_counts_runs_up_to_the_first_certified_one(quat, seed, monkeypatch):
     # with four starts the best screened seeds of these C6 targets end on a
     # local maximum; later runs are resolved in screened order, and those
     # after the first certified one neither change the result nor count
     spec = registry_lookup("C6")
     target = embed(spec, Rotation.from_quaternion(quat)).value
-    prefix = [project(spec, target, seed=seed, starts=4, max_runs=m) for m in range(1, 6)]
+    prefix = []
+    for m in range(1, 6):
+        monkeypatch.setattr(projection, "_MAX_RUNS", m)
+        prefix.append(project(spec, target, seed=seed, starts=4))
     first = next(m for m, res in enumerate(prefix) if res.residual < 1e-8)
     assert first >= 1
     assert prefix[first].iterations > prefix[first - 1].iterations

@@ -21,6 +21,7 @@ from so3embed.so3 import (
     random_quaternions,
     random_rotation,
 )
+from so3embed import so3
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -255,6 +256,31 @@ def test_from_elements_rejects_non_closed_set():
     gens = [Rotation.identity(), Rotation.from_axis_angle(E1, 2 * math.pi / 5)]
     with pytest.raises(ValueError):
         SymmetryGroup.from_elements("bad", gens)
+
+
+def test_d1000_builds_and_closes(rng):
+    g = group_elements("D1000")
+    assert len(g) == 2000
+    q = g.quaternions
+    pairs = rng.integers(0, len(q), size=(500, 2))
+    prods = _quat_product(q[pairs[:, 0]], q[pairs[:, 1]])
+    assert np.abs(np.abs(prods @ q.T).max(axis=1) - 1.0).max() < 1e-10
+
+
+def test_from_elements_rejects_one_element_off_a_large_table():
+    rows = list(group_elements("D40"))
+    rows[17] = rows[17] @ Rotation.from_axis_angle(E3, 1e-4)
+    with pytest.raises(ValueError, match="not closed"):
+        SymmetryGroup.from_elements("bad", rows)
+
+
+def test_from_elements_compares_all_elements_when_keys_tie(monkeypatch):
+    # with every key equal the sorted neighbours are arbitrary elements, so
+    # each product falls back to the full comparison, which must still decide
+    monkeypatch.setattr(so3, "_KEY", np.zeros((4, 4)))
+    assert len(SymmetryGroup.from_elements("D6", group_elements("D6"))) == 12
+    with pytest.raises(ValueError, match="not closed"):
+        SymmetryGroup.from_elements("bad", [Rotation.identity(), Rotation.from_axis_angle(E1, 2 * math.pi / 5)])
 
 
 # ---------------------------------------------------------------------------

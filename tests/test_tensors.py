@@ -13,6 +13,7 @@ from so3embed.tensors import (
     class_counts,
     class_monomials,
     class_multiplicities,
+    class_sums,
     inner,
     invariant_tensor,
     monomial_derivatives,
@@ -211,6 +212,20 @@ def test_sym_coordinates_is_an_isometry_on_symmetric_tensors(rng):
     assert np.linalg.norm(coords) == pytest.approx(np.linalg.norm(t), rel=1e-13)
     u = symmetrize(rng.normal(size=(3, 3, 3, 3)))
     assert float(np.sum(t * u)) == pytest.approx(float(coords @ sym_coordinates(u)), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", range(1, MAX_RANK + 1))
+def test_batched_class_sums_equal_the_per_tensor_sums_bitwise(alpha, rng):
+    # every row's sums are its entries added in index order, class by class,
+    # exactly as a one-row call and a sequential sum per class give them
+    rows = rng.normal(size=(3, 3**alpha))
+    got = class_sums(rows, alpha)
+    assert got.shape == (3, math.comb(alpha + 2, 2))
+    ids = tensor_from_class_values(np.arange(got.shape[1], dtype=float), alpha).ravel().astype(int)
+    for row, sums in zip(rows, got):
+        assert np.array_equal(sums, class_sums(row[None], alpha)[0])
+        sequential = [np.add.accumulate(row[ids == c])[-1] for c in range(got.shape[1])]
+        assert np.array_equal(sums, sequential)
 
 
 def _value_counts(idx):
