@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -177,13 +178,22 @@ _COMPASS = np.array([d for d in product((-1.0, 0.0, 1.0), repeat=3) if sum(map(a
 _COMPASS /= np.linalg.norm(_COMPASS, axis=1)[:, None]
 
 
+@lru_cache(maxsize=None)
+def _identity_class_values(spec: EmbeddingSpec) -> tuple[np.ndarray, ...]:
+    """Class values ``(1, C(alpha_i + 2, 2))`` per component of the identity coset
+    (cached, read-only)."""
+    vals = tuple(class_values(spec, np.eye(3)[None]))
+    for v in vals:
+        v.setflags(write=False)
+    return vals
+
+
 def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quotient geodesic and embedded distance from each rotation ``(N, 4)``
     to the identity coset; the ratio of the second to the first is the
     distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
     here = class_values(spec, quaternions_to_matrices(quats))
-    base = class_values(spec, np.eye(3)[None])
-    d_emb = class_norms(spec, [v - v0 for v, v0 in zip(here, base)])
+    d_emb = class_norms(spec, [v - v0 for v, v0 in zip(here, _identity_class_values(spec))])
     return quotient_angles(quats, spec.group.quaternions), d_emb
 
 
@@ -349,10 +359,11 @@ def empirical_embedding_mean(spec: EmbeddingSpec, n_samples: int, seed: int = 0)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
-    mats = quaternions_to_matrices(random_quaternions(rng, n_samples))
     sums = [np.zeros(math.comb(a + 2, 2)) for a in spec.alpha]
     for start in range(0, n_samples, _BLOCK):
-        for acc, vals in zip(sums, class_values(spec, mats[start : start + _BLOCK])):
+        # Blocks draw from ``rng`` in turn: the stream of one draw of n_samples.
+        mats = quaternions_to_matrices(random_quaternions(rng, min(_BLOCK, n_samples - start)))
+        for acc, vals in zip(sums, class_values(spec, mats)):
             acc += vals.sum(axis=0)
     return tuple(tensor_from_class_values(acc / n_samples, a) for acc, a in zip(sums, spec.alpha))
 

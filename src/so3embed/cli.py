@@ -15,9 +15,10 @@ first; norm may deviate from 1 by at most 1e-3) or as ZYZ Euler angles
 CSV is comma-separated UTF-8 with a header row; numeric output carries 17
 significant digits so 64-bit floats round-trip exactly, and every command is
 deterministic given --seed: identical invocations produce identical bytes.
-embed and distance read a table into arrays, validate every row before the
-output is opened, and compute and write it in blocks of rows, so memory does
-not grow with the table.
+embed, project and distance read a table into one float array, converting
+each row as it is read, and validate every row before the output is opened;
+embed and distance then compute and write it in blocks of rows, so memory
+does not grow with the table beyond its floats.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 """
@@ -116,21 +117,17 @@ def _open(stack: ExitStack, path: str | None, mode: str):
         raise _DataError(f"cannot {'read' if mode == 'r' else 'write'} {path}: {exc.strerror}") from None
 
 
-def _read_table(stack: ExitStack, path: str | None):
-    """Header plus data rows as (line_number, cells) pairs."""
+def _read_header(stack: ExitStack, path: str | None):
+    """The csv reader of a table and its header row, the first non-blank row."""
     reader = csv.reader(_open(stack, path, "r"))
-    header = None
-    rows = []
     for cells in reader:
-        if not cells or all(not c.strip() for c in cells):
-            continue
-        if header is None:
-            header = [c.strip() for c in cells]
-        else:
-            rows.append((reader.line_num, [c.strip() for c in cells]))
-    if header is None:
-        raise _DataError("input is empty: missing header row")
-    return header, rows
+        if not _blank(cells):
+            return reader, [c.strip() for c in cells]
+    raise _DataError("input is empty: missing header row")
+
+
+def _blank(cells) -> bool:
+    return not cells or all(not c.strip() for c in cells)
 
 
 def _row_blocks(n_rows: int, width: int):
@@ -181,18 +178,22 @@ def _id_column(header) -> int:
 def _cell(row, col: int, line: int) -> str:
     if col >= len(row):
         raise _DataError(f"line {line}: expected at least {col + 1} columns, found {len(row)}")
-    return row[col]
+    return row[col].strip()
 
 
-def _read_cells(rows, cols, idc: int):
-    """The cells ``cols`` of every row as one ``(N, len(cols))`` array of finite
-    floats, and the id cell of every row."""
-    vals = np.empty((len(rows), len(cols)))
-    ids = []
-    for k, (line, row) in enumerate(rows):
+def _read_rows(reader, cols, idc: int):
+    """The cells ``cols`` of every remaining row of ``reader`` as one
+    ``(N, len(cols))`` array of finite floats, with the id cell and the line
+    number of every row.  Each row is converted as it is read, so no row's
+    text outlives it."""
+    vals, ids, lines = [], [], []
+    for cells in reader:
+        if _blank(cells):
+            continue
+        line = reader.line_num
         out = []
         for c in cols:
-            text = _cell(row, c, line)
+            text = _cell(cells, c, line)
             try:
                 value = float(text)
             except ValueError:
@@ -200,26 +201,28 @@ def _read_cells(rows, cols, idc: int):
             if not math.isfinite(value):
                 raise _DataError(f"line {line}: {text!r} is not a finite number")
             out.append(value)
-        vals[k] = out
-        ids.append(_cell(row, idc, line))
-    return vals, ids
+        vals.append(np.array(out))
+        ids.append(_cell(cells, idc, line))
+        lines.append(line)
+    return (np.stack(vals) if vals else np.empty((0, len(cols)))), ids, lines
 
 
-def _orientations(kind: str, vals: np.ndarray, rows, degrees: bool) -> np.ndarray:
-    """Unit quaternions ``(N, 4)`` from the orientation cells of every row."""
+def _orientations(kind: str, vals: np.ndarray, lines, degrees: bool) -> np.ndarray:
+    """Unit quaternions ``(N, 4)`` from the orientation cells of every row;
+    ``lines`` holds the rows' line numbers."""
     if kind == "quaternion":
         norms = np.linalg.norm(vals, axis=1)
         bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-3)
         if bad.size:
             k = bad[0]
-            raise _DataError(f"line {rows[k][0]}: quaternion norm {norms[k]:.6g} deviates from 1 by more than 1e-3")
+            raise _DataError(f"line {lines[k]}: quaternion norm {norms[k]:.6g} deviates from 1 by more than 1e-3")
         return normalized_quaternions(vals)
     if degrees:
         vals = np.radians(vals)
     bad = np.flatnonzero(~((vals[:, 1] >= 0.0) & (vals[:, 1] <= math.pi + 1e-12)))
     if bad.size:
         k = bad[0]
-        raise _DataError(f"line {rows[k][0]}: Euler beta must lie in [0, pi], got {vals[k, 1]:.6g}")
+        raise _DataError(f"line {lines[k]}: Euler beta must lie in [0, pi], got {vals[k, 1]:.6g}")
     return quaternions_from_euler_zyz(vals)
 
 
@@ -252,16 +255,16 @@ def _resolve_spec(args) -> EmbeddingSpec:
 def cmd_embed(args) -> int:
     spec = _resolve_spec(args)
     with ExitStack() as stack:
-        header, rows = _read_table(stack, args.input)
+        reader, header = _read_header(stack, args.input)
         kind, cols = _rotation_layout(header)
         idc = _id_column(header)
         # Every row is validated before the output is opened, so a data error
         # leaves no partial file behind.
-        vals, ids = _read_cells(rows, cols, idc)
-        quats = _orientations(kind, vals, rows, args.degrees)
+        vals, ids, lines = _read_rows(reader, cols, idc)
+        quats = _orientations(kind, vals, lines, args.degrees)
         fh = _open(stack, args.output, "w")
         csv.writer(fh, lineterminator="\n").writerow(["id"] + [f"e{i}" for i in range(spec.ambient_dimension)])
-        for block in _row_blocks(len(rows), spec.ambient_dimension):
+        for block in _row_blocks(len(quats), spec.ambient_dimension):
             _write_rows(fh, ids[block], dense_rows(spec, class_values(spec, quaternions_to_matrices(quats[block]))))
     return EXIT_OK
 
@@ -270,12 +273,12 @@ def cmd_project(args) -> int:
     spec = _resolve_spec(args)
     dim = spec.ambient_dimension
     with ExitStack() as stack:
-        header, rows = _read_table(stack, args.input)
+        reader, header = _read_header(stack, args.input)
         idc = _id_column(header)
         coord_cols = [i for i in range(len(header)) if i != idc]
         if len(coord_cols) != dim:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
-        table, ids = _read_cells(rows, coord_cols, idc)
+        table, ids, _ = _read_rows(reader, coord_cols, idc)
         results = project_many(spec, table, tol=args.tol, max_iter=args.max_iter, starts=args.starts, seed=args.seed)
         writer = csv.writer(_open(stack, args.output, "w"), lineterminator="\n")
         writer.writerow(["id", "qw", "qx", "qy", "qz", "residual", "iterations", "converged", "error"])
@@ -306,17 +309,17 @@ def cmd_distance(args) -> int:
             raise _UsageError(str(exc)) from None
         spec = None
     with ExitStack() as stack:
-        header, rows = _read_table(stack, args.input)
+        reader, header = _read_header(stack, args.input)
         idc = _id_column(header)
         kind1, cols1 = _rotation_layout(header, "1")
         kind2, cols2 = _rotation_layout(header, "2")
-        vals, ids = _read_cells(rows, cols1 + cols2, idc)
-        q1 = _orientations(kind1, vals[:, : len(cols1)], rows, args.degrees)
-        q2 = _orientations(kind2, vals[:, len(cols1) :], rows, args.degrees)
+        vals, ids, lines = _read_rows(reader, cols1 + cols2, idc)
+        q1 = _orientations(kind1, vals[:, : len(cols1)], lines, args.degrees)
+        q2 = _orientations(kind2, vals[:, len(cols1) :], lines, args.degrees)
         fh = _open(stack, args.output, "w")
         csv.writer(fh, lineterminator="\n").writerow(["id", "distance"])
         geodesic = args.metric == "geodesic"
-        for block in _row_blocks(len(rows), len(group) if geodesic else spec.ambient_dimension):
+        for block in _row_blocks(len(q1), len(group) if geodesic else spec.ambient_dimension):
             if geodesic:
                 d = quotient_angles(relative_quaternions(q1[block], q2[block]), group.quaternions)
             else:

@@ -119,17 +119,21 @@ class EmbeddingSpec:
         """Per component: the distinct group-orbit vectors of ``u_i`` and their weights.
 
         Weights sum to 1, so the symmetrized outer power is the weighted sum
-        over these vectors only; by orbit-stabilizer they are all equal.
+        over these vectors only; by orbit-stabilizer they are all equal.  An
+        even power does not see the sign of its vector, so for even
+        ``alpha_i`` the orbit is taken up to sign: ``w`` and ``-w`` merge into
+        the first of them met, carrying both weights.
         """
         mats = self.group.matrices
         out = []
-        for vec in self.u_vectors:
+        for vec, a in zip(self.u_vectors, self.alpha):
             imgs = mats @ vec
+            signs = (1.0, -1.0) if a % 2 == 0 else (1.0,)
             reps: list[np.ndarray] = []
             counts: list[int] = []
             for w in imgs:
                 for j, r in enumerate(reps):
-                    if float(np.abs(w - r).max()) < 1e-9:
+                    if any(float(np.abs(w - s * r).max()) < 1e-9 for s in signs):
                         counts[j] += 1
                         break
                 else:
@@ -254,11 +258,12 @@ def class_values(spec: EmbeddingSpec, mats: np.ndarray) -> list[np.ndarray]:
     (centered when the spec is) embedding of ``N`` rotation matrices ``(N, 3, 3)``."""
     out = []
     for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
-        imgs = (mats @ vecs.T).transpose(1, 0, 2)  # (3, N, orbit)
-        vals = (class_monomials(imgs, a) @ (b * wts)).T
+        imgs = (mats.reshape(-1, 3) @ vecs.T).reshape(len(mats), 3, len(vecs))  # one GEMM
+        mono = class_monomials(imgs.transpose(1, 0, 2), a)  # (C, N, orbit)
+        vals = (mono.reshape(-1, len(vecs)) @ (b * wts)).reshape(len(mono), len(mats))  # one GEMV
         if spec.centered and a % 2 == 0:
-            vals -= (b / (a + 1)) * invariant_class_values(a)
-        out.append(vals)
+            vals -= ((b / (a + 1)) * invariant_class_values(a))[:, None]
+        out.append(vals.T)
     return out
 
 

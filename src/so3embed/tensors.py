@@ -94,15 +94,22 @@ def class_monomials(w, alpha: int) -> np.ndarray:
     """Class values of ``w^{x alpha}``, the monomials ``w0^n0 w1^n1 w2^n2``, for
     ``w`` of shape ``(3, ...)`` and any ``alpha >= 0``: shape ``(C(alpha+2, 2), ...)``.
 
-    The block of each ``n0`` is one product of two slices of power tables.
+    The block of each ``n0`` is written in place: ``w0^n0 w2^n2``, then times ``w1^n1``.
     """
     w = np.asarray(w, dtype=float)
     pw = np.empty((alpha + 1,) + w.shape)  # pw[k, d] = w[d] ** k
     pw[0] = 1.0
     for k in range(1, alpha + 1):
         np.multiply(pw[k - 1], w, out=pw[k])
-    pw02 = pw[:, None, 0] * pw[None, :, 2]  # pw02[n0, n2] = w0^n0 w2^n2
-    return np.concatenate([pw[: alpha - n0 + 1, 1] * pw02[n0, alpha - n0 :: -1] for n0 in range(alpha + 1)])
+    out = np.empty(((alpha + 1) * (alpha + 2) // 2,) + w.shape[1:])
+    lo = 0
+    for n0 in range(alpha + 1):
+        m = alpha - n0 + 1  # n1 = 0 .. alpha - n0, n2 = alpha - n0 .. 0
+        block = out[lo : lo + m]
+        np.multiply(pw[n0, 0], pw[m - 1 :: -1, 2], out=block)
+        block *= pw[:m, 1]
+        lo += m
+    return out
 
 
 @lru_cache(maxsize=None)

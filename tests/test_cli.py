@@ -169,9 +169,8 @@ def test_embed_y_table_past_one_row_block_matches_row_by_row_embed(tmp_path):
         assert np.abs(np.array(row[1:], dtype=float) - want).max() <= 1e-15
 
 
-def _embed_peak_rss(tmp_path, n_rows: int) -> int:
-    src = tmp_path / f"in{n_rows}.csv"
-    src.write_text(quaternion_table(random_quaternions(np.random.default_rng(n_rows), n_rows)))
+def _peak_rss(*argv) -> int:
+    """Peak resident size (kB) of one CLI call in a fresh process."""
     # VmHWM, not ru_maxrss: the latter keeps the spawning test process's
     # high-water mark across exec
     code = (
@@ -181,10 +180,15 @@ def _embed_peak_rss(tmp_path, n_rows: int) -> int:
         "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')))\n"
         "sys.exit(code)\n"
     )
-    argv = ["embed", "--group", "Y", "-i", str(src), "-o", os.devnull]
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     return int(out.stdout)
+
+
+def _embed_peak_rss(tmp_path, n_rows: int) -> int:
+    src = tmp_path / f"in{n_rows}.csv"
+    src.write_text(quaternion_table(random_quaternions(np.random.default_rng(n_rows), n_rows)))
+    return _peak_rss("embed", "--group", "Y", "-i", str(src), "-o", os.devnull)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
@@ -192,6 +196,24 @@ def test_embed_peak_memory_does_not_grow_with_row_count(tmp_path):
     # rows are expanded and written block by block, so a table five times as
     # long peaks at the same resident size
     assert _embed_peak_rss(tmp_path, 100) <= 1.1 * _embed_peak_rss(tmp_path, 20)
+
+
+def _project_peak_rss(tmp_path, n_rows: int) -> int:
+    spec = registry_lookup("Y")
+    rows = (embed(spec, Rotation(q)).flatten() for q in random_quaternions(np.random.default_rng(n_rows), n_rows))
+    src = tmp_path / f"targets{n_rows}.csv"
+    with open(src, "w") as fh:
+        fh.write("id," + ",".join(f"e{i}" for i in range(spec.ambient_dimension)) + "\n")
+        fh.writelines(f"r{i}," + ",".join(map(repr, row.tolist())) + "\n" for i, row in enumerate(rows))
+    return _peak_rss("project", "--group", "Y", "-i", str(src), "-o", os.devnull)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_project_peak_memory_keeps_only_the_floats_of_each_row(tmp_path):
+    # A Y row is 0.47 MB as floats and about 7 MB as Python strings.  Rows are
+    # converted as they are read, so six more rows may add a few float copies
+    # of themselves (about 4 MB measured) but never their text (about 40 MB).
+    assert _project_peak_rss(tmp_path, 8) - _project_peak_rss(tmp_path, 2) <= 12 * 1024
 
 
 def test_embed_degree_rows_match_rotation_from_euler_zyz(tmp_path):

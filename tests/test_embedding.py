@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from so3embed.embedding import (
     TABLE_GROUPS,
     EmbeddingSpec,
+    class_values,
     embed,
     embedded_distance,
     equivariance_defect,
@@ -26,7 +27,7 @@ from so3embed.so3 import (
     group_elements,
     random_rotation,
 )
-from so3embed.tensors import invariant_tensor, outer_power, tuple_norm
+from so3embed.tensors import class_monomials, invariant_class_values, invariant_tensor, outer_power, tuple_norm
 
 SQ2 = math.sqrt(2.0)
 
@@ -119,6 +120,63 @@ def test_orbit_weights_sum_to_one(registered_spec):
         assert wts.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max() < 1e-12
         assert len(registered_spec.group) % len(vecs) == 0
+
+
+REGISTERED_SPECS = {f"{name}-{variant}": (name, variant) for name in TABLE_GROUPS for variant in ("isometric", "arnold")}
+
+# Unregistered even-rank specs: e1 is the C8 axis (an orbit of one) and e2
+# sweeps the plane (eight vectors in four antipodal pairs); D4 takes a
+# generic direction, whose orbit holds no antipodal pair.
+EXTRA_SPECS = {
+    "C8-alpha8": lambda: EmbeddingSpec(group_elements("C", 8), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (8, 8), (1.0, 0.7)),
+    "D4-alpha6": lambda: EmbeddingSpec(group_elements("D", 4), ((0.48, 0.6, 0.64),), (6,), (0.9,)),
+}
+
+
+@pytest.mark.parametrize("key", REGISTERED_SPECS)
+def test_even_rank_orbits_are_taken_up_to_sign(key):
+    spec = registry_lookup(*REGISTERED_SPECS[key])
+    for (vecs, wts), a in zip(spec.orbits, spec.alpha):
+        if a % 2:
+            continue
+        gaps = np.abs(vecs[:, None, :] + vecs[None, :, :]).max(axis=2)
+        assert gaps.min() > 1e-6  # no antipodal pair
+        assert np.all(wts == wts[0])
+        assert wts.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("key", REGISTERED_SPECS)
+def test_odd_rank_orbits_keep_every_distinct_image(key):
+    spec = registry_lookup(*REGISTERED_SPECS[key])
+    for (vecs, wts), u, a in zip(spec.orbits, spec.u_vectors, spec.alpha):
+        if a % 2 == 0:
+            continue
+        images = np.unique(np.round(spec.group.matrices @ u, 9) + 0.0, axis=0)
+        assert np.array_equal(np.unique(np.round(vecs, 9) + 0.0, axis=0), images)
+        assert np.all(wts == 1.0 / len(images))
+
+
+def test_only_even_rank_orbits_fold_antipodal_images():
+    # The O orbit of e1 is +-e1, +-e2, +-e3; the C8 orbit of e2 is eight plane vectors.
+    for alpha, size in ((3, 6), (4, 3)):
+        vecs, wts = EmbeddingSpec(group_elements("O"), ((1.0, 0.0, 0.0),), (alpha,), (1.0,)).orbits[0]
+        assert len(vecs) == size and np.all(wts == 1.0 / size)
+    vecs, wts = EXTRA_SPECS["C8-alpha8"]().orbits[1]
+    assert len(vecs) == 4 and np.all(wts == 0.25)
+
+
+@pytest.mark.parametrize("key", [*REGISTERED_SPECS, *EXTRA_SPECS])
+def test_class_values_match_plain_group_average(key, rng):
+    # The folded orbit sum against the plain average of class_monomials(R s u)
+    # over all |S| group elements, which needs no orbit bookkeeping.
+    spec = EXTRA_SPECS[key]() if key in EXTRA_SPECS else registry_lookup(*REGISTERED_SPECS[key])
+    mats = np.array([random_rotation(rng).matrix for _ in range(5)])
+    got = class_values(spec, mats)
+    for vals, u, a, b in zip(got, spec.u_vectors, spec.alpha, spec.beta):
+        want = (b / len(spec.group)) * sum(class_monomials((mats @ s @ u).T, a) for s in spec.group.matrices).T
+        if spec.centered and a % 2 == 0:
+            want = want - (b / (a + 1)) * invariant_class_values(a)
+        assert np.abs(vals - want).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
