@@ -18,7 +18,8 @@ deterministic given --seed: identical invocations produce identical bytes.
 embed, project and distance read a table into one float array, converting
 each row as it is read, and validate every row before the output is opened;
 embed and distance then compute and write it in blocks of rows, so memory
-does not grow with the table beyond its floats.
+does not grow with the table beyond its floats.  embed formats each distinct
+class value of a row once and writes the dense row from those strings.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 """
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import sys
 from contextlib import ExitStack
+from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .embedding import (
     EmbeddingSpec,
     class_norms,
     class_values,
-    dense_rows,
     expected_hull_dimension,
     parse_spec_document,
     radius,
@@ -59,7 +60,7 @@ from .embedding import (
 from .projection import _BLOCK_ENTRIES, DegenerateInputError, project_many
 from .so3 import fundamental_representative, group_elements, normalized_quaternions, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
-from .tensors import binom_identity_check
+from .tensors import _classes, binom_identity_check
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .embedding import embed, embedded_distance  # noqa: F401
@@ -136,14 +137,26 @@ def _row_blocks(n_rows: int, width: int):
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
-def _write_rows(fh, ids, values: np.ndarray) -> None:
+def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> None:
     """One line per row: the id, quoted as the csv module quotes it, then the
-    floats of ``values`` ``(N, width)`` at 17 significant digits."""
-    fmt = ",%.17g" * values.shape[1] + "\n"
-    for ident, row in zip(ids, values):
-        field = io.StringIO()  # the line terminator takes part in the quoting rule
-        csv.writer(field, lineterminator="\n").writerow((ident, ""))
-        fh.write(field.getvalue()[:-2] + fmt % tuple(row.tolist()))
+    floats of ``values`` ``(N, C)`` at 17 significant digits.  Each float is
+    formatted once; ``take``, a list of at least two column indices, repeats
+    them in its order, as :func:`_class_columns` expands class values."""
+    quoted = []  # "<id>,\n" per row: the line terminator takes part in the quoting rule
+    csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n").writerows((i, "") for i in ids)
+    fmt = "%.17g," * values.shape[1]
+    pick = itemgetter(*take) if take is not None else None
+    for head, row in zip(quoted, values.tolist()):
+        text = (fmt % tuple(row)).split(",")  # C strings and a last empty one
+        fh.write(head[:-1] + ",".join(pick(text) if pick else text[:-1]) + "\n")
+
+
+def _class_columns(spec: EmbeddingSpec) -> list[int]:
+    """For every entry of a flat dense row, the column of its value among the
+    components' class values side by side: each component's flat-index ->
+    class map, offset by the class counts of the components before it."""
+    offsets = np.cumsum([0] + [math.comb(a + 2, 2) for a in spec.alpha])
+    return np.concatenate([_classes(a)[0] + lo for a, lo in zip(spec.alpha, offsets)]).tolist()
 
 
 _QUAT_COLS = ("qw", "qx", "qy", "qz")
@@ -264,8 +277,10 @@ def cmd_embed(args) -> int:
         quats = _orientations(kind, vals, lines, args.degrees)
         fh = _open(stack, args.output, "w")
         csv.writer(fh, lineterminator="\n").writerow(["id"] + [f"e{i}" for i in range(spec.ambient_dimension)])
+        take = _class_columns(spec)
         for block in _row_blocks(len(quats), spec.ambient_dimension):
-            _write_rows(fh, ids[block], dense_rows(spec, class_values(spec, quaternions_to_matrices(quats[block]))))
+            comps = class_values(spec, quaternions_to_matrices(quats[block]))
+            _write_rows(fh, ids[block], np.concatenate(comps, axis=1), take)
     return EXIT_OK
 
 

@@ -74,15 +74,17 @@ def _classes(alpha: int):
     Returns ``(ids, counts, mult)`` where ``ids`` maps each flat index to its
     class, ``counts`` lists the value-count triple (n0, n1, n2) of every class
     and ``mult`` the number of indices in it.  Rank 0 has one class, (0, 0, 0).
+    Classes are ordered by ``n0``, then ``n1``, so the class of an index is
+    ``n0 (alpha + 1) - n0 (n0 - 1) / 2 + n1 = n0 (2 alpha + 3 - n0) / 2 + n1``.
     """
-    digits = np.unravel_index(np.arange(3**alpha), (3,) * alpha) if alpha else ()
-    occ = np.zeros((3**alpha, 3), dtype=np.int64)
-    for d in digits:
-        for v in range(3):
-            occ[:, v] += d == v
+    # zeros and ones among the digits of each flat index, in 16 bits: a
+    # quarter of the int64 size, and far from overflow at any storable rank
+    n0 = n1 = np.zeros(1, dtype=np.uint16)
+    for _ in range(alpha):  # prepend one digit: 0, 1 or 2
+        n0 = (n0 + np.array([[1], [0], [0]], dtype=np.uint16)).ravel()
+        n1 = (n1 + np.array([[0], [1], [0]], dtype=np.uint16)).ravel()
+    ids = (n0 * (2 * alpha + 3 - n0) // 2 + n1).astype(np.int64)
     counts = [(a, b, alpha - a - b) for a in range(alpha + 1) for b in range(alpha + 1 - a)]
-    lookup = {c: i for i, c in enumerate(counts)}
-    ids = np.array([lookup[tuple(row)] for row in occ], dtype=np.int64)
     mult = np.array([math.factorial(alpha) // (math.factorial(a) * math.factorial(b) * math.factorial(c))
                      for a, b, c in counts], dtype=np.int64)
     ids.setflags(write=False)
@@ -224,8 +226,10 @@ def class_sums(rows, alpha: int) -> np.ndarray:
     the symmetric ``s`` with class values ``v``."""
     rows = np.asarray(rows, dtype=float)
     ids, _, mult = _classes(alpha)
-    n, c = len(rows), len(mult)
-    return np.bincount((ids + c * np.arange(n)[:, None]).ravel(), weights=rows.ravel(), minlength=n * c).reshape(n, c)
+    out = np.empty((len(rows), len(mult)))
+    for row, sums in zip(rows, out):
+        sums[:] = np.bincount(ids, weights=row, minlength=len(mult))
+    return out
 
 
 def class_multiplicities(alpha: int) -> np.ndarray:

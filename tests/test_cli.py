@@ -14,10 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3embed.cli import main
-from so3embed.embedding import TABLE_GROUPS, embed, format_spec_document, registry_lookup
+from so3embed.cli import _write_rows, main
+from so3embed.embedding import (
+    TABLE_GROUPS,
+    class_values,
+    dense_rows,
+    embed,
+    format_spec_document,
+    parse_spec_document,
+    registry_lookup,
+)
 from so3embed.projection import _BLOCK_ENTRIES, project
 from so3embed.so3 import Coset, Rotation, as_coset, coset_distance, random_quaternions, random_rotation
+from so3embed.so3 import normalized_quaternions, quaternions_to_matrices
 
 
 def run_cli(*args, stdin=None):
@@ -279,6 +288,55 @@ def test_embed_output_floats_round_trip_exactly():
     got = np.array([float(x) for x in rows[0][1:]])
     want = embed(registry_lookup("C2"), Rotation.from_quaternion([0.6, 0.8, 0.0, 0.0]))
     assert np.array_equal(got, want.flatten())
+
+
+# The identity, two half turns and a three-fold turn give class values with
+# exact zeros; four generic rows follow.
+BYTE_QUATS = np.vstack(
+    [[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.5]],
+     random_quaternions(np.random.default_rng(11), 4)]
+)
+RANK_12_DOC = "group = C1\nu = 1 0 0\nalpha = 12\nbeta = 1\n"
+
+
+def _assert_embed_bytes_format_every_dense_entry(tmp_path, spec, argv, quats):
+    # the oracle formats every entry of the dense rows, one "%.17g" each
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text(quaternion_table(quats))
+    assert main(["embed", *argv, "-i", str(src), "-o", str(out)]) == 0
+    rows = dense_rows(spec, class_values(spec, quaternions_to_matrices(normalized_quaternions(quats))))
+    want = "id," + ",".join(f"e{i}" for i in range(spec.ambient_dimension)) + "\n"
+    want += "".join(f"r{i}" + "".join(",%.17g" % x for x in row) + "\n" for i, row in enumerate(rows.tolist()))
+    assert out.read_text() == want
+
+
+@pytest.mark.parametrize("variant", ["isometric", "arnold"])
+@pytest.mark.parametrize("group", TABLE_GROUPS)
+def test_embed_bytes_equal_formatting_every_dense_entry(group, variant, tmp_path):
+    argv = ["--group", group, "--variant", variant]
+    _assert_embed_bytes_format_every_dense_entry(tmp_path, registry_lookup(group, variant), argv, BYTE_QUATS)
+
+
+def test_embed_rank_12_bytes_equal_formatting_every_dense_entry(tmp_path):
+    doc = tmp_path / "spec.txt"
+    doc.write_text(RANK_12_DOC)
+    spec = parse_spec_document(RANK_12_DOC)
+    _assert_embed_bytes_format_every_dense_entry(tmp_path, spec, ["--spec", str(doc)], BYTE_QUATS[[0, 1, 3, 4]])
+
+
+def test_write_rows_repeats_each_formatted_value_with_its_sign():
+    # class values never come out as -0.0 in practice, so the gather of
+    # formatted strings is checked on one directly
+    values = np.array([[-0.0, 0.0, 5e-324, -1.0 / 3.0], [1e300, -2.5, 0.1, -0.0]])
+    take = [3, 0, 0, 1, 2, 3, 1]
+    buf = io.StringIO()
+    _write_rows(buf, ["a", "b"], values, take)
+    want = "".join(i + "".join(",%.17g" % x for x in row[take]) + "\n" for i, row in zip("ab", values))
+    assert buf.getvalue() == want
+    assert buf.getvalue().startswith("a,-0.33333333333333331,-0,-0,0,")
+    buf = io.StringIO()
+    _write_rows(buf, ["a", "b"], values[:, :1])
+    assert buf.getvalue() == "a,-0\nb,1.0000000000000001e+300\n"
 
 
 # ---------------------------------------------------------------------------

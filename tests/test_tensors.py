@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from so3embed.so3 import random_rotation
 from so3embed.tensors import (
     MAX_RANK,
+    _classes,
     binom_identity_check,
     class_counts,
     class_monomials,
@@ -64,6 +65,16 @@ def test_index_classes_partition_all_indices(alpha):
         )
         assert sizes[ci] == expected
     assert sizes.sum() == 3**alpha
+
+
+@pytest.mark.parametrize("alpha", range(1, MAX_RANK + 1))
+def test_class_map_matches_the_digit_counts_of_every_index(alpha):
+    ids, counts, _ = _classes(alpha)
+    assert counts == tuple((a, b, alpha - a - b) for a in range(alpha + 1) for b in range(alpha + 1 - a))
+    digits = np.unravel_index(np.arange(3**alpha), (3,) * alpha)
+    occ = np.stack([sum((d == v).astype(np.int64) for d in digits) for v in range(3)], axis=1)
+    assert ids.shape == (3**alpha,)
+    assert np.array_equal(np.array(counts)[ids], occ)
 
 
 @settings(max_examples=40, deadline=None)
