@@ -16,7 +16,13 @@ its relative rotation Q, and the sampling, the polish and
 :func:`distance_scatter` take the distances of ``(N, 4)`` quaternions to the
 identity coset from the package's two distance kernels,
 ``so3.quotient_angles`` and ``embedding.class_norms``.  Both work on
-differences, so the ratio stays accurate down to tiny distances.
+differences, so the ratio stays accurate down to tiny distances.  These
+distance sweeps run in blocks of ``_BLOCK`` rotations.
+
+The Monte Carlo mean of :func:`empirical_embedding_mean` never forms class
+values per rotation: per component, the orbit images of a block of Haar
+rotations go through ``tensors.class_monomial_sums``, one GEMM of two
+half-degree monomial tables, in blocks sized by ``_MEAN_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from itertools import product
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, class_norms, class_values, registry_lookup
+from .embedding import EmbeddingSpec, centering_offsets, class_norms, class_values, registry_lookup
 from .so3 import TANGENT_BASIS, _quat_product, group_elements, quaternions_to_matrices, quotient_angles
 from .so3 import random_quaternions
-from .tensors import class_monomials, class_multiplicities, monomial_derivatives, tensor_from_class_values, tuple_norm
+from .tensors import class_monomial_sums, class_monomials, class_multiplicities, monomial_derivatives
+from .tensors import tensor_from_class_values, tuple_norm
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .embedding import radius  # noqa: F401
@@ -160,9 +167,14 @@ def derive_beta(family: str, k: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # distances to the identity coset
 
-# Rotations per block of a sampled sweep: a block's class values stay in cache,
-# and memory does not grow with the sample count.
+# Rotations per block of the distance sweeps of bounds and scatter: a block's
+# class values stay in cache, and memory does not grow with the sample count.
 _BLOCK = 512
+
+# Half-degree monomial table entries per block of the mean sweep.  A fixed
+# entry count, not a fixed rotation count: a spec with small tables sums
+# thousands of rotations per block, and the per-block overhead stays small.
+_MEAN_ENTRIES = 2**16
 
 # Samples polished at each end of the ratio envelope, and compass passes each.
 _POLISH_STARTS = 10
@@ -353,19 +365,35 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
 def empirical_embedding_mean(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> tuple[np.ndarray, ...]:
     """Mean embedding of ``n_samples`` Haar rotations, one tensor per component.
 
-    Summed as class values in blocks of ``_BLOCK`` rotations, so the cost per
-    sample is polynomial in the rank and memory stays flat.
+    Per component, the orbit images of a block of rotations go through
+    :func:`tensors.class_monomial_sums`, one GEMM of two half-degree monomial
+    tables, with the orbit weights; the centering term is subtracted once from
+    the mean.  Blocks hold as many rotations as ``_MEAN_ENTRIES`` table
+    entries allow, so memory stays flat in ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     sums = [np.zeros(math.comb(a + 2, 2)) for a in spec.alpha]
-    for start in range(0, n_samples, _BLOCK):
+    entries = 0  # table entries per rotation: per orbit vector, the classes of each half degree
+    for (vecs, _), a in zip(spec.orbits, spec.alpha):
+        halves = {a // 2, a - a // 2} if a > 1 else {a}
+        entries += len(vecs) * sum(math.comb(h + 2, 2) for h in halves)
+    step = max(1, _MEAN_ENTRIES // entries)
+    for start in range(0, n_samples, step):
         # Blocks draw from ``rng`` in turn: the stream of one draw of n_samples.
-        mats = quaternions_to_matrices(random_quaternions(rng, min(_BLOCK, n_samples - start)))
-        for acc, vals in zip(sums, class_values(spec, mats)):
-            acc += vals.sum(axis=0)
-    return tuple(tensor_from_class_values(acc / n_samples, a) for acc, a in zip(sums, spec.alpha))
+        mats = quaternions_to_matrices(random_quaternions(rng, min(step, n_samples - start)))
+        rows = mats.transpose(1, 0, 2).reshape(-1, 3)  # (3 N, 3): row d of every matrix, then the next d
+        for acc, (vecs, wts), a, b in zip(sums, spec.orbits, spec.alpha, spec.beta):
+            imgs = (rows @ vecs.T).reshape(3, -1)  # (3, N * orbit)
+            acc += class_monomial_sums(imgs, np.tile(b * wts, len(mats)), a)
+    means = []
+    for acc, a, offset in zip(sums, spec.alpha, centering_offsets(spec)):
+        mean = acc / n_samples
+        if offset is not None:
+            mean -= offset
+        means.append(tensor_from_class_values(mean, a))
+    return tuple(means)
 
 
 def mean_check(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> float:

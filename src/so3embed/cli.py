@@ -195,29 +195,42 @@ def _cell(row, col: int, line: int) -> str:
 
 
 def _read_rows(reader, cols, idc: int):
-    """The cells ``cols`` of every remaining row of ``reader`` as one
-    ``(N, len(cols))`` array of finite floats, with the id cell and the line
+    """The cells ``cols`` (at least two) of every remaining row of ``reader`` as
+    one ``(N, len(cols))`` array of finite floats, with the id cell and the line
     number of every row.  Each row is converted as it is read, so no row's
     text outlives it."""
+    pick = itemgetter(*cols)
     vals, ids, lines = [], [], []
     for cells in reader:
         if _blank(cells):
             continue
         line = reader.line_num
-        out = []
-        for c in cols:
-            text = _cell(cells, c, line)
-            try:
-                value = float(text)
-            except ValueError:
-                raise _DataError(f"line {line}: {text!r} is not a number") from None
-            if not math.isfinite(value):
-                raise _DataError(f"line {line}: {text!r} is not a finite number")
-            out.append(value)
-        vals.append(np.array(out))
+        vals.append(_row_floats(cells, pick, cols, line))
         ids.append(_cell(cells, idc, line))
         lines.append(line)
     return (np.stack(vals) if vals else np.empty((0, len(cols)))), ids, lines
+
+
+def _row_floats(cells, pick, cols, line: int) -> np.ndarray:
+    """The cells ``cols`` of one row, which ``pick`` takes, as finite floats: all
+    at once, and cell by cell only when that fails, to name the first bad cell."""
+    try:
+        out = list(map(float, pick(cells)))
+        if math.isfinite(sum(out)):  # false on inf or nan, and on an overflowing sum
+            return np.array(out)
+    except (IndexError, ValueError):
+        pass
+    out = []
+    for c in cols:
+        text = _cell(cells, c, line)
+        try:
+            value = float(text)
+        except ValueError:
+            raise _DataError(f"line {line}: {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise _DataError(f"line {line}: {text!r} is not a finite number")
+        out.append(value)
+    return np.array(out)
 
 
 def _orientations(kind: str, vals: np.ndarray, lines, degrees: bool) -> np.ndarray:

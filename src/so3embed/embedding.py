@@ -40,6 +40,7 @@ __all__ = [
     "EmbeddedPoint",
     "EmbeddingSpec",
     "TABLE_GROUPS",
+    "centering_offsets",
     "class_norms",
     "class_values",
     "dense_rows",
@@ -257,14 +258,24 @@ def class_values(spec: EmbeddingSpec, mats: np.ndarray) -> list[np.ndarray]:
     """Class values, shape ``(N, C(alpha_i + 2, 2))`` per component, of the
     (centered when the spec is) embedding of ``N`` rotation matrices ``(N, 3, 3)``."""
     out = []
-    for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
+    for (vecs, wts), a, b, offset in zip(spec.orbits, spec.alpha, spec.beta, centering_offsets(spec)):
         imgs = (mats.reshape(-1, 3) @ vecs.T).reshape(len(mats), 3, len(vecs))  # one GEMM
         mono = class_monomials(imgs.transpose(1, 0, 2), a)  # (C, N, orbit)
         vals = (mono.reshape(-1, len(vecs)) @ (b * wts)).reshape(len(mono), len(mats))  # one GEMV
-        if spec.centered and a % 2 == 0:
-            vals -= ((b / (a + 1)) * invariant_class_values(a))[:, None]
+        if offset is not None:
+            vals -= offset[:, None]
         out.append(vals.T)
     return out
+
+
+def centering_offsets(spec: EmbeddingSpec) -> list[np.ndarray | None]:
+    """Per component, the class values that centering subtracts: ``beta_i /
+    (alpha_i + 1)`` times the isotropic tensor at an even rank of a centered
+    spec, otherwise ``None``."""
+    return [
+        (b / (a + 1)) * invariant_class_values(a) if spec.centered and a % 2 == 0 else None
+        for a, b in zip(spec.alpha, spec.beta)
+    ]
 
 
 def class_norms(spec: EmbeddingSpec, comps) -> np.ndarray:

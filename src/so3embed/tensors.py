@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "binom_identity_check",
+    "class_monomial_sums",
     "class_monomials",
     "class_multiplicities",
     "class_sums",
@@ -112,6 +113,44 @@ def class_monomials(w, alpha: int) -> np.ndarray:
         block *= pw[:m, 1]
         lo += m
     return out
+
+
+@lru_cache(maxsize=None)
+def _class_pairs(alpha: int) -> np.ndarray:
+    """Cached read-only flat indices, one per class of rank ``alpha``, into the
+    ``(C(lo+2, 2), C(hi+2, 2))`` table of products of the classes of ranks
+    ``lo = alpha // 2`` and ``hi = alpha - lo``: the pair whose counts add up to
+    the class, its ``lo`` counts taken from ``n0`` first, then ``n1``, then ``n2``."""
+    lo, hi = alpha // 2, alpha - alpha // 2
+    lower = {n: i for i, n in enumerate(_classes(lo)[1])}
+    upper = {n: i for i, n in enumerate(_classes(hi)[1])}
+    pairs = []
+    for n0, n1, n2 in _classes(alpha)[1]:
+        a0 = min(n0, lo)
+        a1 = min(n1, lo - a0)
+        a2 = lo - a0 - a1
+        pairs.append(lower[a0, a1, a2] * len(upper) + upper[n0 - a0, n1 - a1, n2 - a2])
+    out = np.array(pairs, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def class_monomial_sums(w, weights, alpha: int) -> np.ndarray:
+    """``sum_p weights[p] * class_monomials(w[:, p], alpha)`` for ``w`` of shape
+    ``(3, P)`` and ``weights`` of shape ``(P,)``: shape ``(C(alpha+2, 2),)``.
+
+    Every rank-``alpha`` monomial is the product of one of rank ``alpha // 2`` and
+    one of rank ``alpha - alpha // 2``, so the sums are one GEMM of those two
+    half-degree tables (the same table when ``alpha`` is even), gathered by
+    ``_class_pairs``.  Ranks 0 and 1 sum :func:`class_monomials` directly.
+    """
+    w = np.asarray(w, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if alpha <= 1:
+        return class_monomials(w, alpha) @ weights
+    lo = class_monomials(w, alpha // 2)
+    hi = lo if alpha % 2 == 0 else class_monomials(w, alpha - alpha // 2)
+    return ((lo * weights) @ hi.T).ravel()[_class_pairs(alpha)]
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from so3embed import analysis
 from so3embed.analysis import (
     b_norms_closed_form,
     bound_ratio_table,
@@ -299,15 +300,38 @@ def test_uncentered_octahedral_mean_is_invariant_tensor_multiple():
     assert tuple_norm(mean) == pytest.approx(beta * math.sqrt(5.0) / 5.0, abs=2e-3)
 
 
+def _dense_mean(spec, n, seed):
+    """The mean embedding of one draw of ``n`` Haar rotations, as dense outer powers."""
+    mats = quaternions_to_matrices(random_quaternions(np.random.default_rng(seed), n))
+    out = []
+    for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
+        mean = b * sum(wt * outer_power(m @ v, a) for m in mats for v, wt in zip(vecs, wts)) / n
+        out.append(mean - (b / (a + 1)) * invariant_tensor(a) if a % 2 == 0 else mean)
+    return out
+
+
 def test_empirical_mean_agrees_with_dense_average():
     spec = registry_lookup("D3")
-    n = 50
-    mean = empirical_embedding_mean(spec, n, seed=9)
-    mats = quaternions_to_matrices(random_quaternions(np.random.default_rng(9), n))
-    for got, (vecs, wts), a, b in zip(mean, spec.orbits, spec.alpha, spec.beta):
-        want = b * sum(wt * outer_power(m @ v, a) for m in mats for v, wt in zip(vecs, wts)) / n
-        if a % 2 == 0:
-            want = want - (b / (a + 1)) * invariant_tensor(a)
+    for got, want in zip(empirical_embedding_mean(spec, 50, seed=9), _dense_mean(spec, 50, 9)):
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["C4", "D3", "T"])
+def test_empirical_mean_over_several_blocks_agrees_with_dense_average(name, monkeypatch):
+    # a small table budget splits the sweep into blocks, the last one partial;
+    # they draw one stream, so the mean is that of the one-draw oracle
+    spec = registry_lookup(name)
+    sizes = []
+
+    def recorded(rng, n):
+        sizes.append(n)
+        return random_quaternions(rng, n)
+
+    monkeypatch.setattr(analysis, "_MEAN_ENTRIES", 200)
+    monkeypatch.setattr(analysis, "random_quaternions", recorded)
+    mean = empirical_embedding_mean(spec, 47, seed=9)
+    assert len(sizes) >= 3 and sum(sizes) == 47 and sizes[-1] < sizes[0]
+    for got, want in zip(mean, _dense_mean(spec, 47, 9)):
         assert np.abs(got - want).max() < 1e-12
 
 

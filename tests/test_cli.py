@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3embed.cli import _write_rows, main
+from so3embed.cli import _DataError, _read_rows, _write_rows, main
 from so3embed.embedding import (
     TABLE_GROUPS,
     class_values,
@@ -135,6 +135,30 @@ def test_non_finite_numbers_are_data_errors(argv, table, tmp_path, capsys):
     out.write_bytes(b"earlier output\n")
     assert main([*argv, "--group", "C1", "-i", str(src), "-o", str(out)]) == 2
     assert out.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("r, 0.5 ,1e308,1e308", None),  # a padded cell; finite cells whose sum overflows
+        ("r,1,x,inf", "line 4: 'x' is not a number"),
+        ("r,1,inf,x", "line 4: 'inf' is not a finite number"),
+        ("r,nan,2", "line 4: 'nan' is not a finite number"),
+        ("r,1,2", "line 4: expected at least 4 columns, found 3"),
+        ("r,1,2,3,", None),
+    ],
+)
+def test_read_rows_converts_a_row_at_once_and_names_its_first_bad_cell(row, message):
+    reader = csv.reader(io.StringIO("id,a,b,c\nr0,1,2,3\n\n" + row + "\n"))
+    next(reader)
+    if message is not None:
+        with pytest.raises(_DataError) as err:
+            _read_rows(reader, [1, 2, 3], 0)
+        assert str(err.value) == message
+        return
+    vals, ids, lines = _read_rows(reader, [1, 2, 3], 0)
+    want = [float(c) for c in row.split(",")[1:4]]
+    assert vals.tolist() == [[1.0, 2.0, 3.0], want] and ids == ["r0", "r"] and lines == [2, 4]
 
 
 def test_embed_euler_rejects_out_of_range_beta():

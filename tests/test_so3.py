@@ -382,6 +382,12 @@ def test_random_quaternions_are_unit_and_deterministic():
     assert np.abs(np.linalg.norm(q1, axis=1) - 1.0).max() < 1e-14
 
 
+def test_random_quaternions_normalize_bit_for_bit_as_linalg_norm():
+    got = random_quaternions(np.random.default_rng(17), 100_000)
+    q = np.random.default_rng(17).standard_normal((100_000, 4))
+    assert np.array_equal(got, q / np.linalg.norm(q, axis=1)[:, None])
+
+
 def test_random_rotations_follow_haar_angle_law(rng):
     # under Haar measure the rotation angle has CDF (x - sin x) / pi; the
     # Kolmogorov-Smirnov statistic is the largest gap between it and the

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from so3embed.so3 import random_rotation
 from so3embed.tensors import (
     MAX_RANK,
+    _class_pairs,
     _classes,
     binom_identity_check,
     class_counts,
+    class_monomial_sums,
     class_monomials,
     class_multiplicities,
     class_sums,
@@ -106,6 +108,27 @@ def test_class_monomials_are_batched_over_trailing_axes(rng):
     assert mono.shape == (21, 4, 2)
     assert np.array_equal(mono[:, 2, 1], class_monomials(w[:, 2, 1], 5))
     assert np.array_equal(class_monomials(w, 0), np.ones((1, 4, 2)))
+
+
+@pytest.mark.parametrize("alpha", range(13))
+def test_class_monomial_sums_equal_the_weighted_monomial_table(alpha, rng):
+    # each sum against its own scale, the sum of its terms' magnitudes, so a
+    # sum that cancels is held to the round-off its terms allow
+    w = rng.normal(size=(3, 300))
+    weights = rng.normal(size=300)
+    table = class_monomials(w, alpha)
+    got = class_monomial_sums(w, weights, alpha)
+    assert got.shape == (math.comb(alpha + 2, 2),)
+    assert np.all(np.abs(got - table @ weights) <= 1e-13 * (np.abs(table) @ np.abs(weights)))
+
+
+@pytest.mark.parametrize("alpha", range(2, MAX_RANK + 1))
+def test_class_pairs_split_every_class_into_its_two_halves(alpha):
+    lower, upper = _classes(alpha // 2)[1], _classes(alpha - alpha // 2)[1]
+    rows, cols = np.divmod(_class_pairs(alpha), len(upper))
+    assert rows.max() < len(lower)
+    for n, i, j in zip(_classes(alpha)[1], rows, cols):
+        assert tuple(a + b for a, b in zip(lower[i], upper[j])) == n
 
 
 # ---------------------------------------------------------------------------
