@@ -58,14 +58,14 @@ from .embedding import (
     registry_lookup,
 )
 from .projection import _BLOCK_ENTRIES, DegenerateInputError, project_many
-from .so3 import fundamental_representative, group_elements, normalized_quaternions, quaternions_from_euler_zyz
+from .so3 import fundamental_quaternions, group_elements, normalized_quaternions, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
 from .tensors import _classes, binom_identity_check
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .embedding import embed, embedded_distance  # noqa: F401
 from .projection import project  # noqa: F401
-from .so3 import Rotation, coset_distance  # noqa: F401
+from .so3 import Rotation, coset_distance, fundamental_representative  # noqa: F401
 
 __all__ = ["entry", "main"]
 
@@ -197,31 +197,37 @@ def _cell(row, col: int, line: int) -> str:
 def _read_rows(reader, cols, idc: int):
     """The cells ``cols`` (at least two) of every remaining row of ``reader`` as
     one ``(N, len(cols))`` array of finite floats, with the id cell and the line
-    number of every row.  Each row is converted as it is read, so no row's
-    text outlives it."""
+    number of every row.  Each row is converted straight into the table, which
+    grows in place by a quarter when full, so no row's text outlives it and
+    the floats are held once."""
     pick = itemgetter(*cols)
-    vals, ids, lines = [], [], []
+    table = np.empty((0, len(cols)))
+    ids, lines = [], []
     for cells in reader:
         if _blank(cells):
             continue
         line = reader.line_num
-        vals.append(_row_floats(cells, pick, cols, line))
+        if len(ids) == len(table):
+            table.resize((len(ids) + 1 + len(ids) // 4, len(cols)), refcheck=False)  # realloc, no second table
+        _row_floats(cells, pick, cols, line, table[len(ids)])
         ids.append(_cell(cells, idc, line))
         lines.append(line)
-    return (np.stack(vals) if vals else np.empty((0, len(cols)))), ids, lines
+    table.resize((len(ids), len(cols)), refcheck=False)
+    return table, ids, lines
 
 
-def _row_floats(cells, pick, cols, line: int) -> np.ndarray:
-    """The cells ``cols`` of one row, which ``pick`` takes, as finite floats: all
-    at once, and cell by cell only when that fails, to name the first bad cell."""
+def _row_floats(cells, pick, cols, line: int, out: np.ndarray) -> None:
+    """Write the cells ``cols`` of one row, which ``pick`` takes, into ``out`` as
+    finite floats: all at once, and cell by cell only when that fails, to name
+    the first bad cell."""
     try:
-        out = list(map(float, pick(cells)))
-        if math.isfinite(sum(out)):  # false on inf or nan, and on an overflowing sum
-            return np.array(out)
+        values = list(map(float, pick(cells)))
+        if math.isfinite(sum(values)):  # false on inf or nan, and on an overflowing sum
+            out[:] = values
+            return
     except (IndexError, ValueError):
         pass
-    out = []
-    for c in cols:
+    for i, c in enumerate(cols):
         text = _cell(cells, c, line)
         try:
             value = float(text)
@@ -229,8 +235,7 @@ def _row_floats(cells, pick, cols, line: int) -> np.ndarray:
             raise _DataError(f"line {line}: {text!r} is not a number") from None
         if not math.isfinite(value):
             raise _DataError(f"line {line}: {text!r} is not a finite number")
-        out.append(value)
-    return np.array(out)
+        out[i] = value
 
 
 def _orientations(kind: str, vals: np.ndarray, lines, degrees: bool) -> np.ndarray:
@@ -308,17 +313,19 @@ def cmd_project(args) -> int:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
         table, ids, _ = _read_rows(reader, coord_cols, idc)
         results = project_many(spec, table, tol=args.tol, max_iter=args.max_iter, starts=args.starts, seed=args.seed)
+        solved = [r for r in results if not isinstance(r, DegenerateInputError)]
+        reps = iter(normalized_quaternions(fundamental_quaternions(
+            np.array([r.coset.rep.quat for r in solved]).reshape(-1, 4), spec.group
+        )).tolist())
         writer = csv.writer(_open(stack, args.output, "w"), lineterminator="\n")
         writer.writerow(["id", "qw", "qx", "qy", "qz", "residual", "iterations", "converged", "error"])
-        degenerate = 0
+        degenerate = len(results) - len(solved)
         for ident, result in zip(ids, results):
             if isinstance(result, DegenerateInputError):
-                degenerate += 1
                 writer.writerow([ident, "", "", "", "", "", "", "", str(result)])
                 continue
-            q = fundamental_representative(result.coset).canonical_quaternion()
             converged = "true" if result.converged else "false"
-            writer.writerow([ident, *map(_fmt, q), _fmt(result.residual), str(result.iterations), converged, ""])
+            writer.writerow([ident, *map(_fmt, next(reps)), _fmt(result.residual), str(result.iterations), converged, ""])
         if degenerate:
             print(f"warning: {degenerate} degenerate row(s) could not be projected", file=sys.stderr)
     return EXIT_OK

@@ -3,41 +3,45 @@
 Given a target tuple T, the closest embedded point maximizes the linear
 objective ``J(R) = <E([R]), T>`` because every embedded point has the same
 norm.  Targets arrive as flat rows of dense tensors (``EmbeddingSpec.columns``),
-but J and its gradient are evaluated on the class sums of those rows (see
-``_Targets``), so no outer power is ever materialized during the ascent.
+but J, its gradient and its Hessian are evaluated on the class sums of those
+rows (see ``_Targets``), so no outer power is ever materialized during the
+ascent.
 
-The solver is projected gradient ascent with an exponential-map retraction
-and Armijo backtracking, run from a small multi-start family: one seed from
-the Kabsch alignment of the rank-1 components (when nondegenerate) plus
-low-discrepancy seeds from a super-Fibonacci spiral on the quaternion sphere,
-turned as a whole by a Haar rotation drawn from the seed.  Seeds are screened
-by their initial objective, ascents run from the most promising ones, and a
-run that reaches the Cauchy-Schwarz upper bound ``radius * |T|`` certifies
-global optimality and stops the search early.  Everything is deterministic
-given the seed.
+The solver is a Riemannian Newton ascent with an exponential-map retraction:
+the Newton step where the 3 x 3 Hessian in the tangent basis is negative
+definite, a gradient step elsewhere, and Armijo backtracking on both.  It
+runs from a small multi-start family: one seed from the Kabsch alignment of
+the rank-1 components (when nondegenerate) plus low-discrepancy seeds from a
+super-Fibonacci spiral on the quaternion sphere, turned as a whole by a Haar
+rotation drawn from the seed.  Seeds are screened by their initial
+objective, ascents run from the most promising ones, and a run that reaches
+the Cauchy-Schwarz upper bound ``radius * |T|`` certifies global optimality
+and stops the search early.  Everything is deterministic given the seed.
 
 :func:`project_many` projects a whole table at once.  Every (target, start)
 ascent is one lane of a lockstep iteration over ``(M, 4)`` quaternion and
-``(M, 3, 3)`` matrix arrays, with the objective and gradient of all lanes
-evaluated in one batch.  Each lane keeps its own step size, iteration count
-and stopping rule, so no row's result depends on the other rows.  The best
-screened start of every target runs first; the remaining starts of the
-targets it did not certify then run together, and the runs are resolved in
-screened order exactly as if they had run one after another.  A large table
-runs in batches of rows whose lanes' power tables fit a fixed entry budget,
-so memory stays bounded however many rows there are; one batch of dense image
-rows then gives their objectives and residuals.  :func:`project` is the
-one-target call of the same code.
+``(M, 3, 3)`` matrix arrays, with the objective, gradient and Hessian of all
+lanes evaluated in one batch.  Each lane keeps its own step, iteration count
+and stopping rule, and its products are matrix products of its own, so no
+row's result depends on the other rows.  The best screened start of every
+target runs first; the remaining starts of the targets it did not certify
+then run together, and the runs are resolved in screened order exactly as if
+they had run one after another.  A large table runs in batches of rows whose
+lanes' power tables fit a fixed entry budget, so memory stays bounded however
+many rows there are; one batch of dense image rows then gives their
+objectives and residuals.  :func:`project` is the one-target call of the same
+code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, class_values, dense_rows, embed, radius
+from .embedding import EmbeddingSpec, centering_offsets, class_values, dense_rows, embed, radius
 from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, quaternions_to_matrices, random_quaternions
 from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
 
@@ -49,6 +53,7 @@ __all__ = [
     "DegenerateInputError",
     "ProjectionResult",
     "gradient",
+    "hessian",
     "kabsch",
     "objective",
     "project",
@@ -128,16 +133,45 @@ def _flatten(spec: EmbeddingSpec, target) -> np.ndarray:
     return np.concatenate([t.ravel() for t in target])
 
 
+# Output columns of ``_Targets.derivatives``: value, gradient (3), Hessian (3 x 3).
+_OUTPUTS = 13
+
+
+@lru_cache(maxsize=None)
+def _derivative_map(alpha: int) -> np.ndarray:
+    """The linear map from one rank-``alpha`` component's orbit sums to its share of
+    the value, gradient and Hessian columns (``_OUTPUTS``) in the tangent basis.
+
+    With ``w`` an orbit image, ``s_l`` the tangent basis and weights folded in, the
+    inputs are ``M = sum grad P(w) w^T`` (9 entries) at rank 1 and ``Z[d, e, f, g] =
+    sum d_d d_e P(w) w_f w_g`` (81 entries) above it.  Euler's relation for the
+    degree-``alpha`` polynomial P gives ``grad P(w) = hess P(w) w / (alpha - 1)`` and
+    ``P(w) = w . grad P(w) / alpha``, so M and the value follow from Z.  Then
+    ``g_l = <M, s_l>`` and ``H_kl = <M, (s_k s_l + s_l s_k) / 2> + sum s_k[d, f]
+    s_l[e, g] Z[d, e, f, g]``, the Hessian of ``J(exp(sum e_l s_l) R)`` at ``e = 0``.
+    """
+    s, eye = TANGENT_BASIS, np.eye(3)
+    sym = 0.5 * (np.einsum("kde,lef->kldf", s, s) + np.einsum("lde,kef->kldf", s, s))
+    out = np.concatenate([eye.reshape(9, 1) / alpha, _TANGENT_ROWS.T, sym.reshape(9, 9).T], axis=1)  # from M
+    if alpha > 1:
+        out = (np.einsum("dD,ef,gG->defgDG", eye, eye, eye).reshape(81, 9) / (alpha - 1)) @ out  # Z -> M
+        out[:, 4:] += np.einsum("kdf,leg->defgkl", s, s).reshape(81, 9)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class _Targets:
-    """Per-target precomputation for batched objective/gradient evaluations.
+    """Per-target precomputation for batched objective evaluations and derivatives.
 
     ``P(w) = <w^{x a}, T>`` is a degree-a homogeneous polynomial whose monomial
     coefficients are the index-class sums of T (so only the symmetric part of
     the target ever enters, as it must).  The value dots these sums with the
-    embedding's class values; the gradient evaluates the partials as
-    rank-(a-1) monomials against the sums mapped through the derivative table.
-    Each row costs O(orbit * classes) and never touches a rank-a tensor.
+    embedding's class values.  The derivatives take the sums through the
+    derivative table twice: the second partials of P are rank-(a-2) monomials
+    against ``partials``, and :func:`_derivative_map` turns them into the value,
+    gradient and Hessian.  Each row costs O(orbit * classes) and never touches a
+    rank-a tensor.
 
     Evaluations pair row ``m`` with rotation matrix ``mats[m]`` of an
     ``(N, 3, 3)`` stack; ``take`` selects and repeats rows.
@@ -145,36 +179,49 @@ class _Targets:
 
     spec: EmbeddingSpec
     coeffs: list  # per component, (N, classes)
-    dcoeffs: list  # per component, (N, 3, classes of rank a - 1)
+    partials: list  # per component, the first (N, 3, 1) at rank 1, else the second (N, 9, classes of rank a - 2)
+    shift: np.ndarray  # (N,), the centering part of the value
     sym_norm: np.ndarray  # (N,), norm of the symmetric part of each target
 
     @classmethod
     def from_rows(cls, spec: EmbeddingSpec, rows: np.ndarray) -> "_Targets":
         """From ``N`` flat target rows ``(N, ambient_dimension)``."""
-        coeffs, dcoeffs = [], []
-        sym_sq = np.zeros(len(rows))
-        for a, cols in zip(spec.alpha, spec.columns):
+        coeffs, partials = [], []
+        sym_sq, shift = np.zeros(len(rows)), np.zeros(len(rows))
+        for a, cols, offset in zip(spec.alpha, spec.columns, centering_offsets(spec)):
             coeff = class_sums(rows[:, cols], a)
             sym_sq += coeff**2 @ (1.0 / class_multiplicities(a))  # |sym(t)|^2
+            first = (monomial_derivatives(a) @ coeff.T).transpose(2, 0, 1)
+            if a > 1:
+                first = np.einsum("eck,ndk->ndec", monomial_derivatives(a - 1), first).reshape(len(rows), 9, -1)
             coeffs.append(coeff)
-            dcoeffs.append((monomial_derivatives(a) @ coeff.T).transpose(2, 0, 1))
-        return cls(spec, coeffs, dcoeffs, np.sqrt(sym_sq))
+            partials.append(first)
+            if offset is not None:
+                shift -= coeff @ offset
+        return cls(spec, coeffs, partials, shift, np.sqrt(sym_sq))
 
     def take(self, idx: np.ndarray) -> "_Targets":
-        return _Targets(self.spec, [c[idx] for c in self.coeffs], [d[idx] for d in self.dcoeffs], self.sym_norm[idx])
+        return _Targets(
+            self.spec, [c[idx] for c in self.coeffs], [p[idx] for p in self.partials], self.shift[idx], self.sym_norm[idx]
+        )
 
     def values(self, mats: np.ndarray) -> np.ndarray:
         return sum(np.einsum("mc,mc->m", v, c) for v, c in zip(class_values(self.spec, mats), self.coeffs))
 
-    def grads(self, mats: np.ndarray) -> np.ndarray:
-        grad = np.zeros((len(mats), 3))
-        for (vecs, wts), a, b, dcoeff in zip(self.spec.orbits, self.spec.alpha, self.spec.beta, self.dcoeffs):
-            imgs = mats @ vecs.T  # (N, 3, orbit)
-            mono = class_monomials(imgs.transpose(1, 0, 2), a - 1).transpose(1, 0, 2)
-            dp = dcoeff @ mono  # grad P(w) at every orbit image, (N, 3, orbit)
-            # sum_j wts_j <s_l w_j, grad P(w_j)> for the three tangent matrices
-            grad += ((dp * (b * wts)) @ imgs.transpose(0, 2, 1)).reshape(-1, 9) @ _TANGENT_ROWS.T
-        return grad
+    def derivatives(self, mats: np.ndarray):
+        """Value ``(N,)``, gradient ``(N, 3)`` and Hessian ``(N, 3, 3)`` in the tangent basis."""
+        n = len(mats)
+        out = np.zeros((n, _OUTPUTS))
+        for (vecs, wts), a, b, partial in zip(self.spec.orbits, self.spec.alpha, self.spec.beta, self.partials):
+            imgs = (mats.reshape(-1, 3) @ vecs.T).reshape(n, 3, len(vecs))  # orbit images w
+            if a == 1:  # grad P is constant: M = grad P (sum b wts w)^T
+                sums = partial * (imgs @ (b * wts))[:, None, :]
+            else:  # Z = sum b wts hess P(w) (x) w w^T
+                mono = class_monomials(imgs.transpose(1, 0, 2), a - 2).transpose(1, 0, 2)
+                hess = (partial @ mono) * (b * wts)
+                sums = hess @ (imgs[:, :, None, :] * imgs[:, None, :, :]).reshape(n, 9, -1).transpose(0, 2, 1)
+            out += (sums.reshape(n, 1, -1) @ _derivative_map(a))[:, 0]  # per lane, whatever the batch
+        return out[:, 0] + self.shift, out[:, 1:4], out[:, 4:].reshape(n, 3, 3)
 
 
 def objective(spec: EmbeddingSpec, r: Rotation, target) -> float:
@@ -189,7 +236,13 @@ def objective(spec: EmbeddingSpec, r: Rotation, target) -> float:
 
 def gradient(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
     """Gradient of the projection objective in the tangent basis at ``r``."""
-    return _Targets.from_rows(spec, _flatten(spec, target)[None]).grads(r.matrix[None])[0]
+    return _Targets.from_rows(spec, _flatten(spec, target)[None]).derivatives(r.matrix[None])[1][0]
+
+
+def hessian(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
+    """Hessian ``(3, 3)`` of the projection objective in the tangent basis at ``r``:
+    the second derivatives of ``J(exp(sum_l e_l TANGENT_BASIS[l]) r)`` at ``e = 0``."""
+    return _Targets.from_rows(spec, _flatten(spec, target)[None]).derivatives(r.matrix[None])[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +255,9 @@ _BLOCK_ENTRIES = 2**20
 
 # Ascents run per target at most, taken from the starts in screened order.
 _MAX_RUNS = 8
+
+# Longest step of an ascent iteration, in radians.
+_MAX_STEP = 0.5
 
 
 # Super-Fibonacci spiral constants: sqrt(2) and the real root of psi^4 = psi + 4.
@@ -221,28 +277,62 @@ def _spiral_quaternions(n: int, seed: int) -> np.ndarray:
     return _quat_product(random_quaternions(np.random.default_rng(seed), 1), spiral)
 
 
+def _ascent_steps(g: np.ndarray, h: np.ndarray, gn: np.ndarray) -> np.ndarray:
+    """Tangent steps ``(M, 3)`` in radians from gradients ``g``, Hessians ``h`` and
+    gradient norms ``gn``: the Newton step ``-h^{-1} g`` where ``-h`` is positive
+    definite, elsewhere the gradient scaled to the maximum of ``J`` along it in the
+    quadratic model, or to ``_MAX_STEP`` where that model has no maximum; no step is
+    longer than ``_MAX_STEP``.
+
+    ``-h`` is positive definite exactly where its Cholesky factor ``L`` has three
+    positive pivots; the factor and the two triangular solves are written out
+    entry by entry over all lanes, and a failed pivot leaves its lane nan.
+    """
+    a = -h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l00 = np.sqrt(a[:, 0, 0])
+        l10, l20 = a[:, 1, 0] / l00, a[:, 2, 0] / l00
+        l11 = np.sqrt(a[:, 1, 1] - l10 * l10)
+        l21 = (a[:, 2, 1] - l20 * l10) / l11
+        l22 = np.sqrt(a[:, 2, 2] - l20 * l20 - l21 * l21)
+        y0 = g[:, 0] / l00  # L y = g
+        y1 = (g[:, 1] - l10 * y0) / l11
+        y2 = (g[:, 2] - l20 * y0 - l21 * y1) / l22
+        x2 = y2 / l22  # L^T x = y
+        x1 = (y1 - l21 * x2) / l11
+        x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    newton = (l00 > 0.0) & (l11 > 0.0) & (l22 > 0.0)
+    step = np.where(newton[:, None], np.column_stack([x0, x1, x2]), g)
+    length = np.sqrt(np.add.reduce(step * step, axis=1))
+    curv = (g[:, None, :] @ a @ g[:, :, None])[:, 0, 0]  # g^T (-h) g
+    model = np.divide(gn**3, curv, out=np.full_like(curv, np.inf), where=curv > 0.0)
+    return step * (np.minimum(np.where(newton, length, model), _MAX_STEP) / length)[:, None]
+
+
 def _lockstep_ascent(ev: _Targets, q: np.ndarray, tol: float, max_iter: int):
-    """Gradient ascent with Armijo backtracking from the seed quaternions
-    ``q`` ``(M, 4)``, one lane each; lane ``m`` climbs the target of row
-    ``m`` of ``ev``.
+    """Riemannian Newton ascent with a gradient fallback from the seed quaternions
+    ``q`` ``(M, 4)``, one lane each; lane ``m`` climbs the target of row ``m``
+    of ``ev``.
 
-    The search direction is the Frobenius-normalized tangent combination, so
-    a step tau rotates by tau / sqrt(2) radians; the initial step of each
-    iteration warm-starts from twice the previously accepted one, which keeps
-    the backtrack count O(1) per iteration near the optimum.
+    Each iteration evaluates the value, gradient and 3 x 3 Hessian in the
+    tangent basis and proposes a step (``_ascent_steps``): the Newton step where
+    the Hessian is negative definite, a gradient step elsewhere.  The step
+    rotates the iterate by ``exp(sum_l e_l TANGENT_BASIS[l])`` on the left
+    (P.-A. Absil, R. Mahony, R. Sepulchre, *Optimization Algorithms on Matrix
+    Manifolds*, 2008, ch. 6-7).  It is accepted when the objective rises by the
+    Armijo fraction 1e-4 of its first-order prediction, and halved otherwise.
+    Near the maximum the objective's gains drop below float resolution, so there
+    a step that lowers the objective by no more than that resolution is
+    accepted when it lowers the gradient norm; this lets the iteration contract
+    down to the gradient tolerance instead of stalling at ~1e-9.  The rule
+    holds for gradient steps too: at a degenerate maximum, such as a rank-1
+    alignment that leaves one axis free, the Hessian is only semidefinite.
 
-    Once the iterate is so close to the maximum that objective differences
-    drop below float resolution, Armijo can no longer certify progress even
-    though the analytic gradient is still accurate to ~1e-14.  In that flat
-    regime a step is instead accepted when it at least halves the directional
-    derivative (a curvature condition evaluated on gradients, not objective
-    differences), which lets the iteration contract down to the gradient
-    tolerance instead of stalling at ~1e-9.
-
-    Each pass of the loop tries one step on every live lane: a lane whose
-    step is accepted opens its next iteration, a lane whose step is rejected
-    halves it.  A lane leaves when it converges, reaches ``max_iter``
-    iterations or its step underflows, and the live state is compacted.
+    Each pass of the loop evaluates one trial step on every live lane: a lane
+    whose step is accepted opens its next iteration at the new point, whose
+    derivatives the pass already gave, and a lane whose step is rejected halves
+    it.  A lane leaves when it converges, reaches ``max_iter`` iterations or its
+    step underflows, and the live state is compacted.
 
     Returns per lane the final quaternion, objective, iteration count and
     whether the gradient tolerance was met.
@@ -250,57 +340,47 @@ def _lockstep_ascent(ev: _Targets, q: np.ndarray, tol: float, max_iter: int):
     out_q, out_j = q.copy(), np.empty(len(q))
     out_iter, out_conv = np.zeros(len(q), dtype=np.int64), np.zeros(len(q), dtype=bool)
     ids = np.arange(len(q))
-    mats = quaternions_to_matrices(q)
-    j, g = ev.values(mats), ev.grads(mats)
+    j, g, h = ev.derivatives(quaternions_to_matrices(q))
     iters = np.zeros(len(q), dtype=np.int64)
-    tau_prev = np.full(len(q), 0.5)
-    gn, tau, flat, axis = np.zeros(len(q)), np.zeros(len(q)), np.zeros(len(q)), np.zeros((len(q), 3))
+    gn, step, angle = np.zeros(len(q)), np.zeros((len(q), 3)), np.zeros(len(q))
     opening = np.ones(len(q), dtype=bool)  # lanes that start a new iteration
     while True:
         gn = np.where(opening, np.sqrt(np.add.reduce(g * g, axis=1)), gn)
         converged = opening & (gn < tol)
         # A lane whose step underflowed is numerically stationary.
-        leave = converged | (opening & (iters >= max_iter)) | (~opening & (tau <= 1e-17))
+        leave = converged | (opening & (iters >= max_iter)) | (~opening & (angle <= 1e-15))
         if leave.any():
             out = ids[leave]
             out_q[out], out_j[out], out_iter[out], out_conv[out] = q[leave], j[leave], iters[leave], converged[leave]
             keep = ~leave
             if not keep.any():
                 return out_q, out_j, out_iter, out_conv
-            ids, q, j, g, iters, tau_prev, gn, tau, flat, axis, opening = (
-                x[keep] for x in (ids, q, j, g, iters, tau_prev, gn, tau, flat, axis, opening)
+            ids, q, j, g, h, iters, gn, step, angle, opening = (
+                x[keep] for x in (ids, q, j, g, h, iters, gn, step, angle, opening)
             )
             ev = ev.take(keep)
         iters += opening
-        axis = np.where(opening[:, None], g * _AXIS_SIGNS / gn[:, None], axis)
-        tau = np.where(opening, np.minimum(0.5, 2.0 * tau_prev), tau)
-        flat = np.where(opening, 1e-13 * (1.0 + np.abs(j)), flat)
+        if opening.any():
+            step = np.where(opening[:, None], _ascent_steps(g, h, gn), step)
+            angle = np.sqrt(np.add.reduce(step * step, axis=1))
 
-        half = 0.5 * (tau / math.sqrt(2.0))
-        step = np.empty((len(q), 4))
-        step[:, 0] = np.cos(half)
-        step[:, 1:] = np.sin(half)[:, None] * axis
-        q_new = _quat_product(step, q)
+        rot = np.empty((len(q), 4))
+        rot[:, 0] = np.cos(0.5 * angle)
+        rot[:, 1:] = (np.sin(0.5 * angle) / angle)[:, None] * step * _AXIS_SIGNS
+        q_new = _quat_product(rot, q)
         q_new /= np.sqrt(np.add.reduce(q_new * q_new, axis=1))[:, None]
-        mats_new = quaternions_to_matrices(q_new)
-        j_new = ev.values(mats_new)
+        j_new, g_new, h_new = ev.derivatives(quaternions_to_matrices(q_new))
         gain = j_new - j
-        accepted = (gain >= flat) & (gain >= 1e-4 * tau * (gn / math.sqrt(2.0)))
-        # Steps whose gain is unresolvable are certified by curvature instead;
-        # accepted steps need the gradient at the new point anyway.
-        need = accepted | (gain >= -flat)
-        g_new = np.zeros((len(q), 3))
-        if need.all():
-            g_new = ev.grads(mats_new)
-        elif need.any():
-            g_new[need] = ev.take(need).grads(mats_new[need])
-        accepted |= need & (np.abs(np.add.reduce(g_new * g, axis=1)) <= 0.5 * gn * gn)
+        resolution = 1e-13 * (1.0 + np.abs(j))
+        rises = (gain > resolution) & (gain >= 1e-4 * np.add.reduce(g * step, axis=1))
+        accepted = (gain >= -resolution) & (rises | (np.add.reduce(g_new * g_new, axis=1) < gn * gn))
 
         q = np.where(accepted[:, None], q_new, q)
         j = np.where(accepted, j_new, j)
         g = np.where(accepted[:, None], g_new, g)
-        tau_prev = np.where(accepted, tau, tau_prev)
-        tau = np.where(accepted, tau, 0.5 * tau)
+        h = np.where(accepted[:, None, None], h_new, h)
+        step = np.where(accepted[:, None], step, 0.5 * step)
+        angle = np.where(accepted, angle, 0.5 * angle)
         opening = accepted
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "Rotation",
     "SymmetryGroup",
     "coset_distance",
+    "fundamental_quaternions",
     "fundamental_representative",
     "geodesic_distance",
     "group_elements",
@@ -98,20 +99,27 @@ def _quat_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 
 
 def quaternions_to_matrices(q) -> np.ndarray:
-    """Rotation matrices ``(..., 3, 3)`` of unit quaternions ``(..., 4)``."""
+    """Rotation matrices ``(..., 3, 3)`` of unit quaternions ``(..., 4)``.
+
+    Each of the nine products the entries need (the vector part with itself
+    and with the scalar part) is formed once; every entry is ``1 - 2 (a + b)``
+    or ``2 (a -+ b)`` of two of them, written in place.
+    """
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    m = np.empty(q.shape[:-1] + (3, 3))
-    m[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    m[..., 0, 1] = 2.0 * (x * y - z * w)
-    m[..., 0, 2] = 2.0 * (x * z + y * w)
-    m[..., 1, 0] = 2.0 * (x * y + z * w)
-    m[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    m[..., 1, 2] = 2.0 * (y * z - x * w)
-    m[..., 2, 0] = 2.0 * (x * z - y * w)
-    m[..., 2, 1] = 2.0 * (y * z + x * w)
-    m[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return m
+    w, x, y, z = q.reshape(-1, 4).T
+    m = np.empty((len(w), 3, 3))
+    xx, yy, zz = x * x, y * y, z * z
+    np.add(yy, zz, out=m[:, 0, 0])
+    np.add(xx, zz, out=m[:, 1, 1])
+    np.add(xx, yy, out=m[:, 2, 2])
+    for i, j, a, b, c, d in ((0, 1, x, y, z, w), (2, 0, x, z, y, w), (1, 2, y, z, x, w)):
+        ab, cd = a * b, c * d
+        np.subtract(ab, cd, out=m[:, i, j])
+        np.add(ab, cd, out=m[:, j, i])
+    m *= 2.0
+    diag = m.reshape(-1, 9)[:, ::4]
+    np.subtract(1.0, diag, out=diag)
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 def _quat_from_matrix(m: np.ndarray) -> np.ndarray:
@@ -509,19 +517,32 @@ def coset_distance(c1: Coset, c2: Coset) -> float:
     return float(quotient_angles(rel, c1.group.quaternions)[0])
 
 
-def fundamental_representative(c: Coset) -> Rotation:
-    """The representative of smallest rotation angle.
+def fundamental_quaternions(q, group: SymmetryGroup) -> np.ndarray:
+    """The representatives of smallest rotation angle of the cosets of the unit
+    quaternions ``q`` ``(N, 4)`` modulo ``group``, as sign-canonical products
+    ``q s`` ``(N, 4)``: unit up to round-off, which ``Rotation`` and
+    :func:`normalized_quaternions` remove.
 
-    Among ``{c.rep s}`` this returns the element closest to the identity;
-    exact ties are broken by lexicographic order of the sign-canonical
-    quaternion, which makes the choice deterministic.
+    Among ``{q s}`` each row takes the element closest to the identity (largest
+    ``|w|``); products within 1e-9 of that overlap tie, and ties are broken by
+    lexicographic order of the sign-canonical quaternion, which makes the
+    choice deterministic.
     """
-    prods = _quat_product(c.rep.quat, c.group.quaternions)
-    overlap = np.abs(prods[:, 0])
-    best = overlap.max()
-    tied = np.nonzero(overlap >= best - 1e-9)[0]
-    key = min(tuple(canonical_quaternion(prods[i])) for i in tied)
-    return Rotation(np.array(key))
+    prods = _quat_product(np.asarray(q, dtype=float)[:, None, :], group.quaternions)  # (N, |S|, 4)
+    first = np.take_along_axis(prods, (prods != 0.0).argmax(axis=2)[:, :, None], axis=2)
+    prods = np.where(first < 0.0, -prods, prods)  # first nonzero component positive
+    overlap = np.abs(prods[:, :, 0])
+    tied = overlap >= overlap.max(axis=1, keepdims=True) - 1e-9
+    for d in range(4):  # keep the tied rows that are smallest in component d
+        value = np.where(tied, prods[:, :, d], np.inf)
+        tied &= value == value.min(axis=1, keepdims=True)
+    return prods[np.arange(len(prods)), tied.argmax(axis=1)]
+
+
+def fundamental_representative(c: Coset) -> Rotation:
+    """The representative of smallest rotation angle: the N = 1 call of
+    :func:`fundamental_quaternions`."""
+    return Rotation(fundamental_quaternions(c.rep.quat[None], c.group)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,28 @@ def test_read_rows_converts_a_row_at_once_and_names_its_first_bad_cell(row, mess
     vals, ids, lines = _read_rows(reader, [1, 2, 3], 0)
     want = [float(c) for c in row.split(",")[1:4]]
     assert vals.tolist() == [[1.0, 2.0, 3.0], want] and ids == ["r0", "r"] and lines == [2, 4]
+
+
+def test_read_rows_holds_the_table_once():
+    # 3,000 rows of 81 floats, an O target table of 1.94 MB.  Kept as one array
+    # per row and then stacked into a second table, the rows gave a tracemalloc
+    # peak of 2.59 times the table's bytes.  Written straight into one table
+    # that grows in place by a quarter, the peak is its last capacity, the ids
+    # and one row in flight: 1.29 times measured.  The bound of 1.5 times sits
+    # well below the stacked 2.59.
+    floats = np.random.default_rng(8).standard_normal((3000, 81))
+    text = "".join(f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(floats.tolist()))
+    reader = csv.reader(io.StringIO(text))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vals, ids, lines = _read_rows(reader, list(range(1, 82)), 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vals, floats) and vals.flags.c_contiguous
+    assert ids[-1] == "r2999" and lines[-1] == 3000
+    assert peak <= 1.5 * vals.nbytes
 
 
 def test_embed_euler_rejects_out_of_range_beta():

@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from so3embed import projection
-from so3embed.embedding import EmbeddingSpec, embed, radius, registry_lookup
+from so3embed.embedding import TABLE_GROUPS, EmbeddingSpec, embed, radius, registry_lookup
 from so3embed.projection import (
     DegenerateConfigurationError,
     DegenerateInputError,
     gradient,
+    hessian,
     kabsch,
     objective,
     project,
@@ -114,6 +115,40 @@ def test_gradient_matches_finite_differences(rng, registered_spec):
             bwd = objective(registered_spec, step.inverse() @ r, target)
             fd[ell] = (fwd - bwd) / (2.0 * h)
         assert np.abs(g - fd).max() < 1e-6
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_hessian_matches_second_differences(rng, name):
+    # Central second differences along the tangent basis directions
+    # (rotations about e1, -e2 and e3 composed on the left) give the diagonal;
+    # along the sums and differences of two of them they give
+    # H_kk + 2 H_kl + H_ll and H_kk - 2 H_kl + H_ll, so a quarter of their gap
+    # is H_kl.  The truncation error, h^2 / 12 times a fourth derivative,
+    # scales as h^2: at most 2.2e-6 at h = 1e-3 (D6), so 2.2e-8 at h = 1e-4.
+    # The round-off, four objective errors of about 2e-16 each (|J| < 1)
+    # over h^2, is about 1e-7 there; the largest gap seen over ten rotations
+    # per group was 7.4e-8, so 1e-6 leaves a margin of more than 10.
+    h = 1e-4
+    spec = registry_lookup(name)
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def second_difference(r, target, axis):
+        step = Rotation.from_axis_angle(axis, h * np.linalg.norm(axis))
+        fwd = objective(spec, step @ r, target)
+        bwd = objective(spec, step.inverse() @ r, target)
+        return (fwd - 2.0 * objective(spec, r, target) + bwd) / h**2
+
+    for _ in range(4):
+        r = random_rotation(rng)
+        target = _noisy_target(spec, random_rotation(rng), 0.2, rng)
+        fd = np.empty((3, 3))
+        for k in range(3):
+            fd[k, k] = second_difference(r, target, axes[k])
+            for ell in range(k):
+                plus = second_difference(r, target, axes[k] + axes[ell])
+                minus = second_difference(r, target, axes[k] - axes[ell])
+                fd[k, ell] = fd[ell, k] = 0.25 * (plus - minus)
+        assert np.abs(hessian(spec, r, target) - fd).max() < 1e-6
 
 
 def test_gradient_vanishes_at_perfect_alignment(rng, registered_spec):
@@ -229,6 +264,33 @@ def test_project_recovers_embedded_coset(name, q):
     r = Rotation.from_quaternion(q)
     result = project(spec, embed(spec, r).value)
     assert coset_distance(as_coset(r, spec.group), result.coset) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["C4", "O", "D6", "T", "Y"])
+def test_ascent_falls_back_to_gradient_steps_where_the_hessian_is_not_negative_definite(name):
+    # 0.05 rad from the minimum of J on an exact target (the projection of the
+    # negated target) the Hessian is positive definite, so a Newton step would
+    # descend.  Running the ascent with max_iter = 0, 1, 2, ... replays its
+    # accepted steps: none may lower J by more than the 1e-13 (1 + |J|)
+    # resolution of an objective difference, and the climb must converge on
+    # the Cauchy-Schwarz certificate.
+    spec = registry_lookup(name)
+    target = embed(spec, Rotation.from_axis_angle([1.0, 2.0, 3.0], 0.7)).value
+    low = project(spec, tuple(-t for t in target), seed=0).coset.rep
+    start = Rotation.from_axis_angle([0.3, -1.0, 0.5], 0.05) @ low
+    assert np.linalg.eigvalsh(hessian(spec, start, target)).min() > 0.0
+
+    ev = projection._Targets.from_rows(spec, projection._flatten(spec, target)[None])
+
+    def climb(max_iter):
+        return [x[0] for x in projection._lockstep_ascent(ev, start.quat[None].copy(), 1e-10, max_iter)]
+
+    _, j_end, n_iter, converged = climb(200)
+    assert converged
+    assert j_end >= radius(spec) * tuple_norm(target) * (1.0 - 1e-10)
+    path = [climb(k)[1] for k in range(n_iter)] + [j_end]
+    for before, after in zip(path, path[1:]):
+        assert after >= before - 1e-13 * (1.0 + abs(before))
 
 
 # ---------------------------------------------------------------------------

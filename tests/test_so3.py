@@ -15,9 +15,12 @@ from so3embed.so3 import (
     as_coset,
     canonical_quaternion,
     coset_distance,
+    fundamental_quaternions,
     fundamental_representative,
     geodesic_distance,
     group_elements,
+    normalized_quaternions,
+    quaternions_to_matrices,
     random_quaternions,
     random_rotation,
 )
@@ -48,6 +51,39 @@ def test_quaternion_matrix_round_trip(rng):
         r = random_rotation(rng)
         back = Rotation.from_matrix(r.matrix)
         assert np.abs(back.matrix - r.matrix).max() < 1e-14
+
+
+def _half_turns() -> np.ndarray:
+    """Half turns about the axes, face diagonals and body diagonals, both signs."""
+    axes = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, -1], [0, 1, 1], [1, 1, 1], [1, -1, 1]])
+    q = np.column_stack([np.zeros(len(axes)), axes / np.linalg.norm(axes, axis=1)[:, None]])
+    return np.concatenate([q, -q])
+
+
+def _special_quaternions(rng) -> np.ndarray:
+    """Haar samples, the identity, half turns and every registered group's elements."""
+    groups = [group_elements(name).quaternions for name in TABLE_GROUPS]
+    return np.concatenate([random_quaternions(rng, 500), [[1.0, 0.0, 0.0, 0.0]], _half_turns()] + groups)
+
+
+def test_quaternions_to_matrices_keeps_the_bits_of_the_entrywise_formula(rng):
+    # the formula before its products were shared, entry by entry
+    q = _special_quaternions(rng)
+    w, x, y, z = q.T
+    ref = np.empty((len(q), 3, 3))
+    ref[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    ref[:, 0, 1] = 2.0 * (x * y - z * w)
+    ref[:, 0, 2] = 2.0 * (x * z + y * w)
+    ref[:, 1, 0] = 2.0 * (x * y + z * w)
+    ref[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    ref[:, 1, 2] = 2.0 * (y * z - x * w)
+    ref[:, 2, 0] = 2.0 * (x * z - y * w)
+    ref[:, 2, 1] = 2.0 * (y * z + x * w)
+    ref[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    got = quaternions_to_matrices(q)
+    assert np.array_equal(got, ref) and got.flags.c_contiguous  # the layout decides BLAS results downstream
+    assert np.array_equal(quaternions_to_matrices(q[7]), ref[7])
+    assert np.array_equal(quaternions_to_matrices(q[:6].reshape(2, 3, 4)), ref[:6].reshape(2, 3, 3, 3))
 
 
 def test_axis_angle_round_trip(rng):
@@ -357,6 +393,27 @@ def test_fundamental_representative_is_representative_invariant(rng):
     s = Rotation(g.quaternions[7])
     rep2 = fundamental_representative(Coset(r @ s, g))
     assert np.abs(rep1.quat - rep2.quat).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_fundamental_quaternions_match_the_scalar_tie_rule(rng, name):
+    # The scalar rule as it was: the largest |w| among the products, ties within
+    # 1e-9 broken by the lexicographically smallest sign-canonical quaternion,
+    # normalized as a Rotation.  The identity, half turns and the group's own
+    # elements make ties; the written bits must not change.
+    group = group_elements(name)
+    q = np.concatenate([_special_quaternions(rng), -_half_turns(), -group.quaternions])
+    q = np.concatenate([q, _quat_product(random_rotation(rng).quat, group.quaternions)])
+    reps = [Rotation(row) for row in q]
+    got = normalized_quaternions(fundamental_quaternions(np.array([r.quat for r in reps]), group))
+    for rep, out in zip(reps, got):
+        prods = _quat_product(rep.quat, group.quaternions)
+        overlap = np.abs(prods[:, 0])
+        tied = np.nonzero(overlap >= overlap.max() - 1e-9)[0]
+        want = Rotation(np.array(min(tuple(canonical_quaternion(prods[i])) for i in tied))).quat
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        assert np.array_equal(fundamental_representative(Coset(rep, group)).quat, want)
 
 
 def test_as_coset_coercion(rng):
