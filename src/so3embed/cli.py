@@ -31,6 +31,7 @@ import csv
 import math
 import sys
 from contextlib import ExitStack
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -57,7 +58,7 @@ from .embedding import (
     radius,
     registry_lookup,
 )
-from .projection import _BLOCK_ENTRIES, DegenerateInputError, project_many
+from .projection import _BLOCK_ENTRIES, _ZERO_ROW, _NonFiniteRowError, _project_table
 from .so3 import fundamental_quaternions, group_elements, normalized_quaternions, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
 from .tensors import _classes, binom_identity_check
@@ -123,7 +124,7 @@ def _read_header(stack: ExitStack, path: str | None):
     reader = csv.reader(_open(stack, path, "r"))
     for cells in reader:
         if not _blank(cells):
-            return reader, [c.strip() for c in cells]
+            return reader, cells
     raise _DataError("input is empty: missing header row")
 
 
@@ -163,18 +164,15 @@ _QUAT_COLS = ("qw", "qx", "qy", "qz")
 _EULER_COLS = ("alpha", "beta", "gamma")
 
 
-def _find_columns(header, names):
-    lowered = [h.lower() for h in header]
-    try:
-        return [lowered.index(n) for n in names]
-    except ValueError:
-        return None
+def _column(header, name: str) -> int | None:
+    """The first column whose header cell, stripped and lowercased, is ``name``."""
+    return next((i for i, cell in enumerate(header) if cell.strip().lower() == name), None)
 
 
 def _rotation_layout(header, suffix: str = ""):
     for kind, names in (("quaternion", _QUAT_COLS), ("euler", _EULER_COLS)):
-        cols = _find_columns(header, tuple(n + suffix for n in names))
-        if cols is not None:
+        cols = [_column(header, n + suffix) for n in names]
+        if None not in cols:
             return kind, cols
     need_q = ",".join(n + suffix for n in _QUAT_COLS)
     need_e = ",".join(n + suffix for n in _EULER_COLS)
@@ -182,10 +180,10 @@ def _rotation_layout(header, suffix: str = ""):
 
 
 def _id_column(header) -> int:
-    lowered = [h.lower() for h in header]
-    if "id" not in lowered:
+    idc = _column(header, "id")
+    if idc is None:
         raise _DataError("header must contain an 'id' column")
-    return lowered.index("id")
+    return idc
 
 
 def _cell(row, col: int, line: int) -> str:
@@ -311,23 +309,21 @@ def cmd_project(args) -> int:
         coord_cols = [i for i in range(len(header)) if i != idc]
         if len(coord_cols) != dim:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
-        table, ids, _ = _read_rows(reader, coord_cols, idc)
-        results = project_many(spec, table, tol=args.tol, max_iter=args.max_iter, starts=args.starts, seed=args.seed)
-        solved = [r for r in results if not isinstance(r, DegenerateInputError)]
-        reps = iter(normalized_quaternions(fundamental_quaternions(
-            np.array([r.coset.rep.quat for r in solved]).reshape(-1, 4), spec.group
-        )).tolist())
+        table, ids, lines = _read_rows(reader, coord_cols, idc)
+        try:
+            quats, _, res, iters, conv, zero = _project_table(spec, table, args.tol, args.max_iter, args.starts, args.seed)
+        except _NonFiniteRowError as exc:
+            raise _DataError(f"line {lines[exc.row]}: the squared norm of the coordinates overflows") from None
+        quats[~zero] = normalized_quaternions(fundamental_quaternions(quats[~zero], spec.group))
         writer = csv.writer(_open(stack, args.output, "w"), lineterminator="\n")
         writer.writerow(["id", "qw", "qx", "qy", "qz", "residual", "iterations", "converged", "error"])
-        degenerate = len(results) - len(solved)
-        for ident, result in zip(ids, results):
-            if isinstance(result, DegenerateInputError):
-                writer.writerow([ident, "", "", "", "", "", "", "", str(result)])
+        for ident, q, d, k, c, z in zip(ids, quats.tolist(), res.tolist(), iters.tolist(), conv, zero):
+            if z:
+                writer.writerow([ident, "", "", "", "", "", "", "", _ZERO_ROW])
                 continue
-            converged = "true" if result.converged else "false"
-            writer.writerow([ident, *map(_fmt, next(reps)), _fmt(result.residual), str(result.iterations), converged, ""])
-        if degenerate:
-            print(f"warning: {degenerate} degenerate row(s) could not be projected", file=sys.stderr)
+            writer.writerow([ident, *map(_fmt, q), _fmt(d), str(k), "true" if c else "false", ""])
+        if zero.any():
+            print(f"warning: {np.count_nonzero(zero)} degenerate row(s) could not be projected", file=sys.stderr)
     return EXIT_OK
 
 
@@ -486,6 +482,7 @@ def _add_io_flags(p: argparse.ArgumentParser):
     p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
 
 
+@lru_cache(maxsize=None)  # parsing never changes the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="so3embed", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

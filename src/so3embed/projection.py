@@ -18,19 +18,20 @@ objective, ascents run from the most promising ones, and a run that reaches
 the Cauchy-Schwarz upper bound ``radius * |T|`` certifies global optimality
 and stops the search early.  Everything is deterministic given the seed.
 
-:func:`project_many` projects a whole table at once.  Every (target, start)
-ascent is one lane of a lockstep iteration over ``(M, 4)`` quaternion and
-``(M, 3, 3)`` matrix arrays, with the objective, gradient and Hessian of all
-lanes evaluated in one batch.  Each lane keeps its own step, iteration count
-and stopping rule, and its products are matrix products of its own, so no
-row's result depends on the other rows.  The best screened start of every
-target runs first; the remaining starts of the targets it did not certify
-then run together, and the runs are resolved in screened order exactly as if
-they had run one after another.  A large table runs in batches of rows whose
-lanes' power tables fit a fixed entry budget, so memory stays bounded however
-many rows there are; one batch of dense image rows then gives their
-objectives and residuals.  :func:`project` is the one-target call of the same
-code.
+One array core projects a whole table: per row the answer's unit quaternion,
+objective, residual, iteration count and converged flag, and a zero-row mask;
+a row whose squared norm is not finite is rejected first.  :func:`project_many`
+and :func:`project` build their objects from those arrays, the CLI writes its
+rows from them.  Every (target, start) ascent is one lane of a lockstep
+iteration over ``(M, 4)`` quaternion and ``(M, 3, 3)`` matrix arrays, with the
+objective, gradient and Hessian of all lanes evaluated in one batch.  Each lane
+keeps its own step, iteration count and stopping rule, and its products are
+matrix products of its own, so no row's result depends on the other rows.  The
+best screened start of every target runs first; the remaining starts of the
+targets it did not certify then run together, and the runs are resolved in
+screened order exactly as if run one after another.  A large table runs in
+batches of rows whose lanes' power tables fit a fixed entry budget, so memory
+stays bounded; one batch of image rows then gives their objectives and residuals.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .embedding import EmbeddingSpec, centering_offsets, class_values, dense_rows, embed, radius
-from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, quaternions_to_matrices, random_quaternions
+from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, normalized_quaternions, quaternions_to_matrices
+from .so3 import random_quaternions
 from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
 
 # Bound but not called: bench/spans.py traces this name in this module.
@@ -332,7 +334,7 @@ def _lockstep_ascent(ev: _Targets, q: np.ndarray, tol: float, max_iter: int):
     whose step is accepted opens its next iteration at the new point, whose
     derivatives the pass already gave, and a lane whose step is rejected halves
     it.  A lane leaves when it converges, reaches ``max_iter`` iterations or its
-    step underflows, and the live state is compacted.
+    step underflows or is nan, and the live state is compacted.
 
     Returns per lane the final quaternion, objective, iteration count and
     whether the gradient tolerance was met.
@@ -347,8 +349,9 @@ def _lockstep_ascent(ev: _Targets, q: np.ndarray, tol: float, max_iter: int):
     while True:
         gn = np.where(opening, np.sqrt(np.add.reduce(g * g, axis=1)), gn)
         converged = opening & (gn < tol)
-        # A lane whose step underflowed is numerically stationary.
-        leave = converged | (opening & (iters >= max_iter)) | (~opening & (angle <= 1e-15))
+        # A lane whose step underflowed is numerically stationary; one whose
+        # step is nan (an overflowing gradient) has nowhere to go.
+        leave = converged | (opening & (iters >= max_iter)) | (~opening & ~(angle > 1e-15))
         if leave.any():
             out = ids[leave]
             out_q[out], out_j[out], out_iter[out], out_conv[out] = q[leave], j[leave], iters[leave], converged[leave]
@@ -423,6 +426,8 @@ def project(
     ------
     DegenerateInputError
         If the target is identically zero.
+    ValueError
+        If the target is not finite or its squared norm overflows.
     """
     result = project_many(spec, _flatten(spec, target)[None], tol=tol, max_iter=max_iter, starts=starts, seed=seed)[0]
     if isinstance(result, DegenerateInputError):
@@ -456,19 +461,49 @@ def project_many(
         Per row, the :class:`ProjectionResult` that :func:`project` returns
         for that row alone, or a :class:`DegenerateInputError` for a row that
         is identically zero.
+
+    Raises
+    ------
+    ValueError
+        If a row is not finite or its squared norm overflows; the message
+        names the first such row.
     """
+    quats, *columns, zero = _project_table(spec, targets, tol, max_iter, starts, seed)
+    return [
+        DegenerateInputError(_ZERO_ROW) if z else ProjectionResult(Coset(Rotation(q), spec.group), j, d, k, c)
+        for q, j, d, k, c, z in zip(quats, *(col.tolist() for col in columns), zero)
+    ]
+
+
+_ZERO_ROW = "cannot project the zero tuple: no direction is preferred"
+
+
+class _NonFiniteRowError(ValueError):
+    """A target row that is not finite or whose squared norm overflows; ``row`` is its index."""
+
+    def __init__(self, row: int):
+        super().__init__(f"target row {row} is not finite or its squared norm overflows")
+        self.row = row
+
+
+def _project_table(spec: EmbeddingSpec, targets, tol: float, max_iter: int, starts: int | None, seed: int):
+    """The array core of :func:`project_many`: per target row, the answer's unit
+    quaternion ``(N, 4)``, objective, residual, iteration count and converged
+    flag, and the mask of zero rows, whose other entries are nan, 0 and false."""
     rows = np.asarray(targets, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != spec.ambient_dimension:
         raise ValueError(f"expected targets of shape (N, {spec.ambient_dimension}), got {rows.shape}")
     n_starts = max(8, len(spec.group)) if starts is None else int(starts)
     if n_starts < 1:
         raise ValueError("starts must be positive")
-    nonzero = np.einsum("ij,ij->i", rows, rows) != 0.0
-    results: list = [
-        None if ok else DegenerateInputError("cannot project the zero tuple: no direction is preferred")
-        for ok in nonzero
-    ]
-    live = np.flatnonzero(nonzero)
+    squares = np.einsum("ij,ij->i", rows, rows)
+    bad = np.flatnonzero(~np.isfinite(squares))
+    if bad.size:
+        raise _NonFiniteRowError(int(bad[0]))
+    zero = squares == 0.0
+    out = (np.full((len(rows), 4), np.nan), np.full(len(rows), np.nan), np.full(len(rows), np.nan),
+           np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool))
+    live = np.flatnonzero(~zero)
     spiral = _spiral_quaternions(n_starts, seed)
     # A lane's power tables hold about orbit * (alpha + 1)**2 entries per component.
     lane = sum(len(vecs) * (a + 1) ** 2 for (vecs, _), a in zip(spec.orbits, spec.alpha))
@@ -476,20 +511,20 @@ def project_many(
     for lo in range(0, len(live), size):
         block = live[lo : lo + size]
         sub = rows[lo : lo + size] if len(live) == len(rows) else rows[block]  # a view when no row is zero
-        for i, result in zip(block, _project_block(spec, sub, spiral, tol, max_iter)):
-            results[i] = result
-    return results
+        for column, part in zip(out, _project_block(spec, sub, spiral, tol, max_iter)):
+            column[block] = part
+    return (*out, zero)
 
 
-def _project_block(spec, rows, spiral, tol, max_iter) -> list[ProjectionResult]:
-    """The projections of the nonzero target rows ``rows``, their ascents in lockstep."""
+def _project_block(spec, rows, spiral, tol, max_iter):
+    """The columns of :func:`_project_table` for the nonzero rows ``rows``, their ascents in lockstep."""
     rank1 = [i for i, a in enumerate(spec.alpha) if a == 1]
     # Each rank-1 component is beta_i * R v_mean with v_mean the orbit average,
     # so their joint alignment is a Kabsch problem.  Over the trivial group with
     # all ranks 1 that alignment is the answer itself.
     us = np.array([spec.orbits[i][1] @ spec.orbits[i][0] for i in rank1])
     closed_form = len(spec.group) == 1 and len(rank1) == spec.n_components
-    answers = [None] * len(rows)  # per row: (rotation, iterations, converged)
+    answers = [None] * len(rows)  # per row: (quaternion, iterations, converged)
     seeds = []
     for t, row in enumerate(rows):
         found = []
@@ -498,7 +533,7 @@ def _project_block(spec, rows, spiral, tol, max_iter) -> list[ProjectionResult]:
                 r = kabsch(us, np.array([spec.beta[i] * row[spec.columns[i]] for i in rank1]))
                 found.append(r.quat)
                 if closed_form:
-                    answers[t] = (r, 0, True)
+                    answers[t] = (r.quat, 0, True)
             except DegenerateConfigurationError:
                 pass  # no unique alignment: the row climbs like any other
         seeds.append(np.concatenate([np.array(found).reshape(-1, 4), spiral]))
@@ -536,17 +571,9 @@ def _project_block(spec, rows, spiral, tol, max_iter) -> list[ProjectionResult]:
                 # No other start can improve the objective by more than
                 # 1e-10 * radius * |target|: stop searching.
                 break
-        answers[t] = (Rotation(best[2]), total, best[3])
-    return _finalize(spec, rows, answers)
-
-
-def _finalize(spec: EmbeddingSpec, rows: np.ndarray, answers) -> list[ProjectionResult]:
-    """The results of the target rows ``rows`` from their ``(rotation, iterations,
-    converged)`` answers, objectives and residuals from one batch of image rows."""
-    images = dense_rows(spec, class_values(spec, np.array([r.matrix for r, _, _ in answers])))
-    objectives = np.einsum("ij,ij->i", images, rows).tolist()
-    residuals = np.sqrt(np.sum(np.square(np.subtract(images, rows, out=images), out=images), axis=1)).tolist()
-    return [
-        ProjectionResult(Coset(r, spec.group), j, d, iterations, converged)
-        for (r, iterations, converged), j, d in zip(answers, objectives, residuals)
-    ]
+        answers[t] = (normalized_quaternions(best[2][None])[0], total, best[3])  # as Rotation does
+    quats, iterations, converged = (np.array(column) for column in zip(*answers))
+    images = dense_rows(spec, class_values(spec, quaternions_to_matrices(quats)))
+    objectives = np.einsum("ij,ij->i", images, rows)
+    residuals = np.sqrt(np.sum(np.square(np.subtract(images, rows, out=images), out=images), axis=1))
+    return quats, objectives, residuals, iterations, converged

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3embed.cli import _DataError, _read_rows, _write_rows, main
+from so3embed.cli import _DataError, _read_rows, _write_rows, build_parser, main
 from so3embed.embedding import (
     TABLE_GROUPS,
     class_values,
@@ -182,6 +182,27 @@ def test_read_rows_holds_the_table_once():
     assert np.array_equal(vals, floats) and vals.flags.c_contiguous
     assert ids[-1] == "r2999" and lines[-1] == 3000
     assert peak <= 1.5 * vals.nbytes
+
+
+def test_header_names_match_stripped_and_caseless_and_the_first_one_wins():
+    table = "Id , QW,qx , qY,QZ,id\nr0,0,1,0,0,other\n"
+    out = run_cli("embed", "--group", "C1", stdin=table)
+    assert out.returncode == 0
+    _, rows = read_csv(out.stdout)
+    assert rows[0][0] == "r0"
+    coords = np.array([float(x) for x in rows[0][1:]])
+    assert np.abs(coords - np.diag([1.0, -1.0, -1.0]).ravel() / math.sqrt(2.0)).max() < 1e-16
+
+
+def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("id,alpha,beta,gamma\nr0,0,90,0\n")
+    assert main(["embed", "--group", "C1", "--degrees", "-i", str(src), "-o", str(out)]) == 0
+    degrees = out.read_text()
+    assert main(["embed", "--group", "C1", "-i", str(src), "-o", str(out)]) == 2  # beta = 90 rad is out of range
+    assert main(["embed", "--group", "C1", "--degrees", "-i", str(src), "-o", str(out)]) == 0
+    assert out.read_text() == degrees
 
 
 def test_embed_euler_rejects_out_of_range_beta():
@@ -431,6 +452,24 @@ def test_embed_csv_projects_back_to_its_coset(group, quats):
     for row, q in zip(rows, quats):
         back = Coset(Rotation.from_quaternion(np.array(row[1:5], dtype=float)), spec.group)
         assert coset_distance(back, Coset(Rotation(q), spec.group)) < 1e-8
+
+
+def test_project_empty_input_yields_header_only(tmp_path):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("id," + ",".join(f"e{i}" for i in range(81)) + "\n")
+    assert main(["project", "--group", "O", "-i", str(src), "-o", str(out)]) == 0
+    assert out.read_text() == "id,qw,qx,qy,qz,residual,iterations,converged,error\n"
+
+
+def test_project_row_whose_squared_norm_overflows_is_a_data_error(tmp_path, capsys):
+    # every cell is finite, but the squared norm of the second row is not:
+    # its line is named and no output is written
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    header = "id," + ",".join(f"e{i}" for i in range(9))
+    src.write_text(f"{header}\nr0,1,0,0,0,1,0,0,0,1\nr1,1e200,0,0,0,1e200,0,0,0,1e200\n")
+    assert main(["project", "--group", "C1", "-i", str(src), "-o", str(out)]) == 2
+    assert "line 3: the squared norm of the coordinates overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_project_dimension_mismatch_names_counts():

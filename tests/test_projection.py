@@ -387,3 +387,33 @@ def test_project_many_rejects_misshaped_tables():
         project_many(spec, np.ones((2, 80)))
     with pytest.raises(ValueError):
         project_many(spec, np.ones(81))
+
+
+@pytest.mark.parametrize("name", ["C4", "O", "D6"])
+def test_project_many_returns_on_rows_whose_gradient_overflows(name):
+    # rows of norm 1e110 have a finite squared norm, but their gradients and
+    # the curvature along them overflow, so every step is nan; such a lane
+    # must leave instead of halving a nan step forever
+    spec = registry_lookup(name)
+    rows = np.random.default_rng(0).standard_normal((3, spec.ambient_dimension))
+    rows *= 1e110 / np.linalg.norm(rows, axis=1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = project_many(spec, rows)
+    for res in results:
+        assert np.isfinite(res.coset.rep.quat).all()
+        assert not res.converged
+
+
+@pytest.mark.parametrize("name", ["C4", "O"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_project_rejects_rows_whose_squared_norm_is_not_finite(name, bad):
+    # a nan or inf cell, or finite cells whose squared norm overflows, would
+    # keep the ascent going without end; the row is named before any work
+    spec = registry_lookup(name)
+    table = np.ones((3, spec.ambient_dimension))
+    table[1, 5] = bad
+    with pytest.raises(ValueError, match="target row 1 "):
+        project_many(spec, table)
+    target = [table[1, cols].reshape((3,) * a) for cols, a in zip(spec.columns, spec.alpha)]
+    with pytest.raises(ValueError, match="target row 0 "):
+        project(spec, target)
