@@ -19,10 +19,13 @@ identity coset from the package's two distance kernels,
 differences, so the ratio stays accurate down to tiny distances.  These
 distance sweeps run in blocks of ``_BLOCK`` rotations.
 
-The Monte Carlo mean of :func:`empirical_embedding_mean` never forms class
-values per rotation: per component, the orbit images of a block of Haar
-rotations go through ``tensors.class_monomial_sums``, one GEMM of two
-half-degree monomial tables, in blocks sized by ``_MEAN_ENTRIES``.
+The Monte Carlo means of :func:`empirical_embedding_means` never form class
+values per rotation, and one sweep serves a whole list of specs: each chunk
+of ``_MEAN_CHUNK`` Haar rotations is drawn and turned into matrices once,
+and each distinct component sums the orbit images of the chunk through
+``tensors.class_monomial_sums``, one GEMM of two half-degree monomial
+tables, in sub-blocks sized by ``_MEAN_ENTRIES``.  A component that several
+specs share is summed once.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "differential_at_identity",
     "distance_scatter",
     "empirical_embedding_mean",
+    "empirical_embedding_means",
     "global_bounds",
     "isometry_check",
     "mean_check",
@@ -171,9 +175,13 @@ def derive_beta(family: str, k: int) -> tuple[float, float]:
 # class values stay in cache, and memory does not grow with the sample count.
 _BLOCK = 512
 
-# Half-degree monomial table entries per block of the mean sweep.  A fixed
-# entry count, not a fixed rotation count: a spec with small tables sums
-# thousands of rotations per block, and the per-block overhead stays small.
+# Haar rotations per chunk of the mean sweep: each chunk is drawn and turned
+# into matrices once, then summed by every component of every spec.
+_MEAN_CHUNK = 4096
+
+# Half-degree monomial table entries per sub-block of a component's share of a
+# chunk.  A fixed entry count, not a fixed rotation count: a component with
+# small tables sums its whole chunk at once, and the per-block overhead stays small.
 _MEAN_ENTRIES = 2**16
 
 # Samples polished at each end of the ratio envelope, and compass passes each.
@@ -362,38 +370,64 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
 # push-forward mean and rank diagnostics
 
 
-def empirical_embedding_mean(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> tuple[np.ndarray, ...]:
-    """Mean embedding of ``n_samples`` Haar rotations, one tensor per component.
+def empirical_embedding_means(specs, n_samples: int, seed: int = 0) -> list[tuple[np.ndarray, ...]]:
+    """Mean embeddings of the same ``n_samples`` Haar rotations under each spec.
 
-    Per component, the orbit images of a block of rotations go through
-    :func:`tensors.class_monomial_sums`, one GEMM of two half-degree monomial
-    tables, with the orbit weights; the centering term is subtracted once from
-    the mean.  Blocks hold as many rotations as ``_MEAN_ENTRIES`` table
-    entries allow, so memory stays flat in ``n_samples``.
+    One sweep serves every spec: the rotations are drawn from
+    ``default_rng(seed)`` in chunks of ``_MEAN_CHUNK`` and converted to
+    matrices once per chunk.  Each chunk then goes to every distinct
+    component, keyed by its rank, orbit vectors and weighted orbit weights (the
+    inputs of :func:`tensors.class_monomial_sums`), so a component that several
+    specs share is summed once.  A component sums its chunk in sub-blocks of at
+    most ``_MEAN_ENTRIES`` half-degree table entries, so memory stays flat in
+    ``n_samples``.  Each spec's mean is its components' sums over
+    ``n_samples`` less its centering term; per spec, the result is
+    :func:`empirical_embedding_mean`.
     """
+    specs = list(specs)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    distinct: dict[tuple, int] = {}  # component key -> index into ``terms``
+    terms, owners = [], []  # terms: (orbit vectors, weights of a sub-block, rank, sub-block rotations)
+    for spec in specs:
+        owned = []
+        for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
+            weights = b * wts
+            key = (a, vecs.tobytes(), weights.tobytes())
+            if key not in distinct:
+                halves = {a // 2, a - a // 2} if a > 1 else {a}
+                entries = len(vecs) * sum(math.comb(h + 2, 2) for h in halves)  # per rotation
+                step = min(_MEAN_CHUNK, max(1, _MEAN_ENTRIES // entries))
+                distinct[key] = len(terms)
+                terms.append((vecs, np.tile(weights, step), a, step))
+            owned.append(distinct[key])
+        owners.append(owned)
+    sums = [np.zeros(math.comb(a + 2, 2)) for _, _, a, _ in terms]
     rng = np.random.default_rng(seed)
-    sums = [np.zeros(math.comb(a + 2, 2)) for a in spec.alpha]
-    entries = 0  # table entries per rotation: per orbit vector, the classes of each half degree
-    for (vecs, _), a in zip(spec.orbits, spec.alpha):
-        halves = {a // 2, a - a // 2} if a > 1 else {a}
-        entries += len(vecs) * sum(math.comb(h + 2, 2) for h in halves)
-    step = max(1, _MEAN_ENTRIES // entries)
-    for start in range(0, n_samples, step):
-        # Blocks draw from ``rng`` in turn: the stream of one draw of n_samples.
-        mats = quaternions_to_matrices(random_quaternions(rng, min(step, n_samples - start)))
-        rows = mats.transpose(1, 0, 2).reshape(-1, 3)  # (3 N, 3): row d of every matrix, then the next d
-        for acc, (vecs, wts), a, b in zip(sums, spec.orbits, spec.alpha, spec.beta):
-            imgs = (rows @ vecs.T).reshape(3, -1)  # (3, N * orbit)
-            acc += class_monomial_sums(imgs, np.tile(b * wts, len(mats)), a)
-    means = []
-    for acc, a, offset in zip(sums, spec.alpha, centering_offsets(spec)):
-        mean = acc / n_samples
-        if offset is not None:
-            mean -= offset
-        means.append(tensor_from_class_values(mean, a))
-    return tuple(means)
+    for start in range(0, n_samples, _MEAN_CHUNK):
+        # Chunks draw from ``rng`` in turn: the stream of one draw of n_samples.
+        mats = quaternions_to_matrices(random_quaternions(rng, min(_MEAN_CHUNK, n_samples - start)))
+        rows = np.ascontiguousarray(mats.transpose(1, 0, 2))  # (3, N, 3): row d of every matrix
+        for acc, (vecs, weights, a, step) in zip(sums, terms):
+            for lo in range(0, len(mats), step):
+                imgs = (rows[:, lo : lo + step] @ vecs.T).reshape(3, -1)  # (3, n * orbit)
+                acc += class_monomial_sums(imgs, weights[: imgs.shape[1]], a)
+    out = []
+    for spec, owned in zip(specs, owners):
+        means = []
+        for i, a, offset in zip(owned, spec.alpha, centering_offsets(spec)):
+            mean = sums[i] / n_samples
+            if offset is not None:
+                mean -= offset
+            means.append(tensor_from_class_values(mean, a))
+        out.append(tuple(means))
+    return out
+
+
+def empirical_embedding_mean(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> tuple[np.ndarray, ...]:
+    """Mean embedding of ``n_samples`` Haar rotations, one tensor per component:
+    the one-spec sweep of :func:`empirical_embedding_means`."""
+    return empirical_embedding_means([spec], n_samples, seed=seed)[0]
 
 
 def mean_check(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> float:

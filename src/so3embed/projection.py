@@ -186,12 +186,13 @@ class _Targets:
     sym_norm: np.ndarray  # (N,), norm of the symmetric part of each target
 
     @classmethod
-    def from_rows(cls, spec: EmbeddingSpec, rows: np.ndarray) -> "_Targets":
-        """From ``N`` flat target rows ``(N, ambient_dimension)``."""
+    def from_rows(cls, spec: EmbeddingSpec, rows: np.ndarray, scale=1.0) -> "_Targets":
+        """From ``N`` flat target rows ``(N, ambient_dimension)``, each divided by
+        its entry of ``scale`` ``(N,)``."""
         coeffs, partials = [], []
         sym_sq, shift = np.zeros(len(rows)), np.zeros(len(rows))
         for a, cols, offset in zip(spec.alpha, spec.columns, centering_offsets(spec)):
-            coeff = class_sums(rows[:, cols], a)
+            coeff = class_sums(rows[:, cols], a) / np.reshape(scale, (-1, 1))
             sym_sq += coeff**2 @ (1.0 / class_multiplicities(a))  # |sym(t)|^2
             first = (monomial_derivatives(a) @ coeff.T).transpose(2, 0, 1)
             if a > 1:
@@ -405,7 +406,8 @@ def project(
         One tensor per component, shapes ``(3,) * alpha_i``.  Need not be
         symmetric or close to the image.
     tol : float
-        Gradient norm below which a run counts as converged.
+        Gradient norm below which a run counts as converged, relative to the
+        target's norm: the ascent climbs ``target / |target|``.
     max_iter : int
         Ascent iteration cap per start.
     starts : int, optional
@@ -538,7 +540,10 @@ def _project_block(spec, rows, spiral, tol, max_iter):
                 pass  # no unique alignment: the row climbs like any other
         seeds.append(np.concatenate([np.array(found).reshape(-1, 4), spiral]))
 
-    ev = _Targets.from_rows(spec, rows)
+    # The ascents climb the unit targets T / |T|: the argmax is the same, ``tol``
+    # is relative to |T|, and no target is small or large enough for its
+    # derivatives to under- or overflow.
+    ev = _Targets.from_rows(spec, rows, np.sqrt(np.einsum("ij,ij->i", rows, rows)))
     counts = [len(s) for s in seeds]
     initial = ev.take(np.repeat(np.arange(len(seeds)), counts)).values(quaternions_to_matrices(np.concatenate(seeds)))
     orders = [np.argsort(-v, kind="stable")[:_MAX_RUNS] for v in np.split(initial, np.cumsum(counts)[:-1])]

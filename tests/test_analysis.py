@@ -35,7 +35,7 @@ from so3embed.so3 import (
     random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import inner, invariant_tensor, outer_power, tuple_norm
+from so3embed.tensors import class_monomial_sums, inner, invariant_tensor, outer_power, tuple_norm
 
 # measured affine-hull dimensions of the group-averaged (quotient) image;
 # averaging can only lose harmonic content, so these never exceed the
@@ -327,12 +327,57 @@ def test_empirical_mean_over_several_blocks_agrees_with_dense_average(name, monk
         sizes.append(n)
         return random_quaternions(rng, n)
 
+    monkeypatch.setattr(analysis, "_MEAN_CHUNK", 20)
     monkeypatch.setattr(analysis, "_MEAN_ENTRIES", 200)
     monkeypatch.setattr(analysis, "random_quaternions", recorded)
     mean = empirical_embedding_mean(spec, 47, seed=9)
     assert len(sizes) >= 3 and sum(sizes) == 47 and sizes[-1] < sizes[0]
     for got, want in zip(mean, _dense_mean(spec, 47, 9)):
         assert np.abs(got - want).max() < 1e-12
+
+
+def test_one_sweep_gives_every_spec_its_own_mean(monkeypatch):
+    # all twelve registered specs, an uncentered one and a repeated one share
+    # one sweep of several chunks, the last one partial; components that specs
+    # share are summed once, and each spec still gets the mean it gets alone
+    base = registry_lookup("O")
+    specs = [registry_lookup(name) for name in TABLE_GROUPS]
+    specs += [EmbeddingSpec(base.group, base.u, base.alpha, base.beta, centered=False), registry_lookup("C4")]
+    draws = []
+
+    def recorded(rng, n):
+        draws.append(n)
+        return random_quaternions(rng, n)
+
+    monkeypatch.setattr(analysis, "_MEAN_CHUNK", 64)
+    monkeypatch.setattr(analysis, "_MEAN_ENTRIES", 500)
+    monkeypatch.setattr(analysis, "random_quaternions", recorded)
+    together = analysis.empirical_embedding_means(specs, 300, seed=5)
+    assert draws == [64, 64, 64, 64, 44]
+    assert len(together) == len(specs)
+    for spec, got in zip(specs, together):
+        alone = empirical_embedding_mean(spec, 300, seed=5)
+        assert len(got) == len(alone) == spec.n_components
+        for g, a in zip(got, alone):
+            assert g.shape == a.shape
+            assert np.abs(g - a).max() <= 1e-13 * max(np.abs(a).max(), 1e-300)
+    assert tuple_norm(together[-2]) > 0.4  # the uncentered spec keeps its isotropic part
+
+
+def test_one_sweep_sums_each_distinct_component_once_per_chunk(monkeypatch):
+    # the 24 registered components are 16 distinct (rank, orbit, weights)
+    # triples: C3/D3, C4/D4 and C6/D6 share their rank-3, 4 and 6 parts,
+    # C1/C2/C4 their rank-1 part, and C2/D2 and D2/D4 rank-2 parts
+    calls = []
+
+    def counted(w, weights, alpha):
+        calls.append(alpha)
+        return class_monomial_sums(w, weights, alpha)
+
+    monkeypatch.setattr(analysis, "_MEAN_CHUNK", 64)
+    monkeypatch.setattr(analysis, "class_monomial_sums", counted)
+    analysis.empirical_embedding_means([registry_lookup(name) for name in TABLE_GROUPS], 128, seed=1)
+    assert len(calls) == 2 * 16
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,19 @@ def test_verify_isometry_suite_reports_all_groups():
     assert all("PASS" in line for line in lines)
 
 
+def test_verify_mean_suite_for_all_groups_prints_each_groups_own_line(capsys):
+    # one Haar sweep serves every group, and each line is still the mean of
+    # the same rotations a run for that group alone reads
+    assert main(["verify", "--suite", "mean", "--samples", "5000", "--seed", "3"]) == 0
+    together = capsys.readouterr().out
+    alone = ""
+    for name in TABLE_GROUPS:
+        assert main(["verify", "--suite", "mean", "--samples", "5000", "--seed", "3", "--group", name]) == 0
+        alone += capsys.readouterr().out
+    assert together == alone
+    assert len(together.splitlines()) == len(TABLE_GROUPS)
+
+
 def test_verify_rejects_unknown_suite():
     out = run_cli("verify", "--suite", "everything")
     assert out.returncode == 1

@@ -391,17 +391,38 @@ def test_project_many_rejects_misshaped_tables():
 
 @pytest.mark.parametrize("name", ["C4", "O", "D6"])
 def test_project_many_returns_on_rows_whose_gradient_overflows(name):
-    # rows of norm 1e110 have a finite squared norm, but their gradients and
-    # the curvature along them overflow, so every step is nan; such a lane
-    # must leave instead of halving a nan step forever
+    # rows of norm 1e110 have a finite squared norm, but the gradients of the
+    # raw targets and the curvature along them overflow, so every step is nan;
+    # such a lane must leave instead of halving a nan step forever.  The
+    # ascents of project_many climb the unit targets, so there the rows
+    # converge without overflowing at all.
     spec = registry_lookup(name)
     rows = np.random.default_rng(0).standard_normal((3, spec.ambient_dimension))
     rows *= 1e110 / np.linalg.norm(rows, axis=1)[:, None]
+    raw = projection._Targets.from_rows(spec, rows)
+    starts = np.random.default_rng(1).standard_normal((3, 4))
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        results = project_many(spec, rows)
-    for res in results:
+        quats, _, _, converged = projection._lockstep_ascent(raw, starts, 1e-10, 200)
+    assert np.isfinite(quats).all()
+    assert not converged.any()
+    for res in project_many(spec, rows):
         assert np.isfinite(res.coset.rep.quat).all()
-        assert not res.converged
+        assert res.converged
+
+
+@pytest.mark.parametrize("name", ["C4", "O", "D6", "Y"])
+def test_project_tolerance_is_relative_to_the_target_norm(name):
+    # the ascent climbs T / |T|, so an exact target scaled far down neither
+    # meets an absolute gradient tolerance at its start nor, scaled far up,
+    # overflows its derivatives: every scale lands on the true coset
+    spec = registry_lookup(name)
+    truth = [Rotation.from_axis_angle([1.0, 2.0, 3.0], 0.7), Rotation.from_axis_angle([-2.0, 0.5, 1.0], 2.4)]
+    rows = np.array([embed(spec, r).flatten() for r in truth])
+    for scale in (1e-12, 1.0, 1e110):
+        for r, res in zip(truth, project_many(spec, rows * scale)):
+            assert res.converged
+            assert coset_distance(as_coset(r, spec.group), res.coset) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["C4", "O"])
