@@ -33,14 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .embedding import EmbeddingSpec, centering_offsets, class_norms, class_values, registry_lookup
-from .so3 import TANGENT_BASIS, _quat_product, group_elements, quaternions_to_matrices, quotient_angles
-from .so3 import random_quaternions
+from .so3 import TANGENT_BASIS, _quat_product, group_elements, quaternions_from_axis_angles, quaternions_to_matrices
+from .so3 import quotient_angles, random_quaternions
 from .tensors import class_monomial_sums, class_monomials, class_multiplicities, monomial_derivatives
 from .tensors import tensor_from_class_values, tuple_norm
 
@@ -195,17 +194,6 @@ _POLISH_FLOOR = 1e-5
 
 # Compass axes: the six face and the eight corner directions of a cube.
 _COMPASS = np.array([d for d in product((-1.0, 0.0, 1.0), repeat=3) if sum(map(abs, d)) in (1.0, 3.0)])
-_COMPASS /= np.linalg.norm(_COMPASS, axis=1)[:, None]
-
-
-@lru_cache(maxsize=None)
-def _identity_class_values(spec: EmbeddingSpec) -> tuple[np.ndarray, ...]:
-    """Class values ``(1, C(alpha_i + 2, 2))`` per component of the identity coset
-    (cached, read-only)."""
-    vals = tuple(class_values(spec, np.eye(3)[None]))
-    for v in vals:
-        v.setflags(write=False)
-    return vals
 
 
 def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +201,7 @@ def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndar
     to the identity coset; the ratio of the second to the first is the
     distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
     here = class_values(spec, quaternions_to_matrices(quats))
-    d_emb = class_norms(spec, [v - v0 for v, v0 in zip(here, _identity_class_values(spec))])
+    d_emb = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
     return quotient_angles(quats, spec.group.quaternions), d_emb
 
 
@@ -254,10 +242,7 @@ def _polish(spec: EmbeddingSpec, quats: np.ndarray, values: np.ndarray, signs: n
         live = np.flatnonzero(step >= 1e-9)
         if not live.size:
             break
-        half = 0.5 * step[live]
-        turns = np.empty((len(live), len(_COMPASS), 4))
-        turns[..., 0] = np.cos(half)[:, None]
-        turns[..., 1:] = np.sin(half)[:, None, None] * _COMPASS
+        turns = quaternions_from_axis_angles(_COMPASS, step[live, None])  # (live, compass, 4)
         trials = _quat_product(turns, quats[live, None, :]).reshape(-1, 4)
         d_geo, d_emb = _identity_distances(spec, trials)
         evaluations += len(trials)
@@ -289,12 +274,7 @@ class BoundsEstimate:
 def _ladder_quaternions(rng: np.random.Generator, n_axes: int = 48) -> np.ndarray:
     """Near-identity rotations: random axes at log-spaced angles 1e-4 .. 1e-1."""
     angles = np.logspace(-4.0, -1.0, 16)
-    axes = rng.standard_normal((n_axes, 3))
-    axes /= np.linalg.norm(axes, axis=1)[:, None]
-    half = 0.5 * angles[:, None, None]
-    w = np.broadcast_to(np.cos(half), (angles.size, n_axes, 1))
-    xyz = np.sin(half) * axes[None, :, :]
-    return np.concatenate([w, xyz], axis=2).reshape(-1, 4)
+    return quaternions_from_axis_angles(rng.standard_normal((n_axes, 3)), angles[:, None]).reshape(-1, 4)
 
 
 def global_bounds(

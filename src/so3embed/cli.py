@@ -53,6 +53,7 @@ from .embedding import (
     EmbeddingSpec,
     class_norms,
     class_values,
+    dense_class_columns,
     expected_hull_dimension,
     parse_spec_document,
     radius,
@@ -61,7 +62,7 @@ from .embedding import (
 from .projection import _BLOCK_ENTRIES, _ZERO_ROW, _NonFiniteRowError, _project_table
 from .so3 import fundamental_quaternions, group_elements, normalized_quaternions, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
-from .tensors import _classes, binom_identity_check, tuple_norm
+from .tensors import binom_identity_check, tuple_norm
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .analysis import mean_check  # noqa: F401
@@ -143,7 +144,7 @@ def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> N
     """One line per row: the id, quoted as the csv module quotes it, then the
     floats of ``values`` ``(N, C)`` at 17 significant digits.  Each float is
     formatted once; ``take``, a list of at least two column indices, repeats
-    them in its order, as :func:`_class_columns` expands class values."""
+    them in its order, as ``embedding.dense_class_columns`` expands class values."""
     quoted = []  # "<id>,\n" per row: the line terminator takes part in the quoting rule
     csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n").writerows((i, "") for i in ids)
     fmt = "%.17g," * values.shape[1]
@@ -151,14 +152,6 @@ def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> N
     for head, row in zip(quoted, values.tolist()):
         text = (fmt % tuple(row)).split(",")  # C strings and a last empty one
         fh.write(head[:-1] + ",".join(pick(text) if pick else text[:-1]) + "\n")
-
-
-def _class_columns(spec: EmbeddingSpec) -> list[int]:
-    """For every entry of a flat dense row, the column of its value among the
-    components' class values side by side: each component's flat-index ->
-    class map, offset by the class counts of the components before it."""
-    offsets = np.cumsum([0] + [math.comb(a + 2, 2) for a in spec.alpha])
-    return np.concatenate([_classes(a)[0] + lo for a, lo in zip(spec.alpha, offsets)]).tolist()
 
 
 _QUAT_COLS = ("qw", "qx", "qy", "qz")
@@ -294,7 +287,7 @@ def cmd_embed(args) -> int:
         quats = _orientations(kind, vals, lines, args.degrees)
         fh = _open(stack, args.output, "w")
         csv.writer(fh, lineterminator="\n").writerow(["id"] + [f"e{i}" for i in range(spec.ambient_dimension)])
-        take = _class_columns(spec)
+        take = dense_class_columns(spec)
         for block in _row_blocks(len(quats), spec.ambient_dimension):
             comps = class_values(spec, quaternions_to_matrices(quats[block]))
             _write_rows(fh, ids[block], np.concatenate(comps, axis=1), take)

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .so3 import Coset, GOLDEN_RATIO, Rotation, SymmetryGroup, as_coset, group_elements
-from .tensors import MAX_RANK, class_monomials, class_multiplicities, invariant_class_values, rotate_tuple
+from .tensors import MAX_RANK, _classes, class_monomials, class_multiplicities, invariant_class_values, rotate_tuple
 from .tensors import tensor_from_class_values, tuple_norm
 
 # Bound but not called: bench/spans.py traces these names in this module.
@@ -43,6 +43,7 @@ __all__ = [
     "centering_offsets",
     "class_norms",
     "class_values",
+    "dense_class_columns",
     "dense_rows",
     "embed",
     "equivariance_defect",
@@ -157,6 +158,16 @@ class EmbeddingSpec:
     def ambient_dimension(self) -> int:
         """Total entry count of the embedding tuple, sum of 3^alpha_i."""
         return self.columns[-1].stop
+
+    @cached_property
+    def identity_class_values(self) -> tuple[np.ndarray, ...]:
+        """Class values ``(1, C(alpha_i + 2, 2))`` per component of the identity
+        coset's embedding (read-only); :func:`radius` and the distance sweeps of
+        ``analysis`` read them."""
+        vals = tuple(class_values(self, np.eye(3)[None]))
+        for v in vals:
+            v.setflags(write=False)
+        return vals
 
 
 @dataclass(frozen=True)
@@ -284,6 +295,15 @@ def class_norms(spec: EmbeddingSpec, comps) -> np.ndarray:
     return np.sqrt(sum((v**2) @ class_multiplicities(a) for v, a in zip(comps, spec.alpha)))
 
 
+def dense_class_columns(spec: EmbeddingSpec) -> list[int]:
+    """For every entry of a flat dense row, the column of its value among the
+    components' class values side by side (``np.concatenate(comps, axis=1)``):
+    each component's flat-index -> class map, offset by the class counts of the
+    components before it.  Taking these columns gives :func:`dense_rows`."""
+    offsets = np.cumsum([0] + [math.comb(a + 2, 2) for a in spec.alpha])
+    return np.concatenate([_classes(a)[0] + lo for a, lo in zip(spec.alpha, offsets)]).tolist()
+
+
 def dense_rows(spec: EmbeddingSpec, comps) -> np.ndarray:
     """Flat rows ``(N, ambient_dimension)`` of the dense tuples whose class values per
     component are ``comps`` ``(N, C(alpha_i + 2, 2))``: the components' entries,
@@ -302,10 +322,9 @@ def embed(spec: EmbeddingSpec, c) -> EmbeddedPoint:
     return EmbeddedPoint(tuple(row[cols].reshape((3,) * a) for cols, a in zip(spec.columns, spec.alpha)), spec)
 
 
-@lru_cache(maxsize=None)
 def radius(spec: EmbeddingSpec) -> float:
     """Norm of every embedded point; constant over the whole quotient."""
-    return float(class_norms(spec, class_values(spec, np.eye(3)[None]))[0])
+    return float(class_norms(spec, spec.identity_class_values)[0])
 
 
 def equivariance_defect(spec: EmbeddingSpec, r: Rotation, c) -> float:

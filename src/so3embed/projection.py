@@ -11,7 +11,7 @@ The solver is a Riemannian Newton ascent with an exponential-map retraction:
 the Newton step where the 3 x 3 Hessian in the tangent basis is negative
 definite, a gradient step elsewhere, and Armijo backtracking on both.  It
 runs from a small multi-start family: one seed from the Kabsch alignment of
-the rank-1 components (when nondegenerate) plus low-discrepancy seeds from a
+two or more rank-1 components (when unique) plus low-discrepancy seeds from a
 super-Fibonacci spiral on the quaternion sphere, turned as a whole by a Haar
 rotation drawn from the seed.  Seeds are screened by their initial
 objective, ascents run from the most promising ones, and a run that reaches
@@ -43,8 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .embedding import EmbeddingSpec, centering_offsets, class_values, dense_rows, embed, radius
-from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, normalized_quaternions, quaternions_to_matrices
-from .so3 import random_quaternions
+from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, normalized_quaternions, quaternions_from_matrices
+from .so3 import quaternions_to_matrices, random_quaternions
 from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
 
 # Bound but not called: bench/spans.py traces this name in this module.
@@ -106,14 +106,23 @@ def kabsch(us, vs) -> Rotation:
         raise ValueError(f"expected matching (n, 3) arrays, got {us.shape} and {vs.shape}")
     if us.shape[0] < 2:
         raise DegenerateConfigurationError("at least two vector pairs are required")
+    q, unique = _kabsch_quaternions(us, vs[None])
+    if not unique[0]:
+        raise DegenerateConfigurationError("correlation matrix has rank < 2; alignment is not unique")
+    return Rotation(q[0])
+
+
+def _kabsch_quaternions(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`kabsch` alignments of ``us`` ``(n, 3)`` with each of ``N`` tables
+    ``vs`` ``(N, n, 3)``: unit quaternions ``(N, 4)`` and the mask of the tables whose
+    maximizer is unique (correlation rank at least 2); other rows are not meaningful."""
     h = us.T @ vs
     u, s, vt = np.linalg.svd(h)
-    if s[1] <= 1e-12 * max(s[0], 1e-300):
-        raise DegenerateConfigurationError("correlation matrix has rank < 2; alignment is not unique")
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    r = v @ np.diag([1.0, 1.0, d]) @ u.T
-    return Rotation.from_matrix(r)
+    unique = ~(s[:, 1] <= 1e-12 * np.maximum(s[:, 0], 1e-300))
+    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+    fix = np.repeat(np.eye(3)[None], len(h), axis=0)  # diag(1, 1, det): the proper rotation
+    fix[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    return quaternions_from_matrices(v @ fix @ ut), unique
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +512,14 @@ def _project_table(spec: EmbeddingSpec, targets, tol: float, max_iter: int, star
     if bad.size:
         raise _NonFiniteRowError(int(bad[0]))
     zero = squares == 0.0
+    zero[zero] = ~rows[zero].any(axis=1)  # the squares of tiny entries underflow: those rows' entries decide
+    # A row whose squared norm underflows is first scaled by 2**600, exactly, so
+    # that its norm keeps full precision.
+    norms = np.sqrt(squares)
+    low = squares < np.finfo(float).tiny
+    if low.any():
+        up = rows[low] * 2.0**600
+        norms[low] = np.sqrt(np.einsum("ij,ij->i", up, up)) * 2.0**-600
     out = (np.full((len(rows), 4), np.nan), np.full(len(rows), np.nan), np.full(len(rows), np.nan),
            np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool))
     live = np.flatnonzero(~zero)
@@ -513,37 +530,33 @@ def _project_table(spec: EmbeddingSpec, targets, tol: float, max_iter: int, star
     for lo in range(0, len(live), size):
         block = live[lo : lo + size]
         sub = rows[lo : lo + size] if len(live) == len(rows) else rows[block]  # a view when no row is zero
-        for column, part in zip(out, _project_block(spec, sub, spiral, tol, max_iter)):
+        for column, part in zip(out, _project_block(spec, sub, norms[block], spiral, tol, max_iter)):
             column[block] = part
     return (*out, zero)
 
 
-def _project_block(spec, rows, spiral, tol, max_iter):
-    """The columns of :func:`_project_table` for the nonzero rows ``rows``, their ascents in lockstep."""
+def _project_block(spec, rows, norms, spiral, tol, max_iter):
+    """The columns of :func:`_project_table` for the nonzero rows ``rows`` of norms ``norms``,
+    their ascents in lockstep."""
     rank1 = [i for i, a in enumerate(spec.alpha) if a == 1]
-    # Each rank-1 component is beta_i * R v_mean with v_mean the orbit average,
-    # so their joint alignment is a Kabsch problem.  Over the trivial group with
-    # all ranks 1 that alignment is the answer itself.
-    us = np.array([spec.orbits[i][1] @ spec.orbits[i][0] for i in rank1])
+    # Each rank-1 component is beta_i * R v_mean with v_mean the orbit average, so two
+    # or more make a Kabsch problem (one vector pair never has a unique alignment).
+    # Over the trivial group with all ranks 1 that alignment is the answer itself.
+    aligned, unique = np.empty((len(rows), 4)), np.zeros(len(rows), dtype=bool)
+    if len(rank1) >= 2:
+        us = np.array([spec.orbits[i][1] @ spec.orbits[i][0] for i in rank1])
+        vs = np.stack([spec.beta[i] * rows[:, spec.columns[i]] for i in rank1], axis=1)
+        aligned, unique = _kabsch_quaternions(us, vs)
+        aligned[unique] = normalized_quaternions(aligned[unique])  # as Rotation does
     closed_form = len(spec.group) == 1 and len(rank1) == spec.n_components
-    answers = [None] * len(rows)  # per row: (quaternion, iterations, converged)
-    seeds = []
-    for t, row in enumerate(rows):
-        found = []
-        if rank1:
-            try:
-                r = kabsch(us, np.array([spec.beta[i] * row[spec.columns[i]] for i in rank1]))
-                found.append(r.quat)
-                if closed_form:
-                    answers[t] = (r.quat, 0, True)
-            except DegenerateConfigurationError:
-                pass  # no unique alignment: the row climbs like any other
-        seeds.append(np.concatenate([np.array(found).reshape(-1, 4), spiral]))
+    # per row: (quaternion, iterations, converged); a row without a unique alignment climbs like any other
+    answers = [(aligned[t], 0, True) if closed_form and unique[t] else None for t in range(len(rows))]
+    seeds = [np.concatenate([aligned[t : t + 1], spiral]) if unique[t] else spiral for t in range(len(rows))]
 
     # The ascents climb the unit targets T / |T|: the argmax is the same, ``tol``
     # is relative to |T|, and no target is small or large enough for its
     # derivatives to under- or overflow.
-    ev = _Targets.from_rows(spec, rows, np.sqrt(np.einsum("ij,ij->i", rows, rows)))
+    ev = _Targets.from_rows(spec, rows, norms)
     counts = [len(s) for s in seeds]
     initial = ev.take(np.repeat(np.arange(len(seeds)), counts)).values(quaternions_to_matrices(np.concatenate(seeds)))
     orders = [np.argsort(-v, kind="stable")[:_MAX_RUNS] for v in np.split(initial, np.cumsum(counts)[:-1])]

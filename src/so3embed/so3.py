@@ -2,9 +2,9 @@
 
 Rotations are stored as unit quaternions (scalar first) and renormalized after
 every composition, so long product chains cannot drift away from SO(3).
-Symmetry groups are explicit element lists, each built from a closed-form
-quaternion table (no products of generators, so no accumulated round-off),
-in a fixed orientation:
+Symmetry groups are explicit quaternion tables, each built in closed form
+(no products of generators, so no accumulated round-off), in a fixed
+orientation:
 
 * cyclic C_k: (cos(pi j/k), sin(pi j/k), 0, 0), major rotation axis along e1,
 * dihedral D_k: C_k and (0, 0, cos(pi j/k), sin(pi j/k)), a two-fold axis
@@ -15,9 +15,9 @@ in a fixed orientation:
 * icosahedral Y: T and the signed odd permutations of (phi, 1, 1/phi, 0)/2,
   phi the golden ratio; the vertex direction (0, 1, phi) is a five-fold axis.
 
-Batched functions take and return quaternion arrays ``(N, 4)``: ZYZ Euler
-conversion, normalization, relative rotations and quotient angles.  The
-scalar API on Rotation and Coset objects makes their N = 1 calls.
+Batched functions on quaternion arrays ``(N, 4)`` convert ZYZ Euler angles,
+matrices and axis-angle pairs, normalize, fix signs and give relative rotations
+and quotient angles; the Rotation and Coset API makes their N = 1 calls.
 
 All functions are pure; groups and rotations are immutable after construction
 and safe to share between threads.
@@ -45,7 +45,9 @@ __all__ = [
     "geodesic_distance",
     "group_elements",
     "normalized_quaternions",
+    "quaternions_from_axis_angles",
     "quaternions_from_euler_zyz",
+    "quaternions_from_matrices",
     "quotient_angles",
     "random_quaternions",
     "random_rotation",
@@ -122,34 +124,47 @@ def quaternions_to_matrices(q) -> np.ndarray:
     return m.reshape(q.shape[:-1] + (3, 3))
 
 
-def _quat_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion from a rotation matrix, numerically stable for all traces."""
+def quaternions_from_matrices(m) -> np.ndarray:
+    """Unit quaternions ``(N, 4)`` of rotation matrices ``(N, 3, 3)`` by Shepperd's method (S. W.
+    Shepperd, *J. Guidance and Control* 1(3), 1978, 223-224), stable for all traces: per row, the
+    scalar part where the trace is positive, else the component of the largest diagonal entry, gives
+    ``s = 4 q_b`` from a square root, and the others are off-diagonal sums and differences over s."""
     m = np.asarray(m, dtype=float)
-    t = m[0, 0] + m[1, 1] + m[2, 2]
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        return normalized_quaternions([q])[0]
-    i = int(np.argmax([m[0, 0], m[1, 1], m[2, 2]]))
-    if i == 0:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-    elif i == 1:
-        s = math.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2]) * 2.0
-        q = [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-    else:
-        s = math.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2]) * 2.0
-        q = [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-    return normalized_quaternions([q])[0]
+    if m.ndim != 3 or m.shape[1:] != (3, 3):
+        raise ValueError(f"expected rotation matrices of shape (N, 3, 3), got {m.shape}")
+    d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    t = d0 + d1 + d2
+    squares = np.column_stack([t + 1.0, 1.0 + d0 - d1 - d2, 1.0 - d0 + d1 - d2, 1.0 - d0 - d1 + d2])  # 4 q_b^2
+    pairs = np.zeros((len(m), 4, 4))  # 4 q_i q_j for i != j
+    for i, j, value in ((0, 1, m[:, 2, 1] - m[:, 1, 2]), (0, 2, m[:, 0, 2] - m[:, 2, 0]), (0, 3, m[:, 1, 0] - m[:, 0, 1]),
+                        (1, 2, m[:, 0, 1] + m[:, 1, 0]), (1, 3, m[:, 0, 2] + m[:, 2, 0]), (2, 3, m[:, 1, 2] + m[:, 2, 1])):
+        pairs[:, i, j] = pairs[:, j, i] = value
+    branch = np.where(t > 0.0, 0, 1 + np.argmax(np.column_stack([d0, d1, d2]), axis=1))
+    rows = np.arange(len(m))
+    s = np.sqrt(squares[rows, branch]) * 2.0
+    q = pairs[rows, branch] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    return normalized_quaternions(q)
 
 
-def canonical_quaternion(q: np.ndarray) -> np.ndarray:
-    """Fix the sign ambiguity: first nonzero component of (w, x, y, z) positive."""
+def quaternions_from_axis_angles(axes, angles) -> np.ndarray:
+    """Unit quaternions ``(..., 4)`` of the rotations by ``angles`` radians about the nonzero
+    ``axes`` ``(..., 3)``; ``angles`` broadcasts against the leading axes of ``axes``."""
+    axes = np.asarray(axes, dtype=float)
+    norms = np.linalg.norm(axes, axis=-1, keepdims=True)
+    if (norms < 1e-12).any():
+        raise ValueError("rotation axis is numerically zero")
+    half = 0.5 * np.asarray(angles, dtype=float)[..., None]
+    xyz = np.sin(half) * (axes / norms)
+    return np.concatenate([np.broadcast_to(np.cos(half), xyz.shape[:-1] + (1,)), xyz], axis=-1)
+
+
+def canonical_quaternion(q) -> np.ndarray:
+    """Quaternions ``(..., 4)`` with the sign ambiguity fixed: the first nonzero
+    component of (w, x, y, z) positive; a zero quaternion stays as it is."""
     q = np.asarray(q, dtype=float)
-    for c in q:
-        if c != 0.0:
-            return q if c > 0.0 else -q
-    return q
+    first = np.take_along_axis(q, (q != 0.0).argmax(axis=-1)[..., None], axis=-1)
+    return np.where(first < 0.0, -q, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,17 +210,12 @@ class Rotation:
             raise ValueError("matrix is not orthogonal within tolerance")
         if abs(np.linalg.det(m) - 1.0) > max(tol, 1e-12) * 100.0:
             raise ValueError("matrix determinant is not +1: not a proper rotation")
-        return cls(_quat_from_matrix(m))
+        return cls(quaternions_from_matrices(m[None])[0])
 
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "Rotation":
         """Rotation by ``angle`` radians about ``axis`` (any nonzero vector)."""
-        axis = np.asarray(axis, dtype=float).reshape(3)
-        n = np.linalg.norm(axis)
-        if n < 1e-12:
-            raise ValueError("rotation axis is numerically zero")
-        half = 0.5 * angle
-        return cls(np.concatenate([[math.cos(half)], math.sin(half) / n * axis]))
+        return cls(quaternions_from_axis_angles(np.asarray(axis, dtype=float).reshape(3), angle))
 
     @classmethod
     def from_euler_zyz(cls, alpha: float, beta: float, gamma: float) -> "Rotation":
@@ -281,6 +291,10 @@ _IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
 # with k <= 1000, distinct elements' keys lie at least 4e-9 apart, far above round-off.
 _KEY = np.sin(np.arange(1.0, 17.0)).reshape(4, 4)
 
+# Largest fold count of C_k and D_k: the key separation above holds up to it, and
+# the closure check of a table costs O(k^2 log k).
+MAX_FOLD = 1000
+
 
 def relative_quaternions(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """``conj(q2) q1`` for unit quaternions ``(N, 4)``, renormalized, so that
@@ -319,23 +333,27 @@ def geodesic_distance(r1: Rotation, r2: Rotation) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """A finite subgroup of SO(3) given by its explicit element list."""
+    """A finite subgroup of SO(3): the unit quaternions ``(|S|, 4)`` of its elements
+    (read-only), whose edge view as Rotation objects is ``elements``."""
 
     name: str
-    elements: tuple[Rotation, ...]
+    quaternions: np.ndarray
+
+    def __post_init__(self):
+        qs = np.array(self.quaternions, dtype=float).reshape(-1, 4)
+        qs.setflags(write=False)
+        object.__setattr__(self, "quaternions", qs)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.quaternions)
 
     def __iter__(self):
         return iter(self.elements)
 
     @cached_property
-    def quaternions(self) -> np.ndarray:
-        """All element quaternions stacked into shape (|S|, 4) (read-only)."""
-        q = np.array([e.quat for e in self.elements])
-        q.setflags(write=False)
-        return q
+    def elements(self) -> tuple[Rotation, ...]:
+        """The elements as Rotation objects, built on first use."""
+        return tuple(map(Rotation, self.quaternions))
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -346,30 +364,10 @@ class SymmetryGroup:
 
     @classmethod
     def from_elements(cls, name: str, elements, tol: float = 1e-10) -> "SymmetryGroup":
-        """Build a group from an explicit element list.
-
-        The list must contain the identity and be closed under composition
-        within ``tol`` (``1 - |p . q|`` for a product ``p`` and its nearest
-        listed element ``q``).  A product is compared with its two neighbours
-        by rotation key ``p^T _KEY p``, and with every element only if neither matches.
-        """
-        elems = tuple(elements)
-        if not elems:
-            raise ValueError("a symmetry group needs at least the identity element")
-        group = cls(name, elems)
-        qs = group.quaternions
-        if np.abs(np.abs(qs[:, 0]) - 1.0).min() > tol:
-            raise ValueError(f"group {name!r} does not contain the identity")
-        keys = np.einsum("ni,ij,nj->n", qs, _KEY, qs)
-        order = np.argsort(keys)
-        for e in qs:
-            prod = _quat_product(e, qs)
-            pos = np.searchsorted(keys, np.einsum("mi,ij,mj->m", prod, _KEY, prod), sorter=order)
-            near = qs[order[np.clip([pos - 1, pos], 0, len(qs) - 1)]]  # (2, |S|, 4)
-            miss = prod[np.abs(np.abs(np.einsum("md,kmd->km", prod, near)).max(axis=0) - 1.0) > tol]
-            if len(miss) and np.abs(np.abs(miss @ qs.T).max(axis=1) - 1.0).max() > tol:
-                raise ValueError(f"group {name!r} is not closed under composition")
-        return group
+        """Build a group from an explicit element list, checked as the built-in tables are."""
+        qs = np.array([e.quat for e in elements]).reshape(-1, 4)
+        _check_table(name, qs, tol)
+        return cls(name, qs)
 
     def contains(self, r: Rotation, tol: float = 1e-9) -> bool:
         return bool(np.abs(np.abs(self.quaternions @ r.quat) - 1.0).min() <= tol)
@@ -385,6 +383,26 @@ class SymmetryGroup:
 
     def __repr__(self) -> str:
         return f"SymmetryGroup({self.name!r}, order={len(self)})"
+
+
+def _check_table(name: str, qs: np.ndarray, tol: float = 1e-10) -> None:
+    """Raise ValueError unless the unit quaternions ``qs`` ``(|S|, 4)`` contain the
+    identity and are closed under composition within ``tol`` (``1 - |p . q|`` for a
+    product ``p`` and its nearest element ``q``).  A product is compared with its two
+    neighbours by rotation key ``p^T _KEY p``, and with every element only if neither matches."""
+    if not len(qs):
+        raise ValueError("a symmetry group needs at least the identity element")
+    if np.abs(np.abs(qs[:, 0]) - 1.0).min() > tol:
+        raise ValueError(f"group {name!r} does not contain the identity")
+    keys = np.einsum("ni,ij,nj->n", qs, _KEY, qs)
+    order = np.argsort(keys)
+    for e in qs:
+        prod = _quat_product(e, qs)
+        pos = np.searchsorted(keys, np.einsum("mi,ij,mj->m", prod, _KEY, prod), sorter=order)
+        near = qs[order[np.clip([pos - 1, pos], 0, len(qs) - 1)]]  # (2, |S|, 4)
+        miss = prod[np.abs(np.abs(np.einsum("md,kmd->km", prod, near)).max(axis=0) - 1.0) > tol]
+        if len(miss) and np.abs(np.abs(miss @ qs.T).max(axis=1) - 1.0).max() > tol:
+            raise ValueError(f"group {name!r} is not closed under composition")
 
 
 def _signed_rows(v, perms) -> np.ndarray:
@@ -411,9 +429,7 @@ def _polyhedral_table(family: str) -> np.ndarray:
     if family == "Y":
         odd = [p for p in perms if np.linalg.det(np.eye(4)[list(p)]) < 0.0]
         parts.append(_signed_rows(np.array([GOLDEN_RATIO, 1.0, 1.0 / GOLDEN_RATIO, 0.0]) / 2.0, odd))
-    q = np.concatenate(parts)
-    first = q[np.arange(len(q)), (q != 0.0).argmax(axis=1)]
-    q = q * np.sign(first)[:, None] + 0.0  # + 0.0 turns -0.0 into 0.0
+    q = canonical_quaternion(np.concatenate(parts)) + 0.0  # + 0.0 turns -0.0 into 0.0
     return np.unique(q, axis=0)[::-1]
 
 
@@ -430,7 +446,9 @@ def _build_group(family: str, k: int) -> SymmetryGroup:
         rows, name = _polyhedral_table(family), family
     else:
         raise ValueError(f"unknown group family {family!r}")
-    return SymmetryGroup.from_elements(name, map(Rotation.from_quaternion, rows))
+    qs = normalized_quaternions(np.array(rows))
+    _check_table(name, qs)
+    return SymmetryGroup(name, qs)
 
 
 def group_elements(name: str, k: int | None = None) -> SymmetryGroup:
@@ -442,7 +460,8 @@ def group_elements(name: str, k: int | None = None) -> SymmetryGroup:
         ``"C<k>"``, ``"D<k>"``, ``"T"``, ``"O"`` or ``"Y"``; alternatively a
         bare family letter ``"C"``/``"D"`` combined with the ``k`` argument.
     k : int, optional
-        Fold count for the cyclic and dihedral families, at least 1.
+        Fold count for the cyclic and dihedral families, from 1 to
+        ``MAX_FOLD``.
 
     Returns
     -------
@@ -466,6 +485,8 @@ def group_elements(name: str, k: int | None = None) -> SymmetryGroup:
         raise ValueError(f"group family {family!r} needs a fold count")
     if k < 1:
         raise ValueError(f"fold count must be at least 1, got {k}")
+    if k > MAX_FOLD:
+        raise ValueError(f"fold count must be at most {MAX_FOLD}, got {k}")
     return _build_group(family, k)
 
 
@@ -528,9 +549,7 @@ def fundamental_quaternions(q, group: SymmetryGroup) -> np.ndarray:
     lexicographic order of the sign-canonical quaternion, which makes the
     choice deterministic.
     """
-    prods = _quat_product(np.asarray(q, dtype=float)[:, None, :], group.quaternions)  # (N, |S|, 4)
-    first = np.take_along_axis(prods, (prods != 0.0).argmax(axis=2)[:, :, None], axis=2)
-    prods = np.where(first < 0.0, -prods, prods)  # first nonzero component positive
+    prods = canonical_quaternion(_quat_product(np.asarray(q, dtype=float)[:, None, :], group.quaternions))
     overlap = np.abs(prods[:, :, 0])
     tied = overlap >= overlap.max(axis=1, keepdims=True) - 1e-9
     for d in range(4):  # keep the tied rows that are smallest in component d

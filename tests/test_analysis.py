@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -122,6 +124,21 @@ def test_unit_weight_octahedral_gram_is_scaled_identity():
     report = isometry_check(registry_lookup("O", "arnold"))
     want = (8.0 / 9.0) * np.eye(3)
     assert np.abs(report.gram - want).max() < 1e-12
+
+
+def test_a_weight_sweep_keeps_no_spec_alive():
+    # the identity class values are cached on the spec itself, not in a
+    # module-level cache keyed by it, so specs of a sweep can be collected
+    base = registry_lookup("C4")
+    refs = []
+    for b in (0.5, 0.6, 0.7):
+        spec = EmbeddingSpec(base.group, base.u, base.alpha, (1.0, b))
+        assert radius(spec) > 0.0
+        global_bounds(spec, n_pairs=200)
+        refs.append(weakref.ref(spec))
+        del spec
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_isometry_gram_is_invariant_under_conjugation(rng):

@@ -727,3 +727,17 @@ def test_unknown_group_is_a_usage_error():
     out = run_cli("embed", "--group", "C9", stdin="id,qw,qx,qy,qz\n")
     assert out.returncode == 1
     assert "C9" in out.stderr
+
+
+def test_fold_count_past_the_limit_is_a_usage_error_or_a_spec_error(tmp_path, capsys):
+    # rejected before any table is built: the closure check of C_k costs O(k^2 log k)
+    assert main(["distance", "--group", "C1001"]) == 1
+    assert "at most 1000" in capsys.readouterr().err
+    doc = tmp_path / "spec.txt"
+    doc.write_text("group = D1001\nu = 1 0 0\nalpha = 2\nbeta = 1\n")
+    src = tmp_path / "in.csv"
+    src.write_text("id,qw,qx,qy,qz\nr0,1,0,0,0\n")
+    out = tmp_path / "out.csv"
+    assert main(["embed", "--spec", str(doc), "-i", str(src), "-o", str(out)]) == 2
+    assert "at most 1000" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,6 +9,8 @@ from so3embed.embedding import (
     TABLE_GROUPS,
     EmbeddingSpec,
     class_values,
+    dense_class_columns,
+    dense_rows,
     embed,
     embedded_distance,
     equivariance_defect,
@@ -25,6 +27,8 @@ from so3embed.so3 import (
     coset_distance,
     geodesic_distance,
     group_elements,
+    quaternions_to_matrices,
+    random_quaternions,
     random_rotation,
 )
 from so3embed.tensors import class_monomials, invariant_class_values, invariant_tensor, outer_power, tuple_norm
@@ -263,6 +267,13 @@ def test_flatten_concatenates_row_major(rng):
 
 # ---------------------------------------------------------------------------
 # sphere radius and equivariance
+
+
+@pytest.mark.parametrize("key", [("C1", "isometric"), ("C2", "isometric"), ("D2", "arnold"), ("Y", "isometric")])
+def test_dense_class_columns_take_the_dense_rows_from_class_values(key, rng):
+    spec = registry_lookup(*key)
+    comps = class_values(spec, quaternions_to_matrices(random_quaternions(rng, 3)))
+    assert np.array_equal(np.concatenate(comps, axis=1)[:, dense_class_columns(spec)], dense_rows(spec, comps))
 
 
 def test_c1_radius_closed_form():

@@ -71,6 +71,50 @@ def test_kabsch_beats_random_rotations(rng):
         assert float(np.sum((us @ other.matrix.T) * vs)) <= score + 1e-12
 
 
+def test_kabsch_quaternions_rows_equal_per_row_kabsch(rng):
+    # full-rank tables, rank-1 ones (one v repeated, parallel vs) and zero
+    # correlations, against spread and against parallel us: the batch flags
+    # exactly the rows kabsch rejects and gives the others' rotations bit for bit
+    parallel = np.outer([1.0, 2.0, -1.0], [0.3, -0.2, 0.9])  # three multiples of one vector
+    for us, full in ((rng.normal(size=(3, 3)), True), (np.eye(3), True), (parallel, False)):
+        vs = rng.normal(size=(20, 3, 3))
+        vs[5:10] = vs[5:10, :1]
+        vs[10:13] = vs[10:13, :1] * rng.normal(size=(3, 3, 1))
+        vs[13:15] = 0.0
+        vs[15] = us
+        quats, unique = projection._kabsch_quaternions(us, vs)
+        want = np.zeros(20, dtype=bool)
+        want[:5] = want[15:] = full
+        assert np.array_equal(unique, want)
+        for v, q, ok in zip(vs, quats, unique):
+            if ok:
+                assert np.array_equal(kabsch(us, v).quat, Rotation(q).quat)
+            else:
+                with pytest.raises(DegenerateConfigurationError):
+                    kabsch(us, v)
+
+
+@pytest.mark.parametrize("name, calls", [("C2", 0), ("C4", 0), ("C6", 0), ("C1", 3)])
+def test_only_tables_with_two_rank_1_components_run_kabsch(monkeypatch, rng, name, calls):
+    # one vector pair never determines an alignment, so C2, C4 and C6 make no
+    # Kabsch call; C1 makes one per lockstep batch, here three batches of one row
+    spec = registry_lookup(name)
+    seen = []
+    original = projection._kabsch_quaternions
+
+    def spy(us, vs):
+        seen.append(len(vs))
+        return original(us, vs)
+
+    monkeypatch.setattr(projection, "_kabsch_quaternions", spy)
+    if name == "C1":
+        monkeypatch.setattr(projection, "_BLOCK_ENTRIES", 1)
+    rows = np.array([embed(spec, random_rotation(rng)).flatten() for _ in range(3)])
+    assert all(res.converged for res in project_many(spec, rows))
+    assert len(seen) == calls
+    assert sum(seen) == (3 if calls else 0)
+
+
 def test_kabsch_rejects_degenerate_directions(rng):
     us = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])  # collinear
     with pytest.raises(DegenerateConfigurationError):
@@ -415,14 +459,19 @@ def test_project_many_returns_on_rows_whose_gradient_overflows(name):
 def test_project_tolerance_is_relative_to_the_target_norm(name):
     # the ascent climbs T / |T|, so an exact target scaled far down neither
     # meets an absolute gradient tolerance at its start nor, scaled far up,
-    # overflows its derivatives: every scale lands on the true coset
+    # overflows its derivatives: every scale lands on the true coset, also
+    # below 1e-162, where the squared norm underflows; an all-zero row, -0.0
+    # entries included, is still rejected
     spec = registry_lookup(name)
     truth = [Rotation.from_axis_angle([1.0, 2.0, 3.0], 0.7), Rotation.from_axis_angle([-2.0, 0.5, 1.0], 2.4)]
     rows = np.array([embed(spec, r).flatten() for r in truth])
-    for scale in (1e-12, 1.0, 1e110):
+    for scale in (1e-300, 1e-170, 1e-12, 1.0, 1e110):
         for r, res in zip(truth, project_many(spec, rows * scale)):
             assert res.converged
             assert coset_distance(as_coset(r, spec.group), res.coset) < 1e-8
+    zeros = np.zeros((2, spec.ambient_dimension))
+    zeros[1, ::2] = -0.0
+    assert all(isinstance(res, DegenerateInputError) for res in project_many(spec, zeros))
 
 
 @pytest.mark.parametrize("name", ["C4", "O"])

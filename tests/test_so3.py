@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from so3embed.so3 import (
     geodesic_distance,
     group_elements,
     normalized_quaternions,
+    quaternions_from_axis_angles,
+    quaternions_from_matrices,
     quaternions_to_matrices,
     random_quaternions,
     random_rotation,
@@ -64,6 +67,67 @@ def _special_quaternions(rng) -> np.ndarray:
     """Haar samples, the identity, half turns and every registered group's elements."""
     groups = [group_elements(name).quaternions for name in TABLE_GROUPS]
     return np.concatenate([random_quaternions(rng, 500), [[1.0, 0.0, 0.0, 0.0]], _half_turns()] + groups)
+
+
+def _shepperd_scalar(m: np.ndarray) -> np.ndarray:
+    """The one-matrix Shepperd conversion the batched one replaced, kept as the
+    reference: its branch and expressions, normalized as before."""
+    t = m[0, 0] + m[1, 1] + m[2, 2]
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        return normalized_quaternions([q])[0]
+    i = int(np.argmax([m[0, 0], m[1, 1], m[2, 2]]))
+    if i == 0:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
+    elif i == 1:
+        s = math.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2]) * 2.0
+        q = [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
+    else:
+        s = math.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2]) * 2.0
+        q = [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+    return normalized_quaternions([q])[0]
+
+
+def test_quaternions_from_matrices_keep_the_bits_of_the_one_matrix_conversion(rng):
+    # Haar samples, the identity, half turns about e1, e2, e3 and the diagonals,
+    # and every element of every registered group (O and Y among them)
+    mats = quaternions_to_matrices(_special_quaternions(rng))
+    diag = mats.reshape(-1, 9)[:, ::4]
+    trace = diag.sum(axis=1)
+    branches = np.where(trace > 0.0, 0, 1 + diag.argmax(axis=1))
+    assert set(branches.tolist()) == {0, 1, 2, 3}  # every Shepperd branch is taken
+    got = quaternions_from_matrices(mats)
+    for m, q in zip(mats, got):
+        assert np.array_equal(q, _shepperd_scalar(m))
+        assert np.array_equal(q, quaternions_from_matrices(m[None])[0])
+        assert np.array_equal(Rotation.from_matrix(m).quat, Rotation(q).quat)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (2, 2, 3, 3)])
+def test_quaternions_from_matrices_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"shape \(N, 3, 3\)"):
+        quaternions_from_matrices(np.zeros(shape))
+
+
+def test_quaternions_from_axis_angles_broadcast_and_match_their_one_row_calls(rng):
+    axes, angles = rng.normal(size=(5, 3)), rng.uniform(-7.0, 7.0, size=4)
+    grid = quaternions_from_axis_angles(axes, angles[:, None])  # (4, 5, 4)
+    assert grid.shape == (4, 5, 4)
+    assert quaternions_from_axis_angles(axes, 0.3).shape == (5, 4)
+    assert quaternions_from_axis_angles(axes[0], angles).shape == (4, 4)
+    for i, angle in enumerate(angles):
+        for j, axis in enumerate(axes):
+            q = quaternions_from_axis_angles(axis, angle)
+            assert q.shape == (4,)
+            assert np.array_equal(grid[i, j], q)
+            assert np.array_equal(Rotation.from_axis_angle(axis, angle).quat, Rotation(q).quat)
+            r = Rotation(q)
+            assert np.abs(r.apply(axis) - axis).max() < 1e-14
+            assert abs(r.angle - abs(math.remainder(angle, 2.0 * math.pi))) < 1e-12
+    with pytest.raises(ValueError, match="numerically zero"):
+        quaternions_from_axis_angles(np.zeros((2, 3)), 1.0)
 
 
 def test_quaternions_to_matrices_keeps_the_bits_of_the_entrywise_formula(rng):
@@ -144,6 +208,29 @@ def test_canonical_quaternion_fixes_sign():
     # w = 0: first nonzero entry becomes positive
     q0 = np.array([0.0, -1.0, 0.0, 0.0])
     assert canonical_quaternion(q0)[1] > 0
+
+
+def _canonical_scalar(q: np.ndarray) -> np.ndarray:
+    """The one-quaternion sign rule the batched one replaced, kept as the reference."""
+    for c in q:
+        if c != 0.0:
+            return q if c > 0.0 else -q
+    return q
+
+
+def test_canonical_quaternion_batches_rows_bit_for_bit(rng):
+    # signed zeros in every position, the zero quaternion and both signs of
+    # each special quaternion; -0.0 counts as zero and keeps its sign bit
+    zeros = np.array(list(itertools.product((0.0, -0.0), repeat=4)))
+    special = _special_quaternions(rng)
+    q = np.concatenate([zeros, special, -special, [[-0.0, -0.0, 0.5, -0.5], [0.0, -0.0, -1.0, 0.0]]])
+    got = canonical_quaternion(q)
+    for row, out in zip(q, got):
+        want = _canonical_scalar(row)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(canonical_quaternion(row).view(np.uint64), want.view(np.uint64))
+    stacked = canonical_quaternion(q.reshape(-1, 2, 4))  # any leading shape
+    assert np.array_equal(stacked.reshape(-1, 4).view(np.uint64), got.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +395,32 @@ def test_from_elements_rejects_one_element_off_a_large_table():
     rows[17] = rows[17] @ Rotation.from_axis_angle(E3, 1e-4)
     with pytest.raises(ValueError, match="not closed"):
         SymmetryGroup.from_elements("bad", rows)
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS + ("D13",))
+def test_group_table_is_the_field_and_elements_its_edge_view(name):
+    g = group_elements(name)
+    assert not g.quaternions.flags.writeable
+    assert len(g) == len(g.quaternions)
+    assert np.array_equal(np.array([e.quat for e in g.elements]), g.quaternions)
+    again = SymmetryGroup.from_elements(name, list(g))
+    assert np.array_equal(again.quaternions, g.quaternions)
+    assert again.matches(g)
+
+
+def test_building_a_group_creates_no_rotation(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Rotation was built")
+
+    monkeypatch.setattr(Rotation, "__post_init__", refuse)
+    for family, k, order in (("C", 7, 7), ("D", 5, 10), ("T", 0, 12), ("O", 0, 24), ("Y", 0, 60)):
+        assert len(so3._build_group.__wrapped__(family, k)) == order
+
+
+@pytest.mark.parametrize("name, k", [("C1001", None), ("D1001", None), ("C", 1500)])
+def test_group_elements_rejects_fold_counts_past_the_limit(name, k):
+    with pytest.raises(ValueError, match="at most 1000"):
+        group_elements(name, k)
 
 
 def test_from_elements_compares_all_elements_when_keys_tie(monkeypatch):
