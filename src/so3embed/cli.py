@@ -122,9 +122,12 @@ def _open(stack: ExitStack, path: str | None, mode: str):
 
 
 def _read_header(stack: ExitStack, path: str | None):
-    """The csv reader of a table and its header row, the first non-blank row."""
+    """The csv reader of a table and its header row, the first non-blank row.
+    A UTF-8 byte order mark at the start of the input is dropped."""
     reader = csv.reader(_open(stack, path, "r"))
-    for cells in reader:
+    for n, cells in enumerate(reader):
+        if n == 0 and cells and cells[0].startswith("\ufeff"):
+            cells[0] = cells[0][1:]
         if not _blank(cells):
             return reader, cells
     raise _DataError("input is empty: missing header row")

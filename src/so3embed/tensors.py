@@ -226,11 +226,15 @@ def rotate(r, t: np.ndarray) -> np.ndarray:
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 rotation matrix, got shape {m.shape}")
     t = np.asarray(t, dtype=float)
-    # Contract the leading mode and cycle it to the back; after `rank` rounds
-    # every mode has been hit once and the axis order is restored.
+    if t.shape != (3,) * t.ndim:
+        raise ValueError(f"expected a tensor with every mode of length 3, got shape {t.shape}")
+    # Contract the leading mode and cycle it to the back, one GEMM per mode:
+    # (3^(rank-1), 3) rows of the trailing modes times m^T.  After `rank`
+    # rounds every mode has been hit once and the axis order is restored.
+    flat = t
     for _ in range(t.ndim):
-        t = np.moveaxis(np.tensordot(m, t, axes=(1, 0)), 0, -1)
-    return t
+        flat = flat.reshape(3, -1).T @ m.T
+    return flat.reshape(t.shape)
 
 
 def rotate_tuple(r, tensors) -> tuple[np.ndarray, ...]:

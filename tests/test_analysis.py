@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,6 +25,7 @@ from so3embed.embedding import (
     embed,
     embedded_distance,
     expected_hull_dimension,
+    parse_spec_document,
     radius,
     registry_lookup,
 )
@@ -267,6 +269,113 @@ def test_bound_ratio_table_d4_row():
     ratio, est = bound_ratio_table("D4", (1.0, 1.11), n_pairs=30_000, seed=0)
     assert ratio == pytest.approx(1.80, abs=0.05)
     assert est.c_max / est.c_min == ratio
+
+
+def _exhaustive_samples(spec, n_pairs, seed):
+    """The selection of ``analysis._extreme_samples`` with every sample's ratio
+    evaluated exactly: class values block by block, then one stable argsort."""
+    pair_seq, ladder_seq = np.random.SeedSequence(seed).spawn(2)
+    ladder = analysis._ladder_quaternions(np.random.default_rng(ladder_seq))
+    parts = list(analysis._sampled_distances(spec, np.random.default_rng(pair_seq), n_pairs))
+    parts.append((ladder, *analysis._identity_distances(spec, ladder)))
+    ratios = np.concatenate([d_emb / d_geo for _, d_geo, d_emb in parts])
+    order = np.argsort(ratios, kind="stable")
+    ends = np.concatenate([order[:10], order[::-1][:10]])
+    return np.concatenate([q for q, _, _ in parts])[ends], ratios[ends]
+
+
+def _exhaustive_bounds(spec, n_pairs, seed, refine):
+    quats, ratios = _exhaustive_samples(spec, n_pairs, seed)
+    signs = np.repeat([1.0, -1.0], 10)
+    evaluations = 0
+    if refine:
+        ratios, evaluations = analysis._polish(spec, quats, ratios, signs)
+    return analysis.BoundsEstimate(ratios[signs > 0].min(), ratios[signs < 0].max(), n_pairs, evaluations)
+
+
+def _screen_mismatches(specs, n_pairs, seeds):
+    """(spec, seed) cases whose screened ends (rotations and ratios) differ from the exhaustive ones."""
+    out = []
+    for spec in specs:
+        for seed in seeds:
+            got, want = analysis._extreme_samples(spec, n_pairs, seed), _exhaustive_samples(spec, n_pairs, seed)
+            if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                out.append((spec.group.name, seed))
+    return out
+
+
+@pytest.mark.parametrize("n_pairs", [1, 700, 5_000])
+def test_screened_selection_equals_the_exhaustive_one(n_pairs):
+    specs = [registry_lookup(name) for name in TABLE_GROUPS]
+    assert _screen_mismatches(specs, n_pairs, (0, 1, 12345)) == []
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_screened_bounds_equal_the_exhaustive_ones(registered_spec, refine):
+    for seed in (0, 1, 12345):
+        got = global_bounds(registered_spec, n_pairs=2_000, refine=refine, seed=seed)
+        assert got == _exhaustive_bounds(registered_spec, 2_000, seed, refine)
+
+
+def test_screen_equality_fails_when_the_kernel_is_perturbed(monkeypatch):
+    # the equality test has teeth: a kernel off by 1e-3 relative noise, more
+    # than its margin, drops true extremes from the candidates
+    exact, noise = analysis._gram_d2, np.random.default_rng(4)
+    monkeypatch.setattr(
+        analysis, "_gram_d2", lambda comps, mats: exact(comps, mats) * (1.0 + 1e-3 * noise.standard_normal(len(mats)))
+    )
+    specs = [registry_lookup(name) for name in TABLE_GROUPS]
+    assert _screen_mismatches(specs, 5_000, (0, 1, 12345))
+
+
+def test_gram_kernel_error_is_far_below_its_margin():
+    rng = np.random.default_rng(77)
+    for name in TABLE_GROUPS:
+        for variant in ("isometric", "arnold"):
+            spec = registry_lookup(name, variant)
+            comps, tau = analysis._gram_tables(spec)
+            quats = random_quaternions(rng, 2_048)
+            d2 = analysis._gram_d2(comps, quaternions_to_matrices(quats))
+            _, d_emb = analysis._identity_distances(spec, quats)
+            assert 100.0 * np.abs(d2 - d_emb**2).max() <= tau, (name, variant)
+
+
+def test_screen_intervals_hold_the_exact_ratios(registered_spec):
+    quats = random_quaternions(np.random.default_rng(5), 1_000)
+    keep, lo, hi = analysis._screened_ratios(registered_spec, analysis._gram_tables(registered_spec), quats)
+    d_geo, d_emb = analysis._identity_distances(registered_spec, quats)
+    ratio = d_emb[keep] / d_geo[keep]
+    assert np.all(lo <= ratio) and np.all(ratio <= hi) and np.all(hi - lo < 1e-9)
+
+
+def test_int_power_is_the_elementwise_power():
+    g = np.random.default_rng(6).uniform(-1.0, 1.0, (7, 5))
+    for a in range(1, 13):
+        assert np.allclose(analysis._int_power(g, a), g**a, rtol=1e-14, atol=0.0)
+
+
+def test_large_orbit_spec_takes_the_exact_path():
+    # a generic direction has a 12-vector orbit under C12: 144 Gram entries
+    # against 12 * 10 class monomials, so the screen is not worth building
+    spec = parse_spec_document("group = C\nk = 12\nu = 0.48 0.6 0.64\nalpha = 3\nbeta = 1\n")
+    assert len(spec.orbits[0][0]) == 12 and analysis._gram_tables(spec) is None
+    assert _screen_mismatches([spec], 3_000, (0, 1)) == []
+    assert global_bounds(spec, n_pairs=3_000, seed=2) == _exhaustive_bounds(spec, 3_000, 2, True)
+
+
+def _bounds_peak(spec, n_pairs):
+    tracemalloc.start()
+    try:
+        global_bounds(spec, n_pairs=n_pairs, refine=False, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bounds_memory_stays_flat_in_the_pair_count():
+    spec = registry_lookup("Y")
+    global_bounds(spec, n_pairs=1_000, refine=False)  # cached orbit and class tables
+    assert _bounds_peak(spec, 400_000) <= _bounds_peak(spec, 50_000) + 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,37 @@ def test_header_names_match_stripped_and_caseless_and_the_first_one_wins():
     assert np.abs(coords - np.diag([1.0, -1.0, -1.0]).ravel() / math.sqrt(2.0)).max() < 1e-16
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_utf8_byte_order_mark_leaves_every_table_command_unchanged(source, tmp_path, monkeypatch, capsys):
+    quats = random_quaternions(np.random.default_rng(31), 4)
+    plain, embedded = tmp_path / "q.csv", tmp_path / "e.csv"
+    plain.write_text(quaternion_table(quats))
+    assert main(["embed", "--group", "O", "-i", str(plain), "-o", str(embedded)]) == 0
+    pairs = "id,qw1,qx1,qy1,qz1,qw2,qx2,qy2,qz2\n" + "".join(
+        f"p{i}," + ",".join(map(repr, map(float, (*a, *b)))) + "\n" for i, (a, b) in enumerate(zip(quats, quats[::-1]))
+    )
+    tables = {
+        ("embed", "--group", "O"): plain.read_text(),
+        ("distance", "--group", "O"): pairs,
+        ("distance", "--group", "O", "--metric", "embedded"): pairs,
+        ("project", "--group", "O"): embedded.read_text(),
+    }
+
+    def run(argv, text):
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert main(list(argv)) == 0, capsys.readouterr().err
+            return capsys.readouterr().out.encode()
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_bytes(text.encode("utf-8"))
+        assert main([*argv, "-i", str(src), "-o", str(out)]) == 0, capsys.readouterr().err
+        return out.read_bytes()
+
+    for argv, text in tables.items():
+        assert text.startswith("id,")
+        assert run(argv, "\ufeff" + text) == run(argv, text), argv
+
+
 def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path):
     assert build_parser() is build_parser()
     src, out = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -652,6 +683,26 @@ def test_bench_tracer_names_stay_bound():
     cli = importlib.import_module("so3embed.cli")
     for ctor in spans.ROTATION_CTORS:
         assert callable(getattr(cli.Rotation, ctor))
+
+
+def test_bench_tracer_installs_and_restores_every_target():
+    # Tracer.install looks up every TARGETS attribute with getattr, so a name
+    # the package stops binding breaks the traced benchmark run; each must be
+    # callable, and restore must put every original back
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    before = {(module, attr): getattr(importlib.import_module(module), attr) for module, attr, _ in spans.TARGETS}
+    assert all(callable(fn) for fn in before.values())
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (module, attr), fn in before.items():
+            assert getattr(importlib.import_module(module), attr).__wrapped__ is fn, f"{module}.{attr}"
+    finally:
+        tracer.restore()
+    assert all(getattr(importlib.import_module(module), attr) is fn for (module, attr), fn in before.items())
 
 
 def test_cli_import_loads_no_dependency_but_numpy():

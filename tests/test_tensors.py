@@ -200,6 +200,25 @@ def test_rotate_preserves_norm_and_composes(rng):
     assert np.abs(rotate(r1, rotate(r2, t)) - rotate(r1 @ r2, t)).max() < 1e-13
 
 
+def _rotate_by_tensordot(m, t):
+    # the former rotate: contract the leading mode by tensordot, cycle it back
+    for _ in range(t.ndim):
+        t = np.moveaxis(np.tensordot(m, t, axes=(1, 0)), 0, -1)
+    return t
+
+
+@pytest.mark.parametrize("rank", range(1, MAX_RANK + 1))
+def test_rotate_is_bit_equal_to_one_tensordot_per_mode(rank, rng):
+    m = random_rotation(rng).matrix
+    t = rng.standard_normal((3,) * rank)
+    assert np.array_equal(rotate(m, t), _rotate_by_tensordot(m, t))
+
+
+def test_rotate_rejects_a_mode_not_of_length_three():
+    with pytest.raises(ValueError, match="every mode of length 3"):
+        rotate(np.eye(3), np.zeros((3, 4)))
+
+
 def test_rotate_accepts_plain_matrix(rng):
     t = rng.normal(size=(3, 3))
     r = random_rotation(rng)
