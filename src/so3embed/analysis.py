@@ -3,8 +3,9 @@
 The differential of an embedding at the identity coset maps the tangent basis
 ``TANGENT_BASIS`` to three tensor tuples; the embedding preserves geodesic
 distance to first order exactly when their Gram matrix is the identity.
-Tangent images, means and rank samples are computed as class values (see
-``tensors``) and expanded to dense tensors only where the API returns them.
+Tangent images (the identity's class values through the maps projection
+differentiates with, ``embedding._tangent_operators``), means and rank samples
+are class values (see ``tensors``), expanded to dense only where the API returns them.
 Closed-form tangent norms exist for the rank-k cyclic component and yield the
 registered isometric weights through :func:`derive_beta`.
 
@@ -43,10 +44,10 @@ from itertools import product
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, centering_offsets, class_norms, class_values, registry_lookup
-from .so3 import TANGENT_BASIS, _quat_product, group_elements, quaternions_from_axis_angles, quaternions_to_matrices
+from .embedding import EmbeddingSpec, _tangent_operators, centering_offsets, class_norms, class_values, registry_lookup
+from .so3 import _quat_product, group_elements, quaternions_from_axis_angles, quaternions_to_matrices
 from .so3 import quotient_angles, random_quaternions
-from .tensors import class_monomial_sums, class_monomials, class_multiplicities, monomial_derivatives
+from .tensors import class_monomial_sums, class_multiplicities
 from .tensors import tensor_from_class_values, tuple_norm
 
 # Bound but not called: bench/spans.py traces these names in this module.
@@ -76,15 +77,9 @@ __all__ = [
 
 def _tangent_class_values(spec: EmbeddingSpec) -> list[np.ndarray]:
     """Per component, the ``(3, C(alpha+2, 2))`` class values of the three tangent
-    images at the identity: along the skew ``s`` the power ``v^{x alpha}`` moves
-    by ``grad m(v) . (s v)`` for each class monomial ``m``.  Centering is a
-    constant shift and drops out."""
-    out = []
-    for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
-        grads = monomial_derivatives(a).transpose(0, 2, 1) @ class_monomials(vecs.T, a - 1)  # (3, C, orbit)
-        moved = TANGENT_BASIS @ vecs.T  # (3 tangents, 3, orbit)
-        out.append(b * np.einsum("ldj,dcj,j->lc", moved, grads, wts))
-    return out
+    images at the identity: the identity's class values through ``L[l].T``
+    (``embedding._tangent_operators``), which annihilates the centering."""
+    return [(v @ _tangent_operators(a))[:, 0] for v, a in zip(spec.identity_class_values, spec.alpha)]
 
 
 def differential_at_identity(spec: EmbeddingSpec) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -249,7 +244,7 @@ def _polish(spec: EmbeddingSpec, quats: np.ndarray, values: np.ndarray, signs: n
     Returns the polished ratios and the number of ratios evaluated.
     """
     quats, best = quats.copy(), signs * values
-    step = _identity_distances(spec, quats)[0] / 8.0
+    step = quotient_angles(quats, spec.group.quaternions) / 8.0
     evaluations = 0
     for _ in range(_POLISH_PASSES):
         live = np.flatnonzero(step >= 1e-9)

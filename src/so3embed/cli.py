@@ -12,6 +12,10 @@ scatter   (geodesic, embedded) distance samples for plotting
 Orientations are ingested either as quaternions (columns qw,qx,qy,qz, scalar
 first; norm may deviate from 1 by at most 1e-3) or as ZYZ Euler angles
 (columns alpha,beta,gamma with beta in [0, pi]; --degrees switches the unit).
+A numeric cell holds one decimal number: optional sign, ASCII digits with an
+optional decimal point, optional exponent, surrounding spaces ignored.  Digit
+underscores and non-ASCII digits, which Python's float reads (1_0 as 10), inf
+and nan are data errors that name the cell.
 CSV is comma-separated UTF-8 with a header row; numeric output carries 17
 significant digits so 64-bit floats round-trip exactly, and every command is
 deterministic given --seed: identical invocations produce identical bytes.
@@ -214,17 +218,24 @@ def _read_rows(reader, cols, idc: int):
 def _row_floats(cells, pick, cols, line: int, out: np.ndarray) -> None:
     """Write the cells ``cols`` of one row, which ``pick`` takes, into ``out`` as
     finite floats: all at once, and cell by cell only when that fails, to name
-    the first bad cell."""
+    the first bad cell.  Python's ``float`` also reads digit underscores (``1_0``
+    is 10) and non-ASCII digits; the number grammar has neither, so a row with
+    one goes cell by cell too."""
     try:
-        values = list(map(float, pick(cells)))
-        if math.isfinite(sum(values)):  # false on inf or nan, and on an overflowing sum
-            out[:] = values
-            return
+        picked = pick(cells)
+        joined = "".join(picked)
+        if "_" not in joined and joined.isascii():
+            values = list(map(float, picked))
+            if math.isfinite(sum(values)):  # false on inf or nan, and on an overflowing sum
+                out[:] = values
+                return
     except (IndexError, ValueError):
         pass
     for i, c in enumerate(cols):
         text = _cell(cells, c, line)
         try:
+            if "_" in text or not text.isascii():
+                raise ValueError(text)
             value = float(text)
         except ValueError:
             raise _DataError(f"line {line}: {text!r} is not a number") from None

@@ -26,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
-from .so3 import Coset, GOLDEN_RATIO, Rotation, SymmetryGroup, as_coset, group_elements
+from .so3 import GOLDEN_RATIO, TANGENT_BASIS, Rotation, SymmetryGroup, as_coset, group_elements
 from .tensors import MAX_RANK, _classes, class_monomials, class_multiplicities, invariant_class_values, rotate_tuple
 from .tensors import tensor_from_class_values, tuple_norm
 
@@ -287,6 +288,22 @@ def centering_offsets(spec: EmbeddingSpec) -> list[np.ndarray | None]:
         (b / (a + 1)) * invariant_class_values(a) if spec.centered and a % 2 == 0 else None
         for a, b in zip(spec.alpha, spec.beta)
     ]
+
+
+@lru_cache(maxsize=None)
+def _tangent_operators(alpha: int) -> np.ndarray:
+    """Cached read-only ``L`` ``(3, C, C)``, ``C = C(alpha + 2, 2)``: ``L[l] @ p`` are the
+    monomial coefficients of ``grad P(w) . (s_l w)``, the derivative of ``P(exp(t s_l) w)``
+    at 0, for ``P`` of coefficients ``p`` and ``s_l = TANGENT_BASIS[l]``.  ``L[l] = sum_{d,f}
+    s_l[d, f] U_f D_d``, filled entry by entry: ``D_d`` takes monomial ``n`` to ``n[d]``
+    times the one with one ``d`` fewer, and ``U_f`` multiplies by ``w_f``."""
+    index = {n: i for i, n in enumerate(_classes(alpha)[1])}
+    out = np.zeros((3, len(index), len(index)))
+    for (c, n), d, f in product(enumerate(index), range(3), range(3)):
+        if n[d]:
+            out[:, index[tuple(k - (i == d) + (i == f) for i, k in enumerate(n))], c] += TANGENT_BASIS[:, d, f] * n[d]
+    out.setflags(write=False)
+    return out
 
 
 def class_norms(spec: EmbeddingSpec, comps) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Given a target tuple T, the closest embedded point maximizes the linear
 objective ``J(R) = <E([R]), T>`` because every embedded point has the same
-norm.  Targets arrive as flat rows of dense tensors (``EmbeddingSpec.columns``),
-but J, its gradient and its Hessian are evaluated on the class sums of those
-rows (see ``_Targets``), so no outer power is ever materialized during the
-ascent.
+norm.  Targets arrive as flat rows of dense tensors (``EmbeddingSpec.columns``).
+By equivariance, ``J(exp(A) R) = <E(R), rho(exp A)^T T>``, so J, its gradient
+and its Hessian are linear in the class values of ``E(R)``; each target is
+turned once into those linear maps (see ``_Targets``), and no outer power is
+ever materialized during the ascent.
 
 The solver is a Riemannian Newton ascent with an exponential-map retraction:
 the Newton step where the 3 x 3 Hessian in the tangent basis is negative
@@ -38,14 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, centering_offsets, class_values, dense_rows, embed, radius
-from .so3 import TANGENT_BASIS, Coset, Rotation, _quat_product, normalized_quaternions, quaternions_from_matrices
+from .embedding import EmbeddingSpec, _tangent_operators, class_values, dense_rows, embed, radius
+from .so3 import Coset, Rotation, _quat_product, normalized_quaternions, quaternions_from_matrices
 from .so3 import quaternions_to_matrices, random_quaternions
-from .tensors import class_monomials, class_multiplicities, class_sums, inner, monomial_derivatives
+from .tensors import class_multiplicities, class_sums, inner
 
 # Bound but not called: bench/spans.py traces this name in this module.
 from .tensors import invariant_tensor  # noqa: F401
@@ -128,7 +128,6 @@ def _kabsch_quaternions(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 # fast objective/gradient evaluation
 
-_TANGENT_ROWS = TANGENT_BASIS.reshape(3, 9)
 # Sum g_l s_l over the tangent basis is the cross-product matrix of (g1, -g2, g3).
 _AXIS_SIGNS = np.array([1.0, -1.0, 1.0])
 
@@ -144,96 +143,52 @@ def _flatten(spec: EmbeddingSpec, target) -> np.ndarray:
     return np.concatenate([t.ravel() for t in target])
 
 
-# Output columns of ``_Targets.derivatives``: value, gradient (3), Hessian (3 x 3).
-_OUTPUTS = 13
-
-
-@lru_cache(maxsize=None)
-def _derivative_map(alpha: int) -> np.ndarray:
-    """The linear map from one rank-``alpha`` component's orbit sums to its share of
-    the value, gradient and Hessian columns (``_OUTPUTS``) in the tangent basis.
-
-    With ``w`` an orbit image, ``s_l`` the tangent basis and weights folded in, the
-    inputs are ``M = sum grad P(w) w^T`` (9 entries) at rank 1 and ``Z[d, e, f, g] =
-    sum d_d d_e P(w) w_f w_g`` (81 entries) above it.  Euler's relation for the
-    degree-``alpha`` polynomial P gives ``grad P(w) = hess P(w) w / (alpha - 1)`` and
-    ``P(w) = w . grad P(w) / alpha``, so M and the value follow from Z.  Then
-    ``g_l = <M, s_l>`` and ``H_kl = <M, (s_k s_l + s_l s_k) / 2> + sum s_k[d, f]
-    s_l[e, g] Z[d, e, f, g]``, the Hessian of ``J(exp(sum e_l s_l) R)`` at ``e = 0``.
-    """
-    s, eye = TANGENT_BASIS, np.eye(3)
-    sym = 0.5 * (np.einsum("kde,lef->kldf", s, s) + np.einsum("lde,kef->kldf", s, s))
-    out = np.concatenate([eye.reshape(9, 1) / alpha, _TANGENT_ROWS.T, sym.reshape(9, 9).T], axis=1)  # from M
-    if alpha > 1:
-        out = (np.einsum("dD,ef,gG->defgDG", eye, eye, eye).reshape(81, 9) / (alpha - 1)) @ out  # Z -> M
-        out[:, 4:] += np.einsum("kdf,leg->defgkl", s, s).reshape(81, 9)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class _Targets:
     """Per-target precomputation for batched objective evaluations and derivatives.
 
     ``P(w) = <w^{x a}, T>`` is a degree-a homogeneous polynomial whose monomial
-    coefficients are the index-class sums of T (so only the symmetric part of
-    the target ever enters, as it must).  The value dots these sums with the
-    embedding's class values.  The derivatives take the sums through the
-    derivative table twice: the second partials of P are rank-(a-2) monomials
-    against ``partials``, and :func:`_derivative_map` turns them into the value,
-    gradient and Hessian.  Each row costs O(orbit * classes) and never touches a
-    rank-a tensor.
+    coefficients ``p`` are the index-class sums of T (so only the symmetric part
+    of the target ever enters, as it must).  With ``v`` the class values of
+    ``E(R)`` and ``L`` the cached ``embedding._tangent_operators``, the value,
+    gradient and Hessian of ``J(exp(A) R)`` in the tangent basis are ``v . p``,
+    ``v . L_l p`` and ``v . (L_k L_l + L_l L_k) p / 2``: ``maps`` holds those 13
+    vectors.  Centered class values give the centered value; the isotropic
+    offset is rotation invariant, so ``L[l].T`` annihilates it and no
+    derivative sees it.
 
     Evaluations pair row ``m`` with rotation matrix ``mats[m]`` of an
     ``(N, 3, 3)`` stack; ``take`` selects and repeats rows.
     """
 
     spec: EmbeddingSpec
-    coeffs: list  # per component, (N, classes)
-    partials: list  # per component, the first (N, 3, 1) at rank 1, else the second (N, 9, classes of rank a - 2)
-    shift: np.ndarray  # (N,), the centering part of the value
+    maps: list  # per component, (N, classes, 13): value, gradient (3), Hessian (3 x 3)
     sym_norm: np.ndarray  # (N,), norm of the symmetric part of each target
 
     @classmethod
     def from_rows(cls, spec: EmbeddingSpec, rows: np.ndarray, scale=1.0) -> "_Targets":
         """From ``N`` flat target rows ``(N, ambient_dimension)``, each divided by
         its entry of ``scale`` ``(N,)``."""
-        coeffs, partials = [], []
-        sym_sq, shift = np.zeros(len(rows)), np.zeros(len(rows))
-        for a, cols, offset in zip(spec.alpha, spec.columns, centering_offsets(spec)):
+        maps, sym_sq = [], np.zeros(len(rows))
+        for a, cols in zip(spec.alpha, spec.columns):
             coeff = class_sums(rows[:, cols], a) / np.reshape(scale, (-1, 1))
             sym_sq += coeff**2 @ (1.0 / class_multiplicities(a))  # |sym(t)|^2
-            first = (monomial_derivatives(a) @ coeff.T).transpose(2, 0, 1)
-            if a > 1:
-                first = np.einsum("eck,ndk->ndec", monomial_derivatives(a - 1), first).reshape(len(rows), 9, -1)
-            coeffs.append(coeff)
-            partials.append(first)
-            if offset is not None:
-                shift -= coeff @ offset
-        return cls(spec, coeffs, partials, shift, np.sqrt(sym_sq))
+            turn = _tangent_operators(a).transpose(0, 2, 1)  # p @ turn[l] = (L_l p)^T
+            first = coeff @ turn  # (3, N, C)
+            second = first @ turn[:, None]  # [k, l] = L_k L_l p
+            hess = 0.5 * (second + second.transpose(1, 0, 2, 3))
+            maps.append(np.stack([coeff, *first, *hess.reshape(9, len(rows), -1)], axis=2))
+        return cls(spec, maps, np.sqrt(sym_sq))
 
     def take(self, idx: np.ndarray) -> "_Targets":
-        return _Targets(
-            self.spec, [c[idx] for c in self.coeffs], [p[idx] for p in self.partials], self.shift[idx], self.sym_norm[idx]
-        )
-
-    def values(self, mats: np.ndarray) -> np.ndarray:
-        return sum(np.einsum("mc,mc->m", v, c) for v, c in zip(class_values(self.spec, mats), self.coeffs))
+        return _Targets(self.spec, [m[idx] for m in self.maps], self.sym_norm[idx])
 
     def derivatives(self, mats: np.ndarray):
         """Value ``(N,)``, gradient ``(N, 3)`` and Hessian ``(N, 3, 3)`` in the tangent basis."""
-        n = len(mats)
-        out = np.zeros((n, _OUTPUTS))
-        for (vecs, wts), a, b, partial in zip(self.spec.orbits, self.spec.alpha, self.spec.beta, self.partials):
-            imgs = (mats.reshape(-1, 3) @ vecs.T).reshape(n, 3, len(vecs))  # orbit images w
-            if a == 1:  # grad P is constant: M = grad P (sum b wts w)^T
-                sums = partial * (imgs @ (b * wts))[:, None, :]
-            else:  # Z = sum b wts hess P(w) (x) w w^T
-                mono = class_monomials(imgs.transpose(1, 0, 2), a - 2).transpose(1, 0, 2)
-                hess = (partial @ mono) * (b * wts)
-                sums = hess @ (imgs[:, :, None, :] * imgs[:, None, :, :]).reshape(n, 9, -1).transpose(0, 2, 1)
-            out += (sums.reshape(n, 1, -1) @ _derivative_map(a))[:, 0]  # per lane, whatever the batch
-        return out[:, 0] + self.shift, out[:, 1:4], out[:, 4:].reshape(n, 3, 3)
+        # C-contiguous operands: each lane, alone or in any batch, takes the same matmul kernel
+        vals = class_values(self.spec, mats)
+        out = sum((np.ascontiguousarray(v)[:, None, :] @ m)[:, 0] for v, m in zip(vals, self.maps))
+        return out[:, 0], out[:, 1:4], out[:, 4:].reshape(len(mats), 3, 3)
 
 
 def objective(spec: EmbeddingSpec, r: Rotation, target) -> float:
@@ -260,9 +215,9 @@ def hessian(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # multi-start ascent
 
-# Power-table entries per lockstep batch of rows.  Every lane of a batch holds
-# its class monomials at once, so batching bounds the memory of a large table;
-# rows are independent, so the batch size changes a result only by round-off.
+# Entries per lockstep batch of rows.  Every lane holds its orbit monomials and
+# its 13 maps (``_Targets``) at once, so batching bounds the memory of a large
+# table; rows are independent, so the batch size changes a result only by round-off.
 _BLOCK_ENTRIES = 2**20
 
 # Ascents run per target at most, taken from the starts in screened order.
@@ -524,7 +479,7 @@ def _project_table(spec: EmbeddingSpec, targets, tol: float, max_iter: int, star
            np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool))
     live = np.flatnonzero(~zero)
     spiral = _spiral_quaternions(n_starts, seed)
-    # A lane's power tables hold about orbit * (alpha + 1)**2 entries per component.
+    # A lane counts orbit * (alpha + 1)**2 entries per component.
     lane = sum(len(vecs) * (a + 1) ** 2 for (vecs, _), a in zip(spec.orbits, spec.alpha))
     size = max(1, _BLOCK_ENTRIES // ((n_starts + 1) * lane))
     for lo in range(0, len(live), size):
@@ -558,7 +513,10 @@ def _project_block(spec, rows, norms, spiral, tol, max_iter):
     # derivatives to under- or overflow.
     ev = _Targets.from_rows(spec, rows, norms)
     counts = [len(s) for s in seeds]
-    initial = ev.take(np.repeat(np.arange(len(seeds)), counts)).values(quaternions_to_matrices(np.concatenate(seeds)))
+    # The screen reads each start's value map (column 0 of ``maps``) alone, not a copy of all 13.
+    lanes = np.repeat(np.arange(len(seeds)), counts)
+    vals = class_values(spec, quaternions_to_matrices(np.concatenate(seeds)))
+    initial = sum((np.ascontiguousarray(v)[:, None, :] @ m[lanes, :, :1])[:, 0, 0] for v, m in zip(vals, ev.maps))
     orders = [np.argsort(-v, kind="stable")[:_MAX_RUNS] for v in np.split(initial, np.cumsum(counts)[:-1])]
     certificate = radius(spec) * ev.sym_norm * (1.0 - 1e-10)
 

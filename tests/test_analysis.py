@@ -39,7 +39,8 @@ from so3embed.so3 import (
     random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import class_monomial_sums, inner, invariant_tensor, outer_power, tuple_norm
+from so3embed.tensors import class_monomial_sums, class_monomials, inner, invariant_tensor, monomial_derivatives
+from so3embed.tensors import outer_power, tuple_norm
 
 # measured affine-hull dimensions of the group-averaged (quotient) image;
 # averaging can only lose harmonic content, so these never exceed the
@@ -93,6 +94,26 @@ def test_differential_matches_finite_differences(registered_spec):
         for got, a, b in zip(tangents[ell], fwd, bwd):
             fd = (a - b) / (2.0 * h)
             assert np.abs(got - fd).max() < 1e-7
+
+
+# the registered specs, both variants, and the uncentered rank-k cyclic components
+TANGENT_SPECS = [(name, variant) for name in TABLE_GROUPS for variant in ("isometric", "arnold")]
+TANGENT_SPECS += [(f"C{k}", "uncentered") for k in range(3, 9)]
+
+
+@pytest.mark.parametrize("name,variant", TANGENT_SPECS)
+def test_tangent_class_values_match_the_orbit_formula(name, variant):
+    # oracle: along s_l each orbit vector v moves by s_l v, and class monomial
+    # m by grad m(v) . (s_l v), the derivatives from the monomial table
+    if variant == "uncentered":
+        k = int(name[1:])
+        spec = EmbeddingSpec(group_elements("C", k), ((0.0, 1.0, 0.0),), (k,), (1.0,), centered=False)
+    else:
+        spec = registry_lookup(name, variant)
+    for got, (vecs, wts), a, b in zip(analysis._tangent_class_values(spec), spec.orbits, spec.alpha, spec.beta):
+        grads = monomial_derivatives(a).transpose(0, 2, 1) @ class_monomials(vecs.T, a - 1)  # (3, C, orbit)
+        want = b * np.einsum("ldj,dcj,j->lc", TANGENT_BASIS @ vecs.T, grads, wts)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_differential_rank_one_component_is_cross_product():

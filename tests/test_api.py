@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -10,6 +11,7 @@ import so3embed
 
 MODULES = ("analysis", "cli", "embedding", "projection", "so3", "tensors")
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "so3embed").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,3 +37,43 @@ def test_readme_quick_start_runs():
     converged, residual, err = out.getvalue().split()
     assert converged == "True"
     assert float(residual) < 1e-6 and float(err) < 1e-8
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, as ``line: name``; a name
+    in ``__all__`` is used, and an import marked ``# noqa: F401`` is exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read and name not in exported:
+                unused.append(f"{node.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_of_a_module_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_flags_an_unread_name_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import pi, tau as turn\n"
+        "from sys import argv  # noqa: F401\n"
+        "__all__ = ['pi']\n"
+        "print(os.path.sep)\n"
+    )
+    assert unused_imports(source) == ["3: turn"]

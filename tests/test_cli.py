@@ -139,9 +139,30 @@ def test_non_finite_numbers_are_data_errors(argv, table, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,table",
+    [
+        (["embed", "--degrees"], "id,alpha,beta,gamma\nr0,0,0,0\nr1,1_0,1,0\n"),
+        (["project"], "id," + ",".join(f"e{i}" for i in range(9)) + "\nr0,1,0,0,0,1,0,0,0,1\nr1,1_0,0,0,0,1,0,0,0,1\n"),
+        (["distance", "--degrees"], "id,alpha1,beta1,gamma1,alpha2,beta2,gamma2\np0,0,0,0,0,0,0\np1,0,0,0,1_0,0,0\n"),
+    ],
+)
+def test_digit_underscores_are_not_numbers(argv, table, tmp_path, capsys):
+    # Python's float reads 1_0 as 10, a valid value in every one of these
+    # rows; the number grammar has no underscores, so the cell is named and
+    # no output is written
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text(table)
+    assert main([*argv, "--group", "C1", "-i", str(src), "-o", str(out)]) == 2
+    assert "line 3: '1_0' is not a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "row,message",
     [
         ("r, 0.5 ,1e308,1e308", None),  # a padded cell; finite cells whose sum overflows
+        ("r,1,2_5,3", "line 4: '2_5' is not a number"),
+        ("r,1,\u0662,3", "line 4: '\u0662' is not a number"),  # an Arabic-Indic 2, which float reads as 2.0
         ("r,1,x,inf", "line 4: 'x' is not a number"),
         ("r,1,inf,x", "line 4: 'inf' is not a finite number"),
         ("r,nan,2", "line 4: 'nan' is not a finite number"),

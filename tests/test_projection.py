@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from so3embed import projection
-from so3embed.embedding import TABLE_GROUPS, EmbeddingSpec, embed, radius, registry_lookup
+from so3embed.embedding import TABLE_GROUPS, EmbeddingSpec, _tangent_operators, centering_offsets, embed, radius
+from so3embed.embedding import registry_lookup
 from so3embed.projection import (
     DegenerateConfigurationError,
     DegenerateInputError,
@@ -18,14 +19,18 @@ from so3embed.projection import (
     project_many,
 )
 from so3embed.so3 import (
+    TANGENT_BASIS,
     Rotation,
     as_coset,
     coset_distance,
     geodesic_distance,
     group_elements,
+    quaternions_to_matrices,
+    random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import rotate_tuple, tuple_norm
+from so3embed.tensors import class_monomials, class_sums, invariant_class_values, monomial_derivatives, rotate_tuple
+from so3embed.tensors import tuple_norm
 
 
 def _noisy_target(spec, r, scale, rng):
@@ -199,6 +204,90 @@ def test_gradient_vanishes_at_perfect_alignment(rng, registered_spec):
     r = random_rotation(rng)
     g = gradient(registered_spec, r, embed(registered_spec, r).value)
     assert np.linalg.norm(g) < 1e-10
+
+
+def _orbit_image_derivatives(spec, rows, mats):
+    """Oracle: value, gradient (3) and Hessian (9) columns of ``J(exp(A) R)`` from
+    the orbit images ``w = R v``, one at a time.  With ``P(w) = <w^{x a}, T>``
+    the value is ``sum b wt P(w)`` less the centering, ``g_l = sum b wt grad P(w)
+    . (s_l w)`` and ``H_kl = sum b wt [hess P(w)[s_k w, s_l w] + grad P(w) .
+    ((s_k s_l + s_l s_k) / 2) w]``, with the partials of P from the monomial
+    derivative tables at ranks a and a - 1."""
+    s = TANGENT_BASIS
+    sym = 0.5 * (np.einsum("kde,lef->kldf", s, s) + np.einsum("lde,kef->kldf", s, s))
+    out = np.zeros((len(rows), 13))
+    parts = zip(spec.orbits, spec.alpha, spec.beta, spec.columns, centering_offsets(spec))
+    for (vecs, wts), a, b, cols, offset in parts:
+        p = class_sums(rows[:, cols], a)
+        first = np.einsum("dkc,nc->ndk", monomial_derivatives(a), p)  # coefficients of d_d P
+        second = np.einsum("ejk,ndk->ndej", monomial_derivatives(a - 1), first) if a > 1 else None
+        for v, wt in zip(vecs, wts):
+            w = mats @ v
+            value = np.einsum("nc,cn->n", p, class_monomials(w.T, a))
+            grad = np.einsum("ndk,kn->nd", first, class_monomials(w.T, a - 1))
+            hess = np.zeros((len(w), 3, 3))
+            if a > 1:
+                hess = np.einsum("ndej,jn->nde", second, class_monomials(w.T, a - 2))
+            moved = np.einsum("ldf,nf->nld", s, w)  # s_l w
+            g = np.einsum("nd,nld->nl", grad, moved)
+            h = np.einsum("nkd,nde,nle->nkl", moved, hess, moved) + np.einsum("nd,kldf,nf->nkl", grad, sym, w)
+            out += b * wt * np.concatenate([value[:, None], g, h.reshape(-1, 9)], axis=1)
+        if offset is not None:
+            out[:, 0] -= p @ offset
+    return out
+
+
+def _derivative_columns(ev, mats):
+    j, g, h = ev.derivatives(mats)
+    return np.concatenate([j[:, None], g, h.reshape(-1, 9)], axis=1)
+
+
+def _unsymmetrized_targets(spec, rows):
+    """``_Targets`` whose Hessian maps are ``L_k L_l p``, not symmetrized."""
+    maps = []
+    for a, cols in zip(spec.alpha, spec.columns):
+        p = class_sums(rows[:, cols], a)
+        first = np.einsum("lij,nj->lni", _tangent_operators(a), p)
+        second = np.einsum("kij,lnj->klni", _tangent_operators(a), first)
+        maps.append(np.stack([p, *first, *second.reshape(9, len(rows), -1)], axis=2))
+    return projection._Targets(spec, maps, np.ones(len(rows)))
+
+
+@pytest.mark.parametrize("variant", ["isometric", "arnold"])
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_target_derivatives_match_the_orbit_image_formulas(name, variant):
+    # 64 Gaussian target rows at 64 Haar rotations: the class-value maps give
+    # the orbit-image value, gradient and Hessian to 1e-13 of their largest
+    # entry.  Hessian maps left unsymmetrized are off by half the commutator
+    # [L_k, L_l] p, a gradient-sized term, and must fail the same comparison.
+    spec = registry_lookup(name, variant)
+    rng = np.random.default_rng(17)
+    rows = rng.standard_normal((64, spec.ambient_dimension))
+    mats = quaternions_to_matrices(random_quaternions(rng, 64))
+    oracle = _orbit_image_derivatives(spec, rows, mats)
+    scale = np.abs(oracle).max()
+    got = _derivative_columns(projection._Targets.from_rows(spec, rows), mats)
+    assert np.abs(got - oracle).max() <= 1e-13 * scale
+    assert np.abs(_derivative_columns(_unsymmetrized_targets(spec, rows), mats) - oracle).max() > 1e-3 * scale
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_target_derivatives_of_a_lane_do_not_depend_on_its_batch(name):
+    # every lane evaluated alone gives its row of a 64-lane batch bit for bit
+    spec = registry_lookup(name)
+    rng = np.random.default_rng(23)
+    ev = projection._Targets.from_rows(spec, rng.standard_normal((64, spec.ambient_dimension)))
+    mats = quaternions_to_matrices(random_quaternions(rng, 64))
+    batch = ev.derivatives(mats)
+    for m in range(64):
+        alone = ev.take(np.array([m])).derivatives(mats[m : m + 1])
+        assert all(np.array_equal(part[m : m + 1], one) for part, one in zip(batch, alone)), m
+
+
+@pytest.mark.parametrize("alpha", range(2, 13, 2))
+def test_tangent_operators_annihilate_the_isotropic_class_values(alpha):
+    # the centering offset is rotation invariant, so no derivative sees it
+    assert np.abs(_tangent_operators(alpha).transpose(0, 2, 1) @ invariant_class_values(alpha)).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
