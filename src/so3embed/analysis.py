@@ -18,13 +18,16 @@ reported ratio take the distances of ``(N, 4)`` quaternions to the identity
 coset from the package's two distance kernels, ``so3.quotient_angles`` and
 ``embedding.class_norms``.  Both work on differences, so the ratio stays
 accurate down to tiny distances.  These distance sweeps run in blocks of
-``_BLOCK`` rotations.  The Haar sweep of the bounds first screens each block
-with a Gram-power kernel, ``|E(Q) - E(I)|^2`` as a polynomial in the orbit
-Gram entries ``v . Q w`` (k^2 products per rotation instead of
-``k C(alpha+2, 2)`` class monomials), which bounds each ratio within a fixed
-rounding margin; only the blocks that hold a sample still able to reach the
-10 lowest or 10 highest ratios go through the class-value path, so the
-selection and every printed number are those of an exhaustive sweep.
+``_BLOCK`` rotations.  The Haar sweep of the bounds first screens chunks of
+``_CHUNK`` rotations straight from their quaternions with a Gram-power
+kernel, ``|E(Q) - E(I)|^2`` as a polynomial in the orbit Gram entries
+``v . Q w``, each a quadratic form in the quaternion (k^2 products per
+rotation instead of ``k C(alpha+2, 2)`` class monomials), and the quotient
+angle ``2 arccos max_s |q . s|``.  Both are bounded within stated rounding
+margins, so each ratio lies in a known interval; only the blocks that hold a
+sample still able to reach the 10 lowest or 10 highest ratios go through the
+class-value path, so the selection and every printed number are those of an
+exhaustive sweep.
 
 The Monte Carlo means of :func:`empirical_embedding_means` never form class
 values per rotation, and one sweep serves a whole list of specs: each chunk
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -115,7 +117,10 @@ def isometry_check(spec: EmbeddingSpec, tol: float = 1e-10) -> IsometryReport:
 # closed-form tangent norms of the rank-k cyclic component
 
 
-def _b_norms_exact(k: int) -> tuple[Fraction, Fraction]:
+def _b_norms_exact(k: int):
+    """``(|B_1|^2, |B_2|^2)`` as fractions; imported here, since nothing else needs them."""
+    from fractions import Fraction
+
     if k < 3:
         raise ValueError(f"closed-form tangent norms need k >= 3, got {k}")
     if k % 2:
@@ -160,7 +165,7 @@ def derive_beta(family: str, k: int) -> tuple[float, float]:
     if family not in ("C", "D"):
         raise ValueError(f"family must be 'C' or 'D', got {family!r}")
     b1, b2 = _b_norms_exact(int(k))
-    beta1_sq = 1 - Fraction(b2, b1)
+    beta1_sq = 1 - b2 / b1
     if family == "D":
         beta1_sq /= 2
     if beta1_sq <= 0:
@@ -196,12 +201,26 @@ _POLISH_FLOOR = 1e-5
 # Compass axes: the six face and the eight corner directions of a cube.
 _COMPASS = np.array([d for d in product((-1.0, 0.0, 1.0), repeat=3) if sum(map(abs, d)) in (1.0, 3.0)])
 
+# Haar rotations drawn and screened at a time by the bounds sweep; a multiple
+# of ``_BLOCK``, whose blocks are kept and evaluated exactly.
+_CHUNK = 2048
+
 # Rounding margin of the Gram-power screen of the bounds sweep, relative to
 # sum_i beta_i^2 (sum_v |wt_v|)^2, the largest the kernel's terms can sum to.
-# Its error against the class-value d^2 measured at most 4.3e-15 of that on
+# Its error against the class-value d^2 measured at most 2.7e-15 of that on
 # Haar rotations; near the identity the interval is wide against the ratio's
 # gap to 1, so the ladder is always evaluated exactly.
 _SCREEN_MARGIN = 1e-12
+
+# Bound on the rounding error of the screen's cos(d/2) = max_s |q . s|: the
+# norms of q and s are 1 within 2 ulps each and a 4-term dot product rounds
+# within 4 more, about 1.8e-15 in all (3.3e-16 measured on Haar rotations).
+_COS_ERROR = 4e-15
+
+# Quotient angle (rad) below which a screened row gets the interval [0, inf]
+# and is settled exactly: a Haar rotation lands there with probability about
+# |S| 5e-8.
+_NEAR_ANGLE = 1e-2
 
 
 def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,17 +304,40 @@ def _ladder_quaternions(rng: np.random.Generator, n_axes: int = 48) -> np.ndarra
     return quaternions_from_axis_angles(rng.standard_normal((n_axes, 3)), angles[:, None]).reshape(-1, 4)
 
 
+def _rotation_quadratic() -> np.ndarray:
+    """``A`` ``(4, 4, 3, 3)``, symmetric in its first two axes, with ``R(q)_ij =
+    sum_ab A[a, b, i, j] q_a q_b`` for a unit quaternion ``q = (w, v)``:
+    ``R = (w^2 - |v|^2) I + 2 v v^T + 2 w [v]_x``."""
+    eye = np.eye(3)
+    outer = np.einsum("ai,bj->abij", eye, eye)  # e_a e_b^T
+    quad = np.zeros((4, 4, 3, 3))
+    quad[0, 0] = eye
+    quad[1:, 1:] = outer + outer.transpose(1, 0, 2, 3) - np.einsum("ab,ij->abij", eye, eye)
+    quad[0, 1:] = quad[1:, 0] = np.cross(eye[:, None, :], eye[None, :, :]).transpose(0, 2, 1)  # [e_a]_x
+    return quad
+
+
+_ROTATION_QUADRATIC = _rotation_quadratic()
+
+# The ten products q_a q_b, a <= b, that the quadratic forms of the screen read.
+_PAIRS = np.triu_indices(4)
+
+
 def _gram_tables(spec: EmbeddingSpec):
     """The orbit tables of the Gram-power screen, or ``None`` when class values are cheaper.
 
     Per component, ``|E(Q) - E(I)|^2`` is ``2 sum_{v,w} W[v, w] ((v.w)^alpha -
     (v.Qw)^alpha)`` over the orbit vectors, with ``W = beta^2 wt wt^T``
     (Arnold, Jupp, Schaeben 2018): k^2 Gram entries per rotation against the
-    ``k C(alpha+2, 2)`` class monomials of ``class_values``.  Returns
-    ``(components, tau)``, each component ``(vecs, W.ravel(), alpha, K0)`` with
-    ``K0 = sum W (V V^T)^alpha``, and ``tau`` the kernel's rounding margin on
-    ``d^2``.  ``None`` when ``sum k_i^2`` exceeds ``sum k_i C(alpha_i+2, 2)``,
-    a large orbit, where the screen would cost more than the exact path.
+    ``k C(alpha+2, 2)`` class monomials of ``class_values``.  Each Gram entry
+    is a quadratic form in the unit quaternion, ``v . R(q) w = q^T M_vw q``,
+    so the table of a component is ``(10, k^2)``: the coefficients of the
+    products ``q_a q_b``, ``a <= b``, in each ``M_vw``.  Returns
+    ``(components, tau)``, each component ``(table, W.ravel(), alpha, K0)``
+    with ``K0 = sum W (V V^T)^alpha``, and ``tau`` the kernel's rounding
+    margin on ``d^2``.  ``None`` when ``sum k_i^2`` exceeds ``sum k_i
+    C(alpha_i+2, 2)``, a large orbit, where the screen would cost more than
+    the exact path.
     """
     sizes = [len(vecs) for vecs, _ in spec.orbits]
     if sum(k * k for k in sizes) > sum(k * math.comb(a + 2, 2) for k, a in zip(sizes, spec.alpha)):
@@ -303,50 +345,80 @@ def _gram_tables(spec: EmbeddingSpec):
     comps, scale = [], 0.0
     for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
         w = (b * b) * np.outer(wts, wts)
-        comps.append((vecs, w.ravel(), a, float(np.sum(w * _int_power(vecs @ vecs.T, a)))))
+        m = np.einsum("abij,vi,wj->abvw", _ROTATION_QUADRATIC, vecs, vecs).reshape(4, 4, -1)
+        table = np.where((_PAIRS[0] == _PAIRS[1])[:, None], 1.0, 2.0) * m[_PAIRS]
+        comps.append((table, w.ravel(), a, float(np.sum(w * _int_power(vecs @ vecs.T, a)))))
         scale += b * b * float(np.abs(wts).sum()) ** 2
     return comps, _SCREEN_MARGIN * scale
 
 
 def _int_power(g: np.ndarray, a: int) -> np.ndarray:
-    """``g ** a`` for an integer ``a >= 1`` by repeated squaring; numpy's ``**``
-    falls back to elementwise ``pow`` above the square."""
+    """``g ** a`` for an integer ``a >= 1`` by repeated squaring, in place: ``g``
+    is overwritten.  numpy's ``**`` falls back to elementwise ``pow`` above the
+    square, and fresh temporaries of a screen chunk's size cost page faults."""
     out = None
     while True:
         if a & 1:
-            out = g if out is None else out * g
+            out = g.copy() if out is None else np.multiply(out, g, out=out)
         a >>= 1
         if not a:
             return out
-        g = g * g
+        np.multiply(g, g, out=g)
 
 
-def _gram_d2(comps, mats: np.ndarray) -> np.ndarray:
-    """Squared embedded distances ``(N,)`` from rotations ``(N, 3, 3)`` to the
-    identity coset by the Gram-power kernel of :func:`_gram_tables`."""
-    d2 = np.zeros(len(mats))
-    for vecs, w, a, k0 in comps:
-        moved = (mats.reshape(-1, 3) @ vecs.T).reshape(len(mats), 3, len(vecs))  # (Q w)_d
-        gram = moved.transpose(0, 2, 1).reshape(-1, 3) @ vecs.T  # (Q w).v; W is symmetric
-        d2 += 2.0 * (k0 - _int_power(gram, a).reshape(len(mats), -1) @ w)
+def _gram_d2(comps, quats: np.ndarray) -> np.ndarray:
+    """Squared embedded distances ``(N,)`` from unit quaternions ``(N, 4)`` to
+    the identity coset by the Gram-power kernel of :func:`_gram_tables`."""
+    qq = quats[:, _PAIRS[0]] * quats[:, _PAIRS[1]]
+    d2 = np.zeros(len(quats))
+    for table, w, a, k0 in comps:
+        d2 += 2.0 * (k0 - _int_power(qq @ table, a) @ w)
     return d2
 
 
+def _screen_angles(quats: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Quotient angles ``2 arccos(max_s |q . s|)`` ``(N,)`` of unit quaternions to
+    the identity coset: one product with the group table, accurate to
+    ``2 _COS_ERROR / sin(d/2)`` (see :func:`_screened_ratios`)."""
+    dots = group @ quats.T  # (|S|, N): the maximum runs down long rows
+    cos_half = np.abs(dots, out=dots).max(axis=0)
+    return 2.0 * np.arccos(np.minimum(cos_half, 1.0))
+
+
 def _screened_ratios(spec: EmbeddingSpec, tables, quats: np.ndarray):
-    """``(keep, lo, hi)`` for Haar rotations ``(N, 4)``: the rows whose quotient
-    distance exceeds 1e-9, and for those an interval around each distortion
-    ratio as the class-value path computes it.  Without tables the interval is
-    that exact ratio."""
+    """``(lo, hi)`` for Haar rotations ``(N, 4)``: an interval around each
+    distortion ratio as the class-value path computes it.
+
+    With tables, ``d^2`` comes from :func:`_gram_d2` within ``tau`` and the
+    angle ``d`` from :func:`_screen_angles`.  ``cos(d/2)`` is a 4-term dot
+    product of vectors of norm 1 within a few ulps, so it is off by at most
+    ``_COS_ERROR``, and ``d`` by at most ``2 _COS_ERROR / sin(d/2) <= 2 pi
+    _COS_ERROR / d`` to first order; each ratio is widened by that relative
+    margin.  The rounding of the class-value path's own angle and ratio, a
+    few ulps, is covered by ``tau``, whose relative share of a ratio is at
+    least 1e-13.  Below ``_NEAR_ANGLE`` the first-order bound is loose and
+    the interval is ``[0, inf]``: such a row stays a candidate and its block
+    is settled exactly, where a quotient angle below 1e-9 drops it as in
+    :func:`_sampled_distances`.  Without tables the intervals are the exact
+    ratios, evaluated in ``_BLOCK`` units, and ``[0, inf]`` for those
+    dropped rows.
+    """
     if tables is None:
-        d_geo, d_emb = _identity_distances(spec, quats)
-        keep = d_geo > 1e-9
-        ratio = d_emb[keep] / d_geo[keep]
-        return keep, ratio, ratio
+        parts = [_identity_distances(spec, quats[at : at + _BLOCK]) for at in range(0, len(quats), _BLOCK)]
+        d_geo, d_emb = (np.concatenate(p) for p in zip(*parts))
+        near = d_geo <= 1e-9
+        ratio = np.divide(d_emb, d_geo, out=np.zeros(len(quats)), where=~near)
+        return ratio, np.where(near, np.inf, ratio)
     comps, tau = tables
-    d_geo = quotient_angles(quats, spec.group.quaternions)
-    keep = d_geo > 1e-9
-    d2 = _gram_d2(comps, quaternions_to_matrices(quats[keep]))
-    return keep, np.sqrt(np.maximum(d2 - tau, 0.0)) / d_geo[keep], np.sqrt(d2 + tau) / d_geo[keep]
+    d = _screen_angles(quats, spec.group.quaternions)
+    near = d < _NEAR_ANGLE
+    d = np.maximum(d, _NEAR_ANGLE)
+    margin = (2.0 * math.pi * _COS_ERROR) / (d * d)
+    d2 = _gram_d2(comps, quats)
+    lo = np.sqrt(np.maximum(d2 - tau, 0.0)) / (d * (1.0 + margin))
+    hi = np.sqrt(d2 + tau) / (d * (1.0 - margin))
+    lo[near], hi[near] = 0.0, np.inf
+    return lo, hi
 
 
 def _extreme_samples(spec: EmbeddingSpec, n_pairs: int, seed: int):
@@ -356,14 +428,15 @@ def _extreme_samples(spec: EmbeddingSpec, n_pairs: int, seed: int):
 
     The selection is that of a stable ``argsort`` of every ratio in draw
     order, the ladder last: ties go to the earlier draw at the low end and to
-    the later one at the high end.  Each block is screened by
-    :func:`_screened_ratios`; a sample stays a candidate while its interval
-    can still reach either end, against the candidates and the exact ladder
-    ratios.  Only the blocks that hold a candidate are kept, so memory stays
-    flat in ``n_pairs``, and at the end each is evaluated whole by the
-    class-value path: a BLAS reduction may round a row differently beside
-    other rows, so a candidate's ratio is computed in the batch it was drawn
-    in, bit for bit as an exhaustive sweep computes it.
+    the later one at the high end.  Rotations are drawn and screened by
+    :func:`_screened_ratios` ``_CHUNK`` at a time, straight from their
+    quaternions; a sample stays a candidate while its interval can still
+    reach either end, against the candidates and the exact ladder ratios.
+    Only the ``_BLOCK``-rotation blocks that hold a candidate are kept, so
+    memory stays flat in ``n_pairs``, and at the end each is evaluated whole
+    by the class-value path: a BLAS reduction may round a row differently
+    beside other rows, so a candidate's ratio is computed in the block it
+    would have in an exhaustive sweep, bit for bit as that sweep computes it.
     """
     n = _POLISH_STARTS
     pair_seq, ladder_seq = np.random.SeedSequence(seed).spawn(2)
@@ -375,30 +448,34 @@ def _extreme_samples(spec: EmbeddingSpec, n_pairs: int, seed: int):
     rng = np.random.default_rng(pair_seq)
     blocks: dict[int, np.ndarray] = {}  # block number -> its rotations, while it holds a candidate
     pos, lo, hi = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)  # candidates: draw position, interval
-    for start in range(0, n_pairs, _BLOCK):
-        # Blocks draw from ``rng`` in turn: the stream of one draw of n_pairs.
-        blocks[start // _BLOCK] = block = random_quaternions(rng, min(_BLOCK, n_pairs - start))
-        keep, b_lo, b_hi = _screened_ratios(spec, tables, block)
-        pos = np.concatenate([pos, start + np.flatnonzero(keep)])
-        lo, hi = np.concatenate([lo, b_lo]), np.concatenate([hi, b_hi])
-        # At least n ratios lie at or below t_low, so a row whose interval
-        # starts above it has n strictly smaller ratios; the same holds at the
-        # high end.  Thresholds only tighten, so a dropped row never returns.
+    # At least n ratios lie at or below t_low, so a row whose interval starts
+    # above it has n strictly smaller ratios; the same holds at the high end.
+    # Thresholds only tighten, so a dropped row never returns.
+    t_low, t_high = low_rungs[-1], high_rungs[0]
+    for start in range(0, n_pairs, _CHUNK):
+        # Chunks draw from ``rng`` in turn: the stream of one draw of n_pairs.
+        chunk = random_quaternions(rng, min(_CHUNK, n_pairs - start))
+        c_lo, c_hi = _screened_ratios(spec, tables, chunk)
+        new = np.flatnonzero((c_lo <= t_low) | (c_hi >= t_high))
+        pos = np.concatenate([pos, start + new])
+        lo, hi = np.concatenate([lo, c_lo[new]]), np.concatenate([hi, c_hi[new]])
         t_low = np.partition(np.concatenate([hi, low_rungs]), n - 1)[n - 1]
         t_high = -np.partition(-np.concatenate([lo, high_rungs]), n - 1)[n - 1]
         live = (lo <= t_low) | (hi >= t_high)
         pos, lo, hi = pos[live], lo[live], hi[live]
-        blocks = {b: blocks[b] for b in np.unique(pos // _BLOCK).tolist()}
-    quats = np.array([blocks[p // _BLOCK][p % _BLOCK] for p in pos.tolist()]).reshape(-1, 4)
-    exact = lo  # without tables the intervals are the exact ratios
-    if tables is not None:
-        exact = np.empty(len(pos))
-        for b, block in blocks.items():
-            d_geo, d_emb = _identity_distances(spec, block)
-            mine = pos // _BLOCK == b
-            exact[mine] = (d_emb / d_geo)[pos[mine] % _BLOCK]
-    ratios = np.concatenate([exact, rungs])
-    quats = np.concatenate([quats, ladder])
+        blocks = {
+            b: blocks[b] if b in blocks else chunk[b * _BLOCK - start :][:_BLOCK].copy()
+            for b in dict.fromkeys((pos // _BLOCK).tolist())  # pos is sorted; np.unique would import numpy.ma
+        }
+    quats, exact = [], []
+    for b, block in blocks.items():  # in draw order
+        d_geo, d_emb = _identity_distances(spec, block)
+        rows = pos[pos // _BLOCK == b] % _BLOCK
+        rows = rows[d_geo[rows] > 1e-9]
+        quats.append(block[rows])
+        exact.append(d_emb[rows] / d_geo[rows])
+    ratios = np.concatenate(exact + [rungs])
+    quats = np.concatenate(quats + [ladder])
     order = np.argsort(ratios, kind="stable")
     ends = np.concatenate([order[:n], order[::-1][:n]])  # lowest, then highest
     return quats[ends], ratios[ends]
@@ -413,12 +490,15 @@ def global_bounds(
     """Estimate the global bounds on ``|E1 - E2| / d([R1], [R2])``.
 
     Haar pair sampling reduces to sampling the relative rotation, drawn in
-    blocks; a deterministic near-identity ladder captures the small-distance
-    limit.  Each block is screened by the Gram-power kernel, which bounds
-    every ratio within a fixed rounding margin at k^2 products per rotation,
-    and only the samples that can still be among the 10 lowest or the 10
-    highest ratios are kept; those and the ladder then get exact class-value
-    ratios (see ``_extreme_samples``).  The selection, and so the result, is
+    chunks; a deterministic near-identity ladder captures the small-distance
+    limit.  Each chunk is screened from its quaternions: the Gram-power
+    kernel gives ``d_emb^2`` within a fixed rounding margin at k^2 products
+    per rotation, and ``2 arccos max_s |q . s|`` the quotient angle within
+    its rounding bound, so every ratio lies in a known interval (rotations
+    within ``_NEAR_ANGLE`` of the identity coset get ``[0, inf]``).  Only the
+    samples that can still be among the 10 lowest or the 10 highest ratios
+    are kept; their blocks and the ladder then get exact class-value ratios
+    (see ``_extreme_samples``).  The selection, and so the result, is
     that of evaluating every sample exactly, and memory stays flat in
     ``n_pairs``.  Optional refinement polishes the 10 lowest and the 10
     highest samples together by a compass search over left-multiplied small

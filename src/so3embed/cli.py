@@ -55,6 +55,7 @@ from .analysis import (
 from .embedding import (
     TABLE_GROUPS,
     EmbeddingSpec,
+    _parse_number,
     class_norms,
     class_values,
     dense_class_columns,
@@ -99,7 +100,7 @@ class _Parser(argparse.ArgumentParser):
 def _number(kind, low, strict: bool = False):
     """An argparse type: a finite ``kind`` value of at least ``low``, or above it if ``strict``."""
     def parse(text: str):
-        value = kind(text)
+        value = _parse_number(text, kind)
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
             raise argparse.ArgumentTypeError(f"expected a finite value {'>' if strict else '>='} {low}, got {text!r}")
         return value
@@ -219,8 +220,8 @@ def _row_floats(cells, pick, cols, line: int, out: np.ndarray) -> None:
     """Write the cells ``cols`` of one row, which ``pick`` takes, into ``out`` as
     finite floats: all at once, and cell by cell only when that fails, to name
     the first bad cell.  Python's ``float`` also reads digit underscores (``1_0``
-    is 10) and non-ASCII digits; the number grammar has neither, so a row with
-    one goes cell by cell too."""
+    is 10) and non-ASCII digits; the number grammar (``embedding._parse_number``)
+    has neither, so a row with one goes cell by cell too."""
     try:
         picked = pick(cells)
         joined = "".join(picked)
@@ -234,9 +235,7 @@ def _row_floats(cells, pick, cols, line: int, out: np.ndarray) -> None:
     for i, c in enumerate(cols):
         text = _cell(cells, c, line)
         try:
-            if "_" in text or not text.isascii():
-                raise ValueError(text)
-            value = float(text)
+            value = _parse_number(text)
         except ValueError:
             raise _DataError(f"line {line}: {text!r} is not a number") from None
         if not math.isfinite(value):
@@ -300,7 +299,7 @@ def cmd_embed(args) -> int:
         vals, ids, lines = _read_rows(reader, cols, idc)
         quats = _orientations(kind, vals, lines, args.degrees)
         fh = _open(stack, args.output, "w")
-        csv.writer(fh, lineterminator="\n").writerow(["id"] + [f"e{i}" for i in range(spec.ambient_dimension)])
+        fh.write("id,e" + ",e".join(map(str, range(spec.ambient_dimension))) + "\n")  # no cell needs quoting
         take = dense_class_columns(spec)
         for block in _row_blocks(len(quats), spec.ambient_dimension):
             comps = class_values(spec, quaternions_to_matrices(quats[block]))

@@ -377,6 +377,16 @@ def embedded_distance(spec: EmbeddingSpec, c1, c2) -> float:
 # ---------------------------------------------------------------------------
 # plain-text spec documents
 
+def _parse_number(text: str, kind=float):
+    """``kind(text)`` under the package's number grammar, shared by table cells,
+    command-line options and spec documents: Python's ``int`` and ``float``
+    also read digit underscores (``1_0`` as 10) and non-ASCII digits, which
+    the grammar has neither of."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not a number")
+    return kind(text)
+
+
 _TRUE_WORDS = {"true", "yes", "1", "on"}
 _FALSE_WORDS = {"false", "no", "0", "off"}
 
@@ -409,7 +419,7 @@ def parse_spec_document(text: str) -> EmbeddingSpec:
     if "group" not in fields:
         raise ValueError("spec document is missing the 'group' key")
 
-    k = int(fields["k"]) if "k" in fields else None
+    k = _parse_number(fields["k"], int) if "k" in fields else None
     group = group_elements(fields["group"], k)
     variant = fields.get("variant", "isometric")
 
@@ -425,11 +435,11 @@ def parse_spec_document(text: str) -> EmbeddingSpec:
 
     u = alpha = beta = None
     if "u" in fields:
-        u = tuple(tuple(float(x) for x in chunk.split()) for chunk in fields["u"].split(";"))
+        u = tuple(tuple(_parse_number(x) for x in chunk.split()) for chunk in fields["u"].split(";"))
     if "alpha" in fields:
-        alpha = tuple(int(x) for x in fields["alpha"].split())
+        alpha = tuple(_parse_number(x, int) for x in fields["alpha"].split())
     if "beta" in fields:
-        beta = tuple(float(x) for x in fields["beta"].split())
+        beta = tuple(_parse_number(x) for x in fields["beta"].split())
 
     if u is None or alpha is None or beta is None:
         if group.name not in TABLE_GROUPS:

@@ -430,7 +430,8 @@ def _polyhedral_table(family: str) -> np.ndarray:
         odd = [p for p in perms if np.linalg.det(np.eye(4)[list(p)]) < 0.0]
         parts.append(_signed_rows(np.array([GOLDEN_RATIO, 1.0, 1.0 / GOLDEN_RATIO, 0.0]) / 2.0, odd))
     q = canonical_quaternion(np.concatenate(parts)) + 0.0  # + 0.0 turns -0.0 into 0.0
-    return np.unique(q, axis=0)[::-1]
+    q = q[np.lexsort(q.T[::-1])[::-1]]  # first column most significant; np.unique would import numpy.ma
+    return q[np.r_[True, np.any(q[1:] != q[:-1], axis=1)]]
 
 
 @lru_cache(maxsize=None)
@@ -473,7 +474,7 @@ def group_elements(name: str, k: int | None = None) -> SymmetryGroup:
         if k is not None:
             raise ValueError(f"group {name!r} does not take a fold count")
         return _build_group(name, 0)
-    m = re.fullmatch(r"([CD])(\d*)", name)
+    m = re.fullmatch(r"([CD])([0-9]*)", name)  # \d would take non-ASCII digits
     if not m:
         raise ValueError(f"unknown symmetry group {name!r}")
     family, digits = m.groups()

@@ -21,7 +21,6 @@ counts ``(2i, 2j, 2k)``, evaluated in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -181,7 +180,7 @@ def invariant_class_values(alpha: int) -> np.ndarray:
         num = math.factorial(half) * math.factorial(a) * math.factorial(b) * math.factorial(c)
         den = (math.factorial(alpha) * math.factorial(a // 2)
                * math.factorial(b // 2) * math.factorial(c // 2))
-        vals[ci] = float(Fraction(num, den))
+        vals[ci] = num / den  # int division rounds correctly
     vals.setflags(write=False)
     return vals
 

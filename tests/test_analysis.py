@@ -33,8 +33,10 @@ from so3embed.so3 import (
     TANGENT_BASIS,
     Rotation,
     SymmetryGroup,
+    _quat_product,
     geodesic_distance,
     group_elements,
+    quaternions_from_axis_angles,
     quaternions_to_matrices,
     random_quaternions,
     random_rotation,
@@ -343,10 +345,79 @@ def test_screen_equality_fails_when_the_kernel_is_perturbed(monkeypatch):
     # than its margin, drops true extremes from the candidates
     exact, noise = analysis._gram_d2, np.random.default_rng(4)
     monkeypatch.setattr(
-        analysis, "_gram_d2", lambda comps, mats: exact(comps, mats) * (1.0 + 1e-3 * noise.standard_normal(len(mats)))
+        analysis, "_gram_d2", lambda comps, quats: exact(comps, quats) * (1.0 + 1e-3 * noise.standard_normal(len(quats)))
     )
     specs = [registry_lookup(name) for name in TABLE_GROUPS]
     assert _screen_mismatches(specs, 5_000, (0, 1, 12345))
+
+
+def _near_group_draws(group, angles):
+    """A stand-in for ``random_quaternions``: Haar draws in which every row with
+    ``|w| > 0.95`` (about 1.3% of them) becomes a rotation at one of ``angles``
+    rad from an element of ``group``.  Angle, element and axis are read from
+    the row itself, so chunks and blocks of the stream see the same rows."""
+    angles = np.asarray(angles)
+
+    def draw(rng, n):
+        q = random_quaternions(rng, n)
+        rows = np.flatnonzero(np.abs(q[:, 0]) > 0.95)
+        pick = np.abs(q[rows, 1] * 1e9).astype(np.int64)
+        turns = quaternions_from_axis_angles(q[rows, 1:], angles[pick % len(angles)])
+        q[rows] = _quat_product(group[pick % len(group)], turns)
+        return q
+
+    return draw
+
+
+def _near_group_mismatches(monkeypatch, angles):
+    out = []
+    for name in TABLE_GROUPS:
+        spec = registry_lookup(name)
+        monkeypatch.setattr(analysis, "random_quaternions", _near_group_draws(spec.group.quaternions, angles))
+        out += _screen_mismatches([spec], 5_000, (0, 1))
+    return out
+
+
+def test_rows_near_a_group_element_select_as_the_exhaustive_path(monkeypatch):
+    # rows 1e-10 rad from a group element are dropped (quotient angle below
+    # 1e-9), rows 1e-6 and 5e-3 rad away are settled exactly in their block
+    draw = _near_group_draws(group_elements("O").quaternions, (1e-10, 1e-6, 5e-3))
+    d_geo = analysis.quotient_angles(draw(np.random.default_rng(0), 5_000), group_elements("O").quaternions)
+    assert all(np.any(np.abs(d_geo / angle - 1.0) < 1e-3) for angle in (1e-6, 5e-3)) and np.any(d_geo < 1e-9)
+    assert _near_group_mismatches(monkeypatch, (1e-10, 1e-6, 5e-3)) == []
+
+
+def test_screen_equality_fails_with_an_inaccurate_angle(monkeypatch):
+    # an angle 1e-6 too large: samples that tie the exact ladder to within
+    # rounding lose to it (the ladder holds their coset copies)
+    exact = analysis._screen_angles
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_screen_angles", lambda quats, group: exact(quats, group) * (1.0 + 1e-6))
+        assert _coset_ladder_mismatches(patch)
+    assert not _coset_ladder_mismatches(monkeypatch)
+    # the first-order angle margin taken where it no longer holds: below about
+    # 1.6e-7 rad it exceeds the angle itself, and near rows are dropped
+    monkeypatch.setattr(analysis, "_NEAR_ANGLE", 1e-9)
+    assert _near_group_mismatches(monkeypatch, (1e-10, 3e-8, 1e-7, 1e-6))
+
+
+def _coset_ladder_mismatches(monkeypatch):
+    out = []
+    for name in TABLE_GROUPS[1:]:
+        spec = registry_lookup(name)
+        for seed in (0, 1):
+            pair_seq, _ = np.random.SeedSequence(seed).spawn(2)
+            first = random_quaternions(np.random.default_rng(pair_seq), 512)
+            copies = np.concatenate([_quat_product(g, first) for g in spec.group.quaternions[1:6]])
+            monkeypatch.setattr(analysis, "_ladder_quaternions", lambda rng, copies=copies: copies)
+            out += _screen_mismatches([spec], 2_000, (seed,))
+    return out
+
+
+def test_rotation_quadratic_gives_the_rotation_matrices():
+    quats = random_quaternions(np.random.default_rng(8), 200)
+    mats = np.einsum("abij,na,nb->nij", analysis._ROTATION_QUADRATIC, quats, quats)
+    assert np.abs(mats - quaternions_to_matrices(quats)).max() < 1e-15
 
 
 def test_gram_kernel_error_is_far_below_its_margin():
@@ -356,23 +427,33 @@ def test_gram_kernel_error_is_far_below_its_margin():
             spec = registry_lookup(name, variant)
             comps, tau = analysis._gram_tables(spec)
             quats = random_quaternions(rng, 2_048)
-            d2 = analysis._gram_d2(comps, quaternions_to_matrices(quats))
+            d2 = analysis._gram_d2(comps, quats)
             _, d_emb = analysis._identity_distances(spec, quats)
             assert 100.0 * np.abs(d2 - d_emb**2).max() <= tau, (name, variant)
 
 
 def test_screen_intervals_hold_the_exact_ratios(registered_spec):
     quats = random_quaternions(np.random.default_rng(5), 1_000)
-    keep, lo, hi = analysis._screened_ratios(registered_spec, analysis._gram_tables(registered_spec), quats)
+    lo, hi = analysis._screened_ratios(registered_spec, analysis._gram_tables(registered_spec), quats)
     d_geo, d_emb = analysis._identity_distances(registered_spec, quats)
-    ratio = d_emb[keep] / d_geo[keep]
-    assert np.all(lo <= ratio) and np.all(ratio <= hi) and np.all(hi - lo < 1e-9)
+    ratio = d_emb / d_geo
+    finite = np.isfinite(hi)
+    assert finite.sum() > 990 and np.all(lo <= ratio) and np.all(ratio <= hi) and np.all((hi - lo)[finite] < 1e-9)
+
+
+def test_screen_angles_are_the_quotient_angles_within_their_bound(registered_spec):
+    group = registered_spec.group.quaternions
+    quats = random_quaternions(np.random.default_rng(9), 20_000)
+    d = analysis._screen_angles(quats, group)
+    exact = analysis.quotient_angles(quats, group)
+    bound = 2.0 * math.pi * analysis._COS_ERROR / exact
+    assert np.all(np.abs(d - exact) <= bound) and np.abs(d - exact).max() < 1e-12
 
 
 def test_int_power_is_the_elementwise_power():
     g = np.random.default_rng(6).uniform(-1.0, 1.0, (7, 5))
     for a in range(1, 13):
-        assert np.allclose(analysis._int_power(g, a), g**a, rtol=1e-14, atol=0.0)
+        assert np.allclose(analysis._int_power(g.copy(), a), g**a, rtol=1e-14, atol=0.0)
 
 
 def test_large_orbit_spec_takes_the_exact_path():

@@ -771,6 +771,76 @@ def test_out_of_range_option_values_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--group", "C4", "--pairs", "1_000", "--no-refine"],
+        ["bounds", "--group", "C4", "--pairs", "10", "--no-refine", "--seed", "1_0"],
+        ["bounds", "--group", "C4", "--pairs", "10", "--no-refine", "--beta", "1_0", "1"],
+        ["scatter", "--group", "C4", "--pairs", "\u0661\u0660"],  # Arabic-Indic 10, which int reads
+        ["project", "--group", "O", "--tol", "1e-1_0"],
+        ["verify", "--suite", "mean", "--samples", "1_000"],
+    ],
+)
+def test_options_take_the_number_grammar_of_table_cells(argv, capsys):
+    # Python's int and float read these as 1000, 10 and so on; the cell
+    # grammar has no digit underscores and no non-ASCII digits
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line,cell",
+    [
+        ("beta = 1_0 1", "1_0"),
+        ("alpha = 1 \u0664", "\u0664"),
+        ("u = 1 0 0; 0 1_0 0", "1_0"),
+        ("k = 0_4", "0_4"),
+    ],
+)
+def test_spec_documents_take_the_number_grammar_of_table_cells(line, cell, tmp_path, capsys):
+    doc = tmp_path / "spec.txt"
+    doc.write_text(f"group = C\n{line}\n" + ("" if line.startswith("k") else "k = 4\n"))
+    assert main(["bounds", "--spec", str(doc), "--pairs", "10", "--no-refine"]) == 2
+    assert capsys.readouterr().err == f"error: {doc}: {cell!r} is not a number\n"
+
+
+def test_a_group_name_takes_ascii_digits_only(tmp_path, capsys):
+    doc = tmp_path / "spec.txt"
+    doc.write_text("group = C\u0664\n")
+    assert main(["bounds", "--spec", str(doc), "--pairs", "10", "--no-refine"]) == 2
+    assert "unknown symmetry group" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["C4", "Y"])
+def test_embed_header_is_the_csv_writers(group, tmp_path):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("id,qw,qx,qy,qz\nr0,1,0,0,0\n")
+    assert main(["embed", "--group", group, "-i", str(src), "-o", str(out)]) == 0
+    want = io.StringIO()
+    n = registry_lookup(group).ambient_dimension
+    csv.writer(want, lineterminator="\n").writerow(["id"] + [f"e{i}" for i in range(n)])
+    assert out.read_text().splitlines(keepends=True)[0] == want.getvalue()
+
+
+def test_embed_loads_neither_numpy_ma_nor_fractions(tmp_path):
+    # both cost import time and memory at every launch and serve no output of embed
+    src = tmp_path / "in.csv"
+    src.write_text("id,qw,qx,qy,qz\nr0,1,0,0,0\n")
+    code = (
+        "import sys\n"
+        "from so3embed.cli import main\n"
+        "assert main(['embed', '--group', 'Y', '-i', sys.argv[1], '-o', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'fractions') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(tmp_path / "out.csv")], capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
     "argv,table",
     [
         (["embed", "--group", "C4"], "id,qw,qx,qy,qz\nr0,1,0,0,0\n"),

@@ -318,6 +318,13 @@ def test_polyhedral_table_holds_its_generators_and_closes_exactly(name):
     assert gap.max() <= 4.4e-16
 
 
+@pytest.mark.parametrize("name,size", [("T", 12), ("O", 24), ("Y", 60)])
+def test_polyhedral_table_rows_are_unique_and_descending(name, size):
+    # np.unique, which imports numpy.ma, as the oracle of the table's own deduplication
+    q = so3._polyhedral_table(name)
+    assert len(q) == size and np.array_equal(q, np.unique(q, axis=0)[::-1])
+
+
 def test_cyclic_group_axis_is_e1():
     g = group_elements("C6")
     for q in g.quaternions:

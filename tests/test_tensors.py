@@ -18,6 +18,7 @@ from so3embed.tensors import (
     class_multiplicities,
     class_sums,
     inner,
+    invariant_class_values,
     invariant_tensor,
     monomial_derivatives,
     outer_power,
@@ -344,3 +345,19 @@ def test_binom_identity_small_values():
 def test_binom_identity_rejects_odd_ranks(bad):
     with pytest.raises(ValueError):
         binom_identity_check(bad)
+
+
+def test_invariant_class_values_are_the_rounded_fractions():
+    # int true division rounds correctly, as float(Fraction) does
+    from fractions import Fraction
+
+    for alpha in range(1, MAX_RANK + 1):
+        half, want = alpha // 2, []
+        for a, b, c in _classes(alpha)[1]:
+            if a % 2 or b % 2 or c % 2:
+                want.append(0.0)
+                continue
+            num = math.factorial(half) * math.factorial(a) * math.factorial(b) * math.factorial(c)
+            den = math.factorial(alpha) * math.factorial(a // 2) * math.factorial(b // 2) * math.factorial(c // 2)
+            want.append(float(Fraction(num, den)))
+        assert np.array_equal(invariant_class_values(alpha), want)
