@@ -17,17 +17,16 @@ its relative rotation Q, and the polish, :func:`distance_scatter` and every
 reported ratio take the distances of ``(N, 4)`` quaternions to the identity
 coset from the package's two distance kernels, ``so3.quotient_angles`` and
 ``embedding.class_norms``.  Both work on differences, so the ratio stays
-accurate down to tiny distances.  These distance sweeps run in blocks of
-``_BLOCK`` rotations.  The Haar sweep of the bounds first screens chunks of
-``_CHUNK`` rotations straight from their quaternions with a Gram-power
-kernel, ``|E(Q) - E(I)|^2`` as a polynomial in the orbit Gram entries
-``v . Q w``, each a quadratic form in the quaternion (k^2 products per
-rotation instead of ``k C(alpha+2, 2)`` class monomials), and the quotient
-angle ``2 arccos max_s |q . s|``.  Both are bounded within stated rounding
-margins, so each ratio lies in a known interval; only the blocks that hold a
-sample still able to reach the 10 lowest or 10 highest ratios go through the
-class-value path, so the selection and every printed number are those of an
-exhaustive sweep.
+accurate down to tiny distances, and both are row-independent: a rotation's
+distances have the same bits in any batch.  The Haar sweep of the bounds
+first screens chunks of ``_CHUNK`` rotations straight from their quaternions
+with a Gram-power kernel, ``|E(Q) - E(I)|^2`` as a polynomial in the orbit
+Gram entries ``v . Q w``, each a quadratic form in the quaternion (k^2
+products per rotation instead of ``k C(alpha+2, 2)`` class monomials), and
+the quotient angle ``2 arccos max_s |q . s|``.  Both are bounded within stated rounding
+margins, so each ratio lies in a known interval; only the samples still able
+to reach the 10 lowest or 10 highest ratios go through the class-value path,
+so the selection and every printed number are those of an exhaustive sweep.
 
 The Monte Carlo means of :func:`empirical_embedding_means` never form class
 values per rotation, and one sweep serves a whole list of specs: each chunk
@@ -176,8 +175,8 @@ def derive_beta(family: str, k: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # distances to the identity coset
 
-# Rotations per block of the distance sweeps of bounds and scatter: a block's
-# class values stay in cache, and memory does not grow with the sample count.
+# Rotations per block of ``_identity_distances``: a block's class values stay
+# in cache, and memory stays bounded however large the orbits.
 _BLOCK = 512
 
 # Haar rotations per chunk of the mean sweep: each chunk is drawn and turned
@@ -201,8 +200,8 @@ _POLISH_FLOOR = 1e-5
 # Compass axes: the six face and the eight corner directions of a cube.
 _COMPASS = np.array([d for d in product((-1.0, 0.0, 1.0), repeat=3) if sum(map(abs, d)) in (1.0, 3.0)])
 
-# Haar rotations drawn and screened at a time by the bounds sweep; a multiple
-# of ``_BLOCK``, whose blocks are kept and evaluated exactly.
+# Haar rotations drawn at a time by the bounds and scatter sweeps; the bounds
+# sweep screens each chunk and keeps only its candidates.
 _CHUNK = 2048
 
 # Rounding margin of the Gram-power screen of the bounds sweep, relative to
@@ -225,22 +224,26 @@ _NEAR_ANGLE = 1e-2
 
 def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quotient geodesic and embedded distance from each rotation ``(N, 4)``
-    to the identity coset; the ratio of the second to the first is the
-    distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
-    here = class_values(spec, quaternions_to_matrices(quats))
-    d_emb = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
-    return quotient_angles(quats, spec.group.quaternions), d_emb
+    to the identity coset, ``_BLOCK`` rotations at a time; the ratio of the
+    second to the first is the distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
+    d_geo, d_emb = np.empty(len(quats)), np.empty(len(quats))
+    for at in range(0, len(quats), _BLOCK):
+        block = quats[at : at + _BLOCK]
+        here = class_values(spec, quaternions_to_matrices(block))
+        d_emb[at : at + _BLOCK] = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
+        d_geo[at : at + _BLOCK] = quotient_angles(block, spec.group.quaternions)
+    return d_geo, d_emb
 
 
 def _sampled_distances(spec: EmbeddingSpec, rng: np.random.Generator, n: int):
-    """Yield ``(quats, d_geo, d_emb)`` for ``n`` Haar rotations, block by block.
+    """Yield ``(quats, d_geo, d_emb)`` for ``n`` Haar rotations, ``_CHUNK`` at a time.
 
     Rotations whose coset coincides numerically with the identity coset
-    (quotient distance below 1e-9) are dropped.  Blocks draw from ``rng`` in
+    (quotient distance below 1e-9) are dropped.  Chunks draw from ``rng`` in
     turn, so the stream is the one a single draw of ``n`` would give.
     """
-    for lo in range(0, n, _BLOCK):
-        quats = random_quaternions(rng, min(_BLOCK, n - lo))
+    for lo in range(0, n, _CHUNK):
+        quats = random_quaternions(rng, min(_CHUNK, n - lo))
         d_geo, d_emb = _identity_distances(spec, quats)
         keep = d_geo > 1e-9
         yield quats[keep], d_geo[keep], d_emb[keep]
@@ -397,15 +400,13 @@ def _screened_ratios(spec: EmbeddingSpec, tables, quats: np.ndarray):
     margin.  The rounding of the class-value path's own angle and ratio, a
     few ulps, is covered by ``tau``, whose relative share of a ratio is at
     least 1e-13.  Below ``_NEAR_ANGLE`` the first-order bound is loose and
-    the interval is ``[0, inf]``: such a row stays a candidate and its block
-    is settled exactly, where a quotient angle below 1e-9 drops it as in
+    the interval is ``[0, inf]``: such a row stays a candidate and is settled
+    exactly, where a quotient angle below 1e-9 drops it as in
     :func:`_sampled_distances`.  Without tables the intervals are the exact
-    ratios, evaluated in ``_BLOCK`` units, and ``[0, inf]`` for those
-    dropped rows.
+    ratios, and ``[0, inf]`` for those dropped rows.
     """
     if tables is None:
-        parts = [_identity_distances(spec, quats[at : at + _BLOCK]) for at in range(0, len(quats), _BLOCK)]
-        d_geo, d_emb = (np.concatenate(p) for p in zip(*parts))
+        d_geo, d_emb = _identity_distances(spec, quats)
         near = d_geo <= 1e-9
         ratio = np.divide(d_emb, d_geo, out=np.zeros(len(quats)), where=~near)
         return ratio, np.where(near, np.inf, ratio)
@@ -432,11 +433,9 @@ def _extreme_samples(spec: EmbeddingSpec, n_pairs: int, seed: int):
     :func:`_screened_ratios` ``_CHUNK`` at a time, straight from their
     quaternions; a sample stays a candidate while its interval can still
     reach either end, against the candidates and the exact ladder ratios.
-    Only the ``_BLOCK``-rotation blocks that hold a candidate are kept, so
-    memory stays flat in ``n_pairs``, and at the end each is evaluated whole
-    by the class-value path: a BLAS reduction may round a row differently
-    beside other rows, so a candidate's ratio is computed in the block it
-    would have in an exhaustive sweep, bit for bit as that sweep computes it.
+    Only the candidates' rotations are kept, in draw order, so memory stays
+    flat in ``n_pairs``; at the end they get their exact ratios, the bits an
+    exhaustive sweep gives them, since distances are row-independent.
     """
     n = _POLISH_STARTS
     pair_seq, ladder_seq = np.random.SeedSequence(seed).spawn(2)
@@ -446,8 +445,7 @@ def _extreme_samples(spec: EmbeddingSpec, n_pairs: int, seed: int):
     low_rungs, high_rungs = np.sort(rungs)[:n], np.sort(rungs)[-n:]
     tables = _gram_tables(spec)
     rng = np.random.default_rng(pair_seq)
-    blocks: dict[int, np.ndarray] = {}  # block number -> its rotations, while it holds a candidate
-    pos, lo, hi = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)  # candidates: draw position, interval
+    quats, lo, hi = np.empty((0, 4)), np.empty(0), np.empty(0)  # candidates and their intervals
     # At least n ratios lie at or below t_low, so a row whose interval starts
     # above it has n strictly smaller ratios; the same holds at the high end.
     # Thresholds only tighten, so a dropped row never returns.
@@ -456,26 +454,17 @@ def _extreme_samples(spec: EmbeddingSpec, n_pairs: int, seed: int):
         # Chunks draw from ``rng`` in turn: the stream of one draw of n_pairs.
         chunk = random_quaternions(rng, min(_CHUNK, n_pairs - start))
         c_lo, c_hi = _screened_ratios(spec, tables, chunk)
-        new = np.flatnonzero((c_lo <= t_low) | (c_hi >= t_high))
-        pos = np.concatenate([pos, start + new])
+        new = (c_lo <= t_low) | (c_hi >= t_high)
+        quats = np.concatenate([quats, chunk[new]])
         lo, hi = np.concatenate([lo, c_lo[new]]), np.concatenate([hi, c_hi[new]])
         t_low = np.partition(np.concatenate([hi, low_rungs]), n - 1)[n - 1]
         t_high = -np.partition(-np.concatenate([lo, high_rungs]), n - 1)[n - 1]
         live = (lo <= t_low) | (hi >= t_high)
-        pos, lo, hi = pos[live], lo[live], hi[live]
-        blocks = {
-            b: blocks[b] if b in blocks else chunk[b * _BLOCK - start :][:_BLOCK].copy()
-            for b in dict.fromkeys((pos // _BLOCK).tolist())  # pos is sorted; np.unique would import numpy.ma
-        }
-    quats, exact = [], []
-    for b, block in blocks.items():  # in draw order
-        d_geo, d_emb = _identity_distances(spec, block)
-        rows = pos[pos // _BLOCK == b] % _BLOCK
-        rows = rows[d_geo[rows] > 1e-9]
-        quats.append(block[rows])
-        exact.append(d_emb[rows] / d_geo[rows])
-    ratios = np.concatenate(exact + [rungs])
-    quats = np.concatenate(quats + [ladder])
+        quats, lo, hi = quats[live], lo[live], hi[live]
+    d_geo, d_emb = _identity_distances(spec, quats)
+    keep = d_geo > 1e-9
+    ratios = np.concatenate([d_emb[keep] / d_geo[keep], rungs])
+    quats = np.concatenate([quats[keep], ladder])
     order = np.argsort(ratios, kind="stable")
     ends = np.concatenate([order[:n], order[::-1][:n]])  # lowest, then highest
     return quats[ends], ratios[ends]
@@ -491,20 +480,17 @@ def global_bounds(
 
     Haar pair sampling reduces to sampling the relative rotation, drawn in
     chunks; a deterministic near-identity ladder captures the small-distance
-    limit.  Each chunk is screened from its quaternions: the Gram-power
-    kernel gives ``d_emb^2`` within a fixed rounding margin at k^2 products
-    per rotation, and ``2 arccos max_s |q . s|`` the quotient angle within
-    its rounding bound, so every ratio lies in a known interval (rotations
-    within ``_NEAR_ANGLE`` of the identity coset get ``[0, inf]``).  Only the
-    samples that can still be among the 10 lowest or the 10 highest ratios
-    are kept; their blocks and the ladder then get exact class-value ratios
-    (see ``_extreme_samples``).  The selection, and so the result, is
-    that of evaluating every sample exactly, and memory stays flat in
-    ``n_pairs``.  Optional refinement polishes the 10 lowest and the 10
-    highest samples together by a compass search over left-multiplied small
-    rotations (see ``_polish``); ``refine_evaluations`` counts the ratios it
-    evaluates.  Deterministic given ``seed``, and the sample stream is
-    nested: the first n draws of a 2n-pair run are the n-pair run's draws.
+    limit.  Each chunk is screened from its quaternions, which puts every
+    ratio in a known interval, and only the samples that can still be among
+    the 10 lowest or the 10 highest ratios are kept; they and the ladder then
+    get exact class-value ratios (see ``_screened_ratios`` and
+    ``_extreme_samples``).  The selection, and so the result, is that of
+    evaluating every sample exactly, and memory stays flat in ``n_pairs``.
+    Optional refinement polishes the 10 lowest and the 10 highest samples
+    together by a compass search over left-multiplied small rotations (see
+    ``_polish``); ``refine_evaluations`` counts the ratios it evaluates.
+    Deterministic given ``seed``, and the sample stream is nested: the first
+    n draws of a 2n-pair run are the n-pair run's draws.
 
     Returns
     -------
@@ -547,8 +533,8 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    blocks = _sampled_distances(spec, np.random.default_rng(seed), n_pairs)
-    return np.concatenate([np.column_stack([d_geo, d_emb]) for _, d_geo, d_emb in blocks])
+    chunks = _sampled_distances(spec, np.random.default_rng(seed), n_pairs)
+    return np.concatenate([np.column_stack([d_geo, d_emb]) for _, d_geo, d_emb in chunks])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ scatter   (geodesic, embedded) distance samples for plotting
 Orientations are ingested either as quaternions (columns qw,qx,qy,qz, scalar
 first; norm may deviate from 1 by at most 1e-3) or as ZYZ Euler angles
 (columns alpha,beta,gamma with beta in [0, pi]; --degrees switches the unit).
+alpha and gamma must lie in [-1e6, 1e6] rad after that switch: a larger angle
+keeps fewer than ten digits modulo 2 pi, and at 1e17 rad none.
 A numeric cell holds one decimal number: optional sign, ASCII digits with an
 optional decimal point, optional exponent, surrounding spaces ignored.  Digit
 underscores and non-ASCII digits, which Python's float reads (1_0 as 10), inf
@@ -259,6 +261,12 @@ def _orientations(kind: str, vals: np.ndarray, lines, degrees: bool) -> np.ndarr
     if bad.size:
         k = bad[0]
         raise _DataError(f"line {lines[k]}: Euler beta must lie in [0, pi], got {vals[k, 1]:.6g}")
+    big = np.abs(vals[:, ::2]) > 1e6  # alpha and gamma, in radians
+    bad = np.flatnonzero(big.any(axis=1))
+    if bad.size:
+        k = bad[0]
+        name, value = ("alpha", vals[k, 0]) if big[k, 0] else ("gamma", vals[k, 2])
+        raise _DataError(f"line {lines[k]}: Euler {name} must lie in [-1e6, 1e6] rad, got {float(value)!r} rad")
     return quaternions_from_euler_zyz(vals)
 
 

@@ -308,8 +308,22 @@ def _tangent_operators(alpha: int) -> np.ndarray:
 
 def class_norms(spec: EmbeddingSpec, comps) -> np.ndarray:
     """Norms ``(N,)`` of the dense tuples whose class values per component are
-    ``comps`` ``(N, C(alpha_i + 2, 2))``, such as :func:`class_values` differences."""
-    return np.sqrt(sum((v**2) @ class_multiplicities(a) for v, a in zip(comps, spec.alpha)))
+    ``comps`` ``(N, C(alpha_i + 2, 2))``, such as :func:`class_values` differences.
+    Row-independent: a row's norm has the same bits in any batch.  The terms
+    ``v * v * class_multiplicities(a)`` form one array whose class columns are
+    summed by halving in place (an odd last column moved down), elementwise
+    adds in an order the class counts fix; a BLAS product or a numpy
+    reduction picks its order by the batch shape."""
+    w = np.concatenate([v.T for v in comps])  # (sum C, N): one class column per row
+    w *= w
+    w *= np.concatenate([class_multiplicities(a) for a in spec.alpha], dtype=float)[:, None]  # float: no cast buffer
+    while len(w) > 1:
+        h = len(w) // 2
+        w[:h] += w[h : 2 * h]
+        if len(w) % 2:
+            w[h] = w[-1]
+        w = w[: len(w) - h]
+    return np.sqrt(w[0])
 
 
 def dense_class_columns(spec: EmbeddingSpec) -> list[int]:

@@ -570,15 +570,18 @@ def fundamental_representative(c: Coset) -> Rotation:
 
 
 def random_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` unit quaternions drawn from the uniform (Haar) distribution."""
+    """``n`` unit quaternions drawn from the uniform (Haar) distribution.
+
+    Row norms are summed column by column: the bits of ``np.linalg.norm(q,
+    axis=1)``, without its overhead."""
     q = rng.standard_normal((n, 4))
-    norms = np.linalg.norm(q, axis=1)
-    bad = norms < 1e-12
-    while bad.any():  # pragma: no cover - probability ~ 0
-        q[bad] = rng.standard_normal((int(bad.sum()), 4))
-        norms = np.linalg.norm(q, axis=1)
+    while True:
+        w, x, y, z = q.T
+        norms = np.sqrt(((w * w + x * x) + y * y) + z * z)
         bad = norms < 1e-12
-    return q / norms[:, None]
+        if not bad.any():
+            return q / norms[:, None]
+        q[bad] = rng.standard_normal((int(bad.sum()), 4))  # pragma: no cover - probability ~ 0
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:

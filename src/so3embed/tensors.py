@@ -4,8 +4,10 @@ A symmetric rank-``alpha`` tensor has one value per index-count class (the
 indices with ``n0`` zeros, ``n1`` ones and ``n2`` twos, ordered by
 ``_classes``): C(alpha+2, 2) numbers instead of 3^alpha.  The class values of
 ``w^{x alpha}`` are the monomials ``w0^n0 w1^n1 w2^n2`` of
-:func:`class_monomials`, and :func:`monomial_derivatives` gives their
-partials; every symmetrized power in the package is evaluated through these.
+:func:`class_monomials`; every symmetrized power in the package is evaluated
+through them, and differentiated by linear maps of its class values
+(``embedding._tangent_operators``).  :func:`monomial_derivatives` tabulates
+the monomials' partials, an independent oracle for those maps.
 Dense float64 arrays of shape ``(3,) * alpha``, in plain tuples per
 embedding, are the public input/output form and the test oracle; rotation
 acts on them mode by mode without a 3^alpha x 3^alpha Kronecker matrix.

@@ -21,6 +21,7 @@ from so3embed.embedding import (
     class_values,
     dense_rows,
     embed,
+    embedded_distance,
     format_spec_document,
     parse_spec_document,
     registry_lookup,
@@ -260,6 +261,44 @@ def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path):
 def test_embed_euler_rejects_out_of_range_beta():
     out = run_cli("embed", "--group", "C1", stdin="id,alpha,beta,gamma\nr0,0,4.0,0\n")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv,table,message",
+    [
+        (["embed"], "id,alpha,beta,gamma\nr0,0,1,0\nr1,1e300,1,0\n", "alpha must lie in [-1e6, 1e6] rad, got 1e+300 rad"),
+        (["embed", "--degrees"], "id,alpha,beta,gamma\nr0,0,1,0\nr1,0,1,-6e7\n", "gamma must lie in [-1e6, 1e6] rad, got -1047197."),
+        (
+            ["distance"],
+            "id,alpha1,beta1,gamma1,alpha2,beta2,gamma2\np0,0,0,0,0,0,0\np1,0,0,0,0,0,1000000.5\n",
+            "gamma must lie in [-1e6, 1e6] rad, got 1000000.5 rad",
+        ),
+        (
+            ["distance", "--degrees"],
+            "id,alpha1,beta1,gamma1,alpha2,beta2,gamma2\np0,0,0,0,0,0,0\np1,5.8e7,0,0,0,0,0\n",
+            "alpha must lie in [-1e6, 1e6] rad, got 1012290.9",
+        ),
+    ],
+)
+def test_euler_angles_past_1e6_rad_are_data_errors(argv, table, message, tmp_path, capsys):
+    # No digit of 1e300 rad modulo 2 pi is left; the limit applies to
+    # radians, after --degrees converts the cells
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text(table)
+    assert main([*argv, "--group", "C4", "-i", str(src), "-o", str(out)]) == 2
+    assert f"line 3: Euler {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,angle", [(["embed"], "-1e6"), (["embed", "--degrees"], "5.7e7"), (["distance"], "1e6")])
+def test_euler_angles_up_to_1e6_rad_are_accepted(argv, angle, tmp_path):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    if argv[0] == "embed":
+        src.write_text(f"id,alpha,beta,gamma\nr0,{angle},1,{angle}\n")
+    else:
+        src.write_text(f"id,alpha1,beta1,gamma1,alpha2,beta2,gamma2\np0,{angle},0,0,0,0,{angle}\n")
+    assert main([*argv, "--group", "C4", "-i", str(src), "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_embed_with_spec_document(tmp_path):
@@ -621,6 +660,26 @@ def test_distance_embedded_consistent_with_embed_rows(tmp_path):
     v1 = np.array([float(x) for x in erows[0][1:]])
     v2 = np.array([float(x) for x in erows[1][1:]])
     assert float(rows[0][1]) == pytest.approx(float(np.linalg.norm(v1 - v2)), rel=1e-12)
+
+
+def test_distance_embedded_rows_do_not_depend_on_their_neighbours(tmp_path):
+    # Each row of a 300-pair table prints exactly as it does alone in a
+    # one-row table, and as the scalar embedded_distance gives it.
+    rng = np.random.default_rng(23)
+    q1, q2 = random_quaternions(rng, 300), random_quaternions(rng, 300)
+    header = "id," + ",".join(f"{n}{i}" for i in (1, 2) for n in ("qw", "qx", "qy", "qz"))
+    rows = [f"p{i}," + ",".join(repr(float(x)) for x in (*a, *b)) for i, (a, b) in enumerate(zip(q1, q2))]
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+
+    def distances(lines):
+        src.write_text(header + "\n" + "\n".join(lines) + "\n")
+        assert main(["distance", "--group", "O", "--metric", "embedded", "-i", str(src), "-o", str(out)]) == 0
+        return [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+
+    table = distances(rows)
+    spec = registry_lookup("O")
+    assert [distances([row])[0] for row in rows] == table
+    assert [format(embedded_distance(spec, Rotation(a), Rotation(b)), ".17g") for a, b in zip(q1, q2)] == table
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from so3embed.embedding import (
     TABLE_GROUPS,
     EmbeddingSpec,
+    class_norms,
     class_values,
     dense_class_columns,
     dense_rows,
@@ -31,7 +32,8 @@ from so3embed.so3 import (
     random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import class_monomials, invariant_class_values, invariant_tensor, outer_power, tuple_norm
+from so3embed.tensors import class_monomials, class_multiplicities, invariant_class_values, invariant_tensor, outer_power
+from so3embed.tensors import tuple_norm
 
 SQ2 = math.sqrt(2.0)
 
@@ -340,6 +342,25 @@ def test_embedded_distance_vanishes_only_on_equal_cosets(rng, registered_spec):
         c1, c2 = Coset(r, g), Coset(r2, g)
         if coset_distance(c1, c2) > 0.1:
             assert embedded_distance(registered_spec, c1, c2) > 1e-3
+
+
+def test_class_norms_give_a_row_the_same_bits_in_any_batch():
+    # A BLAS product or a numpy reduction sums a row in an order the batch
+    # shape picks; every row of a 512-row batch must match its norm alone.
+    quats = random_quaternions(np.random.default_rng(19), 512)
+    mats = quaternions_to_matrices(quats)
+    mismatched = {}
+    for name in TABLE_GROUPS:
+        for variant in ("isometric", "arnold"):
+            spec = registry_lookup(name, variant)
+            comps = [v - v0 for v, v0 in zip(class_values(spec, mats), spec.identity_class_values)]
+            batch = class_norms(spec, comps)
+            alone = np.array([class_norms(spec, [v[i : i + 1] for v in comps])[0] for i in range(len(quats))])
+            if not np.array_equal(batch, alone):
+                mismatched[name, variant] = int(np.count_nonzero(batch != alone))
+            want = np.sqrt(sum((v * v) @ class_multiplicities(a) for v, a in zip(comps, spec.alpha)))
+            np.testing.assert_allclose(batch, want, rtol=1e-14)
+    assert not mismatched
 
 
 # ---------------------------------------------------------------------------

@@ -560,7 +560,9 @@ def test_random_quaternions_are_unit_and_deterministic():
 
 
 def test_random_quaternions_normalize_bit_for_bit_as_linalg_norm():
-    got = random_quaternions(np.random.default_rng(17), 100_000)
+    # drawn in chunks, as the sweeps draw them: the rows of one draw
+    rng = np.random.default_rng(17)
+    got = np.concatenate([random_quaternions(rng, n) for n in (1, 7, 512, 2048, 97_432)])
     q = np.random.default_rng(17).standard_normal((100_000, 4))
     assert np.array_equal(got, q / np.linalg.norm(q, axis=1)[:, None])
 
