@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3embed.cli import _DataError, _read_rows, _write_rows, build_parser, main
+from so3embed.cli import _DataError, _read_rows, _table_rows, _write_rows, build_parser, main
 from so3embed.embedding import (
     TABLE_GROUPS,
     class_values,
@@ -172,7 +172,7 @@ def test_digit_underscores_are_not_numbers(argv, table, tmp_path, capsys):
     ],
 )
 def test_read_rows_converts_a_row_at_once_and_names_its_first_bad_cell(row, message):
-    reader = csv.reader(io.StringIO("id,a,b,c\nr0,1,2,3\n\n" + row + "\n"))
+    reader = _table_rows(io.StringIO("id,a,b,c\nr0,1,2,3\n\n" + row + "\n"))
     next(reader)
     if message is not None:
         with pytest.raises(_DataError) as err:
@@ -193,7 +193,7 @@ def test_read_rows_holds_the_table_once():
     # well below the stacked 2.59.
     floats = np.random.default_rng(8).standard_normal((3000, 81))
     text = "".join(f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(floats.tolist()))
-    reader = csv.reader(io.StringIO(text))
+    reader = _table_rows(io.StringIO(text))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -204,6 +204,101 @@ def test_read_rows_holds_the_table_once():
     assert np.array_equal(vals, floats) and vals.flags.c_contiguous
     assert ids[-1] == "r2999" and lines[-1] == 3000
     assert peak <= 1.5 * vals.nbytes
+
+
+# Cells as csv writes them: plain text, or quoted with commas, doubled quotes
+# and line breaks inside; rows ended by LF, CRLF or a bare CR, the last one
+# possibly by nothing; blank and whitespace-only lines among them.
+_PLAIN_CELLS = st.text(alphabet="ab1.- \t", max_size=4)
+_QUOTED_CELLS = st.text(alphabet='ab1 ,"\r\n', max_size=5).map(lambda t: '"' + t.replace('"', '""') + '"')
+_LINES = st.one_of(
+    st.lists(st.one_of(_PLAIN_CELLS, _QUOTED_CELLS), min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", " ", " \t "]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=6),
+    st.sampled_from(["", "\n", "\r\n", "\r"]),
+    st.text(alphabet='a1,"\r\n \ufeff', max_size=12),
+)
+def test_table_rows_yield_the_cells_and_line_numbers_of_csv_reader(bom, lines, last, noise):
+    text = "\ufeff" * bom + "".join(a + b for a, b in lines) + last + noise
+    reader = csv.reader(io.StringIO(text, newline=""))
+    assert list(_table_rows(io.StringIO(text, newline=""))) == [(reader.line_num, cells) for cells in reader]
+
+
+@pytest.mark.parametrize(
+    "cell,code,message",
+    [
+        ("0" * 200_000, 0, None),  # an unquoted cell is split, not read by csv, and this one is a number
+        ("0" * 199_999 + "x", 2, "line 2: '" + "0" * 199_999 + "x' is not a number"),
+        ('"' + "0" * 200_000 + '"', 2, "line 2: field larger than field limit (131072)"),
+    ],
+    ids=["unquoted-number", "unquoted-non-number", "quoted"],
+)
+def test_a_cell_past_the_csv_field_limit_is_read_or_a_data_error(cell, code, message, tmp_path, capsys):
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("id,qw,qx,qy,qz\nr0,1,0,0," + cell + "\n")
+    assert main(["embed", "--group", "C1", "-i", str(src), "-o", str(out)]) == code
+    if message is None:
+        src.write_text("id,qw,qx,qy,qz\nr0,1,0,0,0\n")
+        assert main(["embed", "--group", "C1", "-i", str(src), "-o", str(tmp_path / "short.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "short.csv").read_bytes()
+        return
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # 1,500 rows of 3 cells span several blocks; the bad cell sits past them
+        ([f"r{i},1,2,3" for i in range(1500)] + ["r,1,2,x", "r,y,2,3"], "line 1502: 'x' is not a number"),
+        (["r0,1,2,3", "r1,1,x,3", "r2,1", "r3,z,2,3"], "line 3: 'x' is not a number"),  # then a short row
+        (["r0,1,2,3", "r1,1,2", "r2,1,x,3"], "line 3: expected at least 4 columns, found 3"),
+    ],
+)
+def test_read_rows_names_the_first_bad_row_of_any_block(rows, message):
+    reader = _table_rows(io.StringIO("id,a,b,c\n" + "\n".join(rows) + "\n"))
+    next(reader)
+    with pytest.raises(_DataError) as err:
+        _read_rows(reader, [1, 2, 3], 0)
+    assert str(err.value) == message
+
+
+def test_read_rows_takes_each_id_after_its_row_converts():
+    # the id sits past the floats: a row without it fails before a later bad number
+    reader = _table_rows(io.StringIO("a,b,id\n1,2\n1,x,r\n"))
+    next(reader)
+    with pytest.raises(_DataError) as err:
+        _read_rows(reader, [0, 1], 2)
+    assert str(err.value) == "line 2: expected at least 3 columns, found 2"
+
+
+@pytest.mark.parametrize("repeated", [True, False])
+def test_read_rows_gives_the_bits_of_float_per_cell(repeated, tmp_path):
+    # two clean Y rows repeat 66 distinct class values over 59,049 cells; random
+    # rows, with a signed zero beside each zero, repeat none but those
+    if repeated:
+        src, out = tmp_path / "q.csv", tmp_path / "e.csv"
+        src.write_text(quaternion_table(random_quaternions(np.random.default_rng(12), 2)))
+        assert main(["embed", "--group", "Y", "-i", str(src), "-o", str(out)]) == 0
+        text = out.read_text()
+    else:
+        floats = np.random.default_rng(13).standard_normal((300, 40)) * 10.0 ** np.arange(-150, 150)[:, None]
+        floats[0, :4] = [0.0, -0.0, 0.0, -0.0]
+        text = "id," + ",".join(f"e{i}" for i in range(40)) + "\n"
+        text += "".join(f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(floats.tolist()))
+    reader = _table_rows(io.StringIO(text))
+    width = len(next(reader)[1]) - 1
+    vals, ids, lines = _read_rows(reader, list(range(1, width + 1)), 0)
+    want = np.array([[float(c) for c in line.split(",")[1:]] for line in text.splitlines()[1:]])
+    assert vals.shape == want.shape and vals.tobytes() == want.tobytes()
+    distinct = len(set(map(repr, vals.ravel().tolist())))
+    assert distinct < 200 if repeated else distinct == vals.size - 2
 
 
 def test_header_names_match_stripped_and_caseless_and_the_first_one_wins():
