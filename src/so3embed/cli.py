@@ -21,13 +21,9 @@ and nan are data errors that name the cell.
 CSV is comma-separated UTF-8 with a header row; numeric output carries 17
 significant digits so 64-bit floats round-trip exactly, and every command is
 deterministic given --seed: identical invocations produce identical bytes.
-embed, project and distance split a line without a quote at its commas (the
-csv module reads a line with one), convert about 2^9 cells at a time into
-one float array, each distinct cell text once, and validate every row before
-the output is opened; embed and distance then compute and write in blocks of
-rows.  The parse holds the floats, id and line number of every row.  embed
-formats each distinct class value of a row once and writes the dense row
-from those strings.
+embed, project and distance validate every row before the output is opened.
+Spec ranks go up to 30; embed and project write or read dense rows, 3^alpha
+entries per component, and take ranks up to 12.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
 """
@@ -297,10 +293,15 @@ def _row_floats(cells, cols, line: int, out: np.ndarray) -> None:
         try:
             value = _parse_number(text)
         except ValueError:
-            raise _DataError(f"line {line}: {text!r} is not a number") from None
+            raise _DataError(f"line {line}: {_quoted(text)} is not a number") from None
         if not math.isfinite(value):
-            raise _DataError(f"line {line}: {text!r} is not a finite number")
+            raise _DataError(f"line {line}: {_quoted(text)} is not a finite number")
         out[i] = value
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)``, cut after 40 characters to ``...`` and the length: an error line stays short."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _orientations(kind: str, vals: np.ndarray, lines, degrees: bool) -> np.ndarray:
@@ -350,12 +351,21 @@ def _resolve_spec(args) -> EmbeddingSpec:
         raise _UsageError(str(exc)) from None
 
 
+def _dense_spec(args) -> tuple[EmbeddingSpec, int]:
+    """The spec and its dense row width; a rank past the dense-storage limit is a data error."""
+    spec = _resolve_spec(args)
+    try:
+        return spec, spec.ambient_dimension
+    except ValueError as exc:
+        raise _DataError(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_embed(args) -> int:
-    spec = _resolve_spec(args)
+    spec, dim = _dense_spec(args)
     with ExitStack() as stack:
         reader, header = _read_header(stack, args.input)
         kind, cols = _rotation_layout(header)
@@ -365,17 +375,16 @@ def cmd_embed(args) -> int:
         vals, ids, lines = _read_rows(reader, cols, idc)
         quats = _orientations(kind, vals, lines, args.degrees)
         fh = _open(stack, args.output, "w")
-        fh.write("id,e" + ",e".join(map(str, range(spec.ambient_dimension))) + "\n")  # no cell needs quoting
+        fh.write("id,e" + ",e".join(map(str, range(dim))) + "\n")  # no cell needs quoting
         take = dense_class_columns(spec)
-        for block in _row_blocks(len(quats), spec.ambient_dimension):
+        for block in _row_blocks(len(quats), dim):
             comps = class_values(spec, quaternions_to_matrices(quats[block]))
             _write_rows(fh, ids[block], np.concatenate(comps, axis=1), take)
     return EXIT_OK
 
 
 def cmd_project(args) -> int:
-    spec = _resolve_spec(args)
-    dim = spec.ambient_dimension
+    spec, dim = _dense_spec(args)
     with ExitStack() as stack:
         reader, header = _read_header(stack, args.input)
         idc = _id_column(header)
@@ -423,7 +432,11 @@ def cmd_distance(args) -> int:
         fh = _open(stack, args.output, "w")
         csv.writer(fh, lineterminator="\n").writerow(["id", "distance"])
         geodesic = args.metric == "geodesic"
-        for block in _row_blocks(len(q1), len(group) if geodesic else spec.ambient_dimension):
+        # a row takes the group's dot products, or the class monomials of every orbit vector
+        width = len(group) if geodesic else sum(
+            len(v) * math.comb(a + 2, 2) for (v, _), a in zip(spec.orbits, spec.alpha)
+        )
+        for block in _row_blocks(len(q1), width):
             if geodesic:
                 d = quotient_angles(relative_quaternions(q1[block], q2[block]), group.quaternions)
             else:

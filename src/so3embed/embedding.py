@@ -31,8 +31,8 @@ from itertools import product
 import numpy as np
 
 from .so3 import GOLDEN_RATIO, TANGENT_BASIS, Rotation, SymmetryGroup, as_coset, group_elements
-from .tensors import MAX_RANK, _classes, class_monomials, class_multiplicities, invariant_class_values, rotate_tuple
-from .tensors import tensor_from_class_values, tuple_norm
+from .tensors import MAX_CLASS_RANK, _check_rank, _class_index, _classes, class_counts, class_monomials
+from .tensors import class_multiplicities, invariant_class_values, rotate_tuple, tensor_from_class_values, tuple_norm
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .tensors import invariant_tensor, outer_power  # noqa: F401
@@ -70,7 +70,8 @@ class EmbeddingSpec:
         Directions, one per component.  Vectors within 1e-6 of unit length
         are renormalized; anything farther off is rejected.
     alpha : tuple of int
-        Tensor rank of each component, from 1 to ``tensors.MAX_RANK``.
+        Tensor rank of each component, from 1 to ``tensors.MAX_CLASS_RANK`` (30);
+        the dense layout (``columns``) stops at ``tensors.MAX_RANK`` (12).
     beta : tuple of float
         Positive component weights.
     centered : bool
@@ -98,8 +99,8 @@ class EmbeddingSpec:
                 raise ValueError(f"u[{i}] has norm {n:.8f}, more than 1e-6 away from 1")
             fixed.append(tuple(x / n for x in vec))
         for i, a in enumerate(alpha):
-            if not 1 <= a <= MAX_RANK:
-                raise ValueError(f"alpha[{i}] must lie between 1 and {MAX_RANK}, got {a}")
+            if not 1 <= a <= MAX_CLASS_RANK:
+                raise ValueError(f"alpha[{i}] must lie between 1 and {MAX_CLASS_RANK}, got {a}")
         for i, b in enumerate(beta):
             if not (b > 0.0 and math.isfinite(b)):
                 raise ValueError(f"beta[{i}] must be positive and finite, got {b}")
@@ -152,12 +153,12 @@ class EmbeddingSpec:
     @cached_property
     def columns(self) -> tuple[slice, ...]:
         """The flat-row layout: where each component's entries, row-major, sit in a row."""
-        ends = np.cumsum([3**a for a in self.alpha]).tolist()
+        ends = np.cumsum([3 ** _check_rank(a) for a in self.alpha]).tolist()
         return tuple(slice(end - 3**a, end) for end, a in zip(ends, self.alpha))
 
     @property
     def ambient_dimension(self) -> int:
-        """Total entry count of the embedding tuple, sum of 3^alpha_i."""
+        """Total entry count of the dense embedding tuple, sum of 3^alpha_i (see ``columns``)."""
         return self.columns[-1].stop
 
     @cached_property
@@ -297,11 +298,12 @@ def _tangent_operators(alpha: int) -> np.ndarray:
     at 0, for ``P`` of coefficients ``p`` and ``s_l = TANGENT_BASIS[l]``.  ``L[l] = sum_{d,f}
     s_l[d, f] U_f D_d``, filled entry by entry: ``D_d`` takes monomial ``n`` to ``n[d]``
     times the one with one ``d`` fewer, and ``U_f`` multiplies by ``w_f``."""
-    index = {n: i for i, n in enumerate(_classes(alpha)[1])}
-    out = np.zeros((3, len(index), len(index)))
-    for (c, n), d, f in product(enumerate(index), range(3), range(3)):
+    counts = class_counts(alpha)
+    out = np.zeros((3, len(counts), len(counts)))
+    for (c, n), d, f in product(enumerate(counts), range(3), range(3)):
         if n[d]:
-            out[:, index[tuple(k - (i == d) + (i == f) for i, k in enumerate(n))], c] += TANGENT_BASIS[:, d, f] * n[d]
+            m = [k - (i == d) + (i == f) for i, k in enumerate(n)]
+            out[:, _class_index(m[0], m[1], alpha), c] += TANGENT_BASIS[:, d, f] * n[d]
     out.setflags(write=False)
     return out
 
@@ -332,7 +334,7 @@ def dense_class_columns(spec: EmbeddingSpec) -> list[int]:
     each component's flat-index -> class map, offset by the class counts of the
     components before it.  Taking these columns gives :func:`dense_rows`."""
     offsets = np.cumsum([0] + [math.comb(a + 2, 2) for a in spec.alpha])
-    return np.concatenate([_classes(a)[0] + lo for a, lo in zip(spec.alpha, offsets)]).tolist()
+    return np.concatenate([_classes(_check_rank(a))[0] + lo for a, lo in zip(spec.alpha, offsets)]).tolist()
 
 
 def dense_rows(spec: EmbeddingSpec, comps) -> np.ndarray:

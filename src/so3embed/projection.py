@@ -77,8 +77,8 @@ class ProjectionResult:
 
     ``residual**2 = |target|**2 + radius**2 - 2 * objective`` holds up to
     round-off because embedded points all share the same norm.  ``iterations``
-    counts ascent steps across all executed starts; ``converged`` reports
-    whether the best run met the gradient tolerance.
+    counts ascent steps across all executed starts; ``converged`` says that the best
+    run met the gradient tolerance: a stationary point, not necessarily the global maximum.
     """
 
     coset: Coset

@@ -6,11 +6,10 @@ indices with ``n0`` zeros, ``n1`` ones and ``n2`` twos, ordered by
 ``w^{x alpha}`` are the monomials ``w0^n0 w1^n1 w2^n2`` of
 :func:`class_monomials`; every symmetrized power in the package is evaluated
 through them, and differentiated by linear maps of its class values
-(``embedding._tangent_operators``).  :func:`monomial_derivatives` tabulates
-the monomials' partials, an independent oracle for those maps.
-Dense float64 arrays of shape ``(3,) * alpha``, in plain tuples per
-embedding, are the public input/output form and the test oracle; rotation
-acts on them mode by mode without a 3^alpha x 3^alpha Kronecker matrix.
+(``embedding._tangent_operators``), up to rank ``MAX_CLASS_RANK``.  Dense
+float64 arrays of shape ``(3,) * alpha`` are the public input/output form and
+the test oracle; they hold 3^alpha entries, so they stop at ``MAX_RANK``
+(``_check_rank``), and rotation acts on them mode by mode.
 
 The rotation-invariant tensors returned by :func:`invariant_tensor` are the
 full symmetrizations of ``I^{x alpha/2}``.  Their entries depend only on how
@@ -36,7 +35,6 @@ __all__ = [
     "inner",
     "invariant_class_values",
     "invariant_tensor",
-    "monomial_derivatives",
     "outer_power",
     "rotate",
     "rotate_tuple",
@@ -46,14 +44,17 @@ __all__ = [
     "tuple_norm",
 ]
 
-MAX_RANK = 12  # dense storage: 3**12 entries is the supported ceiling
+MAX_RANK = 12  # dense storage: a rank-alpha component is 3**alpha entries
+
+# Class values: the largest multiplicity, 30!/(10!)^3 ~ 5.6e12, is exact in float64.
+MAX_CLASS_RANK = 30
 
 
-def _check_rank(alpha: int) -> int:
-    if not isinstance(alpha, (int, np.integer)) or alpha < 1:
-        raise ValueError(f"tensor rank must be a positive integer, got {alpha!r}")
-    if alpha > MAX_RANK:
-        raise ValueError(f"tensor rank {alpha} exceeds the dense-storage limit {MAX_RANK}")
+def _check_rank(alpha: int, limit: int = MAX_RANK) -> int:
+    """``alpha`` as an int if it is a rank from 1 to ``limit``, ``MAX_RANK`` or ``MAX_CLASS_RANK``."""
+    if not isinstance(alpha, (int, np.integer)) or not 1 <= alpha <= limit:
+        kind = "the dense-storage limit" if limit == MAX_RANK else "the class-value limit"
+        raise ValueError(f"tensor rank alpha must be an integer from 1 to {kind} {limit}, got {alpha!r}")
     return int(alpha)
 
 
@@ -73,25 +74,29 @@ def outer_power(v, alpha: int) -> np.ndarray:
 def _classes(alpha: int):
     """Index-count classes of rank-``alpha`` tensors.
 
-    Returns ``(ids, counts, mult)`` where ``ids`` maps each flat index to its
-    class, ``counts`` lists the value-count triple (n0, n1, n2) of every class
-    and ``mult`` the number of indices in it.  Rank 0 has one class, (0, 0, 0).
-    Classes are ordered by ``n0``, then ``n1``, so the class of an index is
-    ``n0 (alpha + 1) - n0 (n0 - 1) / 2 + n1 = n0 (2 alpha + 3 - n0) / 2 + n1``.
+    Returns ``(ids, counts, mult)``: the value-count triple (n0, n1, n2) of every
+    class, the number of indices in it and, only up to ``MAX_RANK`` (else ``None``),
+    the dense map of each flat index to its class.  Rank 0 has one class, (0, 0, 0).
     """
-    # zeros and ones among the digits of each flat index, in 16 bits: a
-    # quarter of the int64 size, and far from overflow at any storable rank
+    counts = tuple((a, b, alpha - a - b) for a in range(alpha + 1) for b in range(alpha + 1 - a))
+    mult = np.array([math.comb(alpha, a) * math.comb(alpha - a, b) for a, b, _ in counts], dtype=np.int64)
+    mult.setflags(write=False)
+    if alpha > MAX_RANK:
+        return None, counts, mult
+    # zeros and ones among the digits of each flat index, in 16 bits, far from overflow
     n0 = n1 = np.zeros(1, dtype=np.uint16)
     for _ in range(alpha):  # prepend one digit: 0, 1 or 2
         n0 = (n0 + np.array([[1], [0], [0]], dtype=np.uint16)).ravel()
         n1 = (n1 + np.array([[0], [1], [0]], dtype=np.uint16)).ravel()
-    ids = (n0 * (2 * alpha + 3 - n0) // 2 + n1).astype(np.int64)
-    counts = [(a, b, alpha - a - b) for a in range(alpha + 1) for b in range(alpha + 1 - a)]
-    mult = np.array([math.factorial(alpha) // (math.factorial(a) * math.factorial(b) * math.factorial(c))
-                     for a, b, c in counts], dtype=np.int64)
+    ids = _class_index(n0, n1, alpha).astype(np.int64)
     ids.setflags(write=False)
-    mult.setflags(write=False)
-    return ids, tuple(counts), mult
+    return ids, counts, mult
+
+
+def _class_index(n0, n1, alpha: int):
+    """Position of the class with ``n0`` zeros and ``n1`` ones (ints or integer arrays)
+    among the classes of rank ``alpha``, ordered by ``n0``, then ``n1``."""
+    return n0 * (2 * alpha + 3 - n0) // 2 + n1
 
 
 def class_monomials(w, alpha: int) -> np.ndarray:
@@ -123,15 +128,10 @@ def _class_pairs(alpha: int) -> np.ndarray:
     ``lo = alpha // 2`` and ``hi = alpha - lo``: the pair whose counts add up to
     the class, its ``lo`` counts taken from ``n0`` first, then ``n1``, then ``n2``."""
     lo, hi = alpha // 2, alpha - alpha // 2
-    lower = {n: i for i, n in enumerate(_classes(lo)[1])}
-    upper = {n: i for i, n in enumerate(_classes(hi)[1])}
-    pairs = []
-    for n0, n1, n2 in _classes(alpha)[1]:
-        a0 = min(n0, lo)
-        a1 = min(n1, lo - a0)
-        a2 = lo - a0 - a1
-        pairs.append(lower[a0, a1, a2] * len(upper) + upper[n0 - a0, n1 - a1, n2 - a2])
-    out = np.array(pairs, dtype=np.int64)
+    n0, n1, _ = np.array(_classes(alpha)[1], dtype=np.int64).T
+    a0 = np.minimum(n0, lo)
+    a1 = np.minimum(n1, lo - a0)
+    out = _class_index(a0, a1, lo) * math.comb(hi + 2, 2) + _class_index(n0 - a0, n1 - a1, hi)
     out.setflags(write=False)
     return out
 
@@ -155,24 +155,9 @@ def class_monomial_sums(w, weights, alpha: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def monomial_derivatives(alpha: int) -> np.ndarray:
-    """Cached read-only ``D``, shape ``(3, C(alpha+1, 2), C(alpha+2, 2))``, with
-    ``d/dw_d class_monomials(w, alpha) = D[d].T @ class_monomials(w, alpha - 1)``."""
-    alpha = _check_rank(alpha)
-    lower = {n: i for i, n in enumerate(_classes(alpha - 1)[1])}
-    table = np.zeros((3, len(lower), math.comb(alpha + 2, 2)))
-    for c, n in enumerate(_classes(alpha)[1]):
-        for d in range(3):
-            if n[d]:
-                table[d, lower[n[:d] + (n[d] - 1,) + n[d + 1 :]], c] = n[d]
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
 def invariant_class_values(alpha: int) -> np.ndarray:
     """Class values of :func:`invariant_tensor` (cached, read-only)."""
-    alpha = _check_rank(alpha)
+    alpha = _check_rank(alpha, MAX_CLASS_RANK)
     counts = _classes(alpha)[1]
     half = alpha // 2
     vals = np.zeros(len(counts))
@@ -250,7 +235,7 @@ def symmetrize(t: np.ndarray) -> np.ndarray:
     which equals the average over all rank! permutations at 3^rank cost.
     """
     t = np.asarray(t, dtype=float)
-    ids, _, mult = _classes(t.ndim)
+    ids, _, mult = _classes(_check_rank(t.ndim))
     return (class_sums(t.reshape(1, -1), t.ndim)[0] / mult)[ids].reshape(t.shape)
 
 
@@ -269,7 +254,7 @@ def class_sums(rows, alpha: int) -> np.ndarray:
     ``(N, 3**alpha)``, each summed in index order: ``<t, s> = class_sums(t) @ v`` for
     the symmetric ``s`` with class values ``v``."""
     rows = np.asarray(rows, dtype=float)
-    ids, _, mult = _classes(alpha)
+    ids, _, mult = _classes(_check_rank(alpha))
     out = np.empty((len(rows), len(mult)))
     for row, sums in zip(rows, out):
         sums[:] = np.bincount(ids, weights=row, minlength=len(mult))
@@ -278,7 +263,7 @@ def class_sums(rows, alpha: int) -> np.ndarray:
 
 def class_multiplicities(alpha: int) -> np.ndarray:
     """Indices per class (read-only): symmetric tensors have inner product ``x @ (mult * y)``."""
-    return _classes(_check_rank(alpha))[2]
+    return _classes(_check_rank(alpha, MAX_CLASS_RANK))[2]
 
 
 def tensor_from_class_values(vals: np.ndarray, alpha: int) -> np.ndarray:
@@ -296,7 +281,7 @@ def tensor_from_class_values(vals: np.ndarray, alpha: int) -> np.ndarray:
 
 def class_counts(alpha: int) -> tuple[tuple[int, int, int], ...]:
     """Value-count triples of all index classes of rank ``alpha``, fixed order."""
-    return _classes(_check_rank(alpha))[1]
+    return _classes(_check_rank(alpha, MAX_CLASS_RANK))[1]
 
 
 def binom_identity_check(alpha: int) -> tuple[int, int]:

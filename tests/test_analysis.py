@@ -41,8 +41,9 @@ from so3embed.so3 import (
     random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import class_monomial_sums, class_monomials, inner, invariant_tensor, monomial_derivatives
-from so3embed.tensors import outer_power, tuple_norm
+from so3embed.tensors import class_monomial_sums, class_monomials, inner, invariant_tensor, outer_power, tuple_norm
+
+from oracles import monomial_derivatives, orbit_gram
 
 # measured affine-hull dimensions of the group-averaged (quotient) image;
 # averaging can only lose harmonic content, so these never exceed the
@@ -57,6 +58,20 @@ AMBIENT_RANKS = {
     "C1": 9, "C2": 13, "C3": 13, "C4": 17, "C6": 30, "D2": 10,
     "D3": 15, "D4": 19, "D6": 32, "T": 10, "O": 14, "Y": 65,
 }
+
+
+def cyclic_spec(k, a, beta=None):
+    """The C_k spec (e1 rank 1, e2 rank ``a``), weighted by ``beta`` or else locally
+    isometric: at unit weight the rank-``a`` component's Gram matrix is ``diag(g1,
+    g2, g2)`` and the rank-1 one's ``diag(0, 1, 1)``, so ``beta^2 = (1 - g2/g1, 1/g1)``."""
+    if beta is None:
+        g = isometry_check(EmbeddingSpec(group_elements("C", k), ((0.0, 1.0, 0.0),), (a,), (1.0,))).gram
+        beta = (math.sqrt(1.0 - g[1, 1] / g[0, 0]), 1.0 / math.sqrt(g[0, 0]))
+    return EmbeddingSpec(group_elements("C", k), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (1, a), beta)
+
+
+# Locally isometric specs past the dense-storage limit (rank 12), up to the class-value limit.
+HIGH_RANK_SPECS = {f"C{k}-{a}": (k, a) for k, a in ((10, 16), (12, 24), (6, 30))}
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +151,19 @@ def test_isometry_check_all_registered_specs(registered_spec):
     assert report.is_isometric
     assert report.max_defect < 1e-10
     assert np.abs(report.gram - np.eye(3)).max() < 1e-10
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_isometry_gram_matches_the_orbit_formula_past_the_dense_limit(k):
+    for a in range(13, 31):
+        spec = cyclic_spec(k, a, (0.5, 1.0))
+        want = orbit_gram(spec)
+        assert np.abs(isometry_check(spec).gram - want).max() <= 1e-13 * np.abs(want).max(), a
+
+
+def test_cyclic_specs_reach_local_isometry_past_the_dense_limit():
+    for k, a in HIGH_RANK_SPECS.values():
+        assert isometry_check(cyclic_spec(k, a)).is_isometric
 
 
 def test_unit_weight_specs_are_not_isometric():
@@ -258,6 +286,29 @@ def test_global_bounds_ladder_reaches_unit_slope(registered_spec):
     est = global_bounds(registered_spec, n_pairs=2_000, seed=1, refine=False)
     assert est.c_max > 1.0 - 5e-3
     assert est.c_max < 1.0 + 5e-3
+
+
+# (k, a) of C_k (e1 rank 1, e2 rank a) specs on both sides of the dense-storage limit
+WITNESS_SPECS = [(4, 4), (6, 6), (8, 12), (10, 16), (12, 24), (6, 30)]
+
+
+@pytest.mark.parametrize("k,a", WITNESS_SPECS)
+def test_the_half_turn_about_e2_has_the_witness_ratio(k, a):
+    # the half turn h about e2 maps the orbit of e2 onto itself and e1 to -e1:
+    # only the rank-1 component moves, by 2 beta_1, over the quotient angle pi
+    spec = cyclic_spec(k, a)
+    d_geo, d_emb = analysis._identity_distances(spec, np.array([[0.0, 0.0, 1.0, 0.0]]))
+    assert d_geo[0] == pytest.approx(math.pi, rel=1e-15)
+    assert d_emb[0] / d_geo[0] == pytest.approx(2.0 * spec.beta[0] / math.pi, rel=1e-14)
+
+
+@pytest.mark.parametrize("k,a", WITNESS_SPECS)
+def test_sampled_c_min_reaches_the_witness_ratio(k, a):
+    # the sampled minimum can only lie above the true one, which the witness
+    # bounds; the polish stops at 1e-9 rad steps and lands within 1.2e-10 of
+    # the witness, the unpolished samples 4e-3 or more above it
+    spec = cyclic_spec(k, a)
+    assert global_bounds(spec, n_pairs=20_000, seed=0).c_min <= 2.0 * spec.beta[0] / math.pi * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -422,20 +473,29 @@ def test_rotation_quadratic_gives_the_rotation_matrices():
 
 def test_gram_kernel_error_is_far_below_its_margin():
     rng = np.random.default_rng(77)
-    for name in TABLE_GROUPS:
-        for variant in ("isometric", "arnold"):
-            spec = registry_lookup(name, variant)
-            comps, tau = analysis._gram_tables(spec)
-            quats = random_quaternions(rng, 2_048)
-            d2 = analysis._gram_d2(comps, quats)
-            _, d_emb = analysis._identity_distances(spec, quats)
-            assert 100.0 * np.abs(d2 - d_emb**2).max() <= tau, (name, variant)
+    cases = [((name, variant), registry_lookup(name, variant))
+             for name in TABLE_GROUPS for variant in ("isometric", "arnold")]
+    cases += [(name, cyclic_spec(k, a)) for name, (k, a) in HIGH_RANK_SPECS.items()]
+    for case, spec in cases:
+        comps, tau = analysis._gram_tables(spec)
+        quats = random_quaternions(rng, 2_048)
+        d2 = analysis._gram_d2(comps, quats)
+        _, d_emb = analysis._identity_distances(spec, quats)
+        assert 100.0 * np.abs(d2 - d_emb**2).max() <= tau, case
 
 
-def test_screen_intervals_hold_the_exact_ratios(registered_spec):
+# the high-rank specs again with weights that favour the rank-a component,
+# where the kernel's rounding takes the largest share of its margin
+SCREEN_SPECS = {name: registry_lookup(name) for name in TABLE_GROUPS}
+SCREEN_SPECS.update({name: cyclic_spec(k, a) for name, (k, a) in HIGH_RANK_SPECS.items()})
+SCREEN_SPECS.update({f"{name}-heavy": cyclic_spec(k, a, (0.1, 1.0)) for name, (k, a) in HIGH_RANK_SPECS.items()})
+
+
+@pytest.mark.parametrize("spec", SCREEN_SPECS.values(), ids=SCREEN_SPECS.keys())
+def test_screen_intervals_hold_the_exact_ratios(spec):
     quats = random_quaternions(np.random.default_rng(5), 1_000)
-    lo, hi = analysis._screened_ratios(registered_spec, analysis._gram_tables(registered_spec), quats)
-    d_geo, d_emb = analysis._identity_distances(registered_spec, quats)
+    lo, hi = analysis._screened_ratios(spec, analysis._gram_tables(spec), quats)
+    d_geo, d_emb = analysis._identity_distances(spec, quats)
     ratio = d_emb / d_geo
     finite = np.isfinite(hi)
     assert finite.sum() > 990 and np.all(lo <= ratio) and np.all(ratio <= hi) and np.all((hi - lo)[finite] < 1e-9)

@@ -234,7 +234,7 @@ def test_table_rows_yield_the_cells_and_line_numbers_of_csv_reader(bom, lines, l
     "cell,code,message",
     [
         ("0" * 200_000, 0, None),  # an unquoted cell is split, not read by csv, and this one is a number
-        ("0" * 199_999 + "x", 2, "line 2: '" + "0" * 199_999 + "x' is not a number"),
+        ("0" * 199_999 + "x", 2, "line 2: '" + "0" * 40 + "'... (200000 characters) is not a number"),
         ('"' + "0" * 200_000 + '"', 2, "line 2: field larger than field limit (131072)"),
     ],
     ids=["unquoted-number", "unquoted-non-number", "quoted"],
@@ -416,6 +416,39 @@ def test_embed_rejects_spec_rank_past_the_storage_limit(tmp_path, capsys):
     assert main(["embed", "--spec", str(doc), "-i", str(src), "-o", str(out)]) == 2
     assert "alpha" in capsys.readouterr().err
     assert not out.exists()
+
+
+# A C12 spec past the dense-storage limit: e1 rank 1, e2 rank 24, locally isometric weights.
+RANK_24_DOC = "group = C\nk = 12\nu = 1 0 0; 0 1 0\nalpha = 1 24\nbeta = 0.28208542890864785 0.6578716539662499\n"
+
+
+def test_a_rank_24_spec_runs_the_class_value_commands_and_no_dense_one(tmp_path, capsys):
+    doc, src, pairs = tmp_path / "spec.txt", tmp_path / "in.csv", tmp_path / "pairs.csv"
+    doc.write_text(RANK_24_DOC)
+    quats = random_quaternions(np.random.default_rng(24), 6)
+    src.write_text(quaternion_table(quats))
+    pairs.write_text("id,qw1,qx1,qy1,qz1,qw2,qx2,qy2,qz2\n" + "".join(
+        f"p{i}," + ",".join(map(repr, map(float, np.concatenate([a, b])))) + "\n"
+        for i, (a, b) in enumerate(zip(quats[:3], quats[3:]))
+    ))
+    # the leading text cells of a row: bounds' group and variant, distance's id
+    for argv, skip in ((["bounds", "--pairs", "2000"], 2), (["scatter", "--pairs", "50"], 0),
+                       (["distance", "--metric", "embedded", "-i", str(pairs)], 1)):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--spec", str(doc), "-o", str(out)]) == 0, argv
+        _, rows = read_csv(out.read_text())
+        values = np.array([[float(x) for x in row[skip:]] for row in rows])
+        assert values.size and np.all(np.isfinite(values)), argv
+    capsys.readouterr()
+    for command in ("embed", "project"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--spec", str(doc), "-i", str(src), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "alpha" in err and "dense-storage limit 12" in err and not out.exists()
+    doc.write_text(RANK_24_DOC.replace("alpha = 1 24", "alpha = 1 31"))
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--spec", str(doc), "--pairs", "10", "-o", str(out)]) == 2
+    assert "alpha[1] must lie between 1 and 30, got 31" in capsys.readouterr().err and not out.exists()
 
 
 def test_embed_y_table_past_one_row_block_matches_row_by_row_embed(tmp_path):

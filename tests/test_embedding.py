@@ -113,12 +113,33 @@ def test_spec_renormalizes_slightly_off_unit_vectors():
         (((1.0, 0.0),), (2,), (1.0,)),            # not a 3-vector
         (((math.nan, 0.0, 0.0),), (2,), (1.0,)),  # non-finite direction
         (((1.0, 0.0, 0.0),), (2,), (math.inf,)),  # non-finite weight
-        (((1.0, 0.0, 0.0),), (20,), (1.0,)),      # rank past MAX_RANK
+        (((1.0, 0.0, 0.0),), (31,), (1.0,)),      # rank past MAX_CLASS_RANK
     ],
 )
 def test_spec_validation_rejects_bad_parameters(u, alpha, beta):
     with pytest.raises(ValueError):
         EmbeddingSpec(group_elements("C1"), u, alpha, beta)
+
+
+def test_a_rank_past_the_dense_limit_has_class_values_and_no_dense_layout():
+    # ranks up to 30 are class values; the dense layout stores 3^alpha entries and stops at 12
+    from so3embed.projection import project_many
+
+    spec = EmbeddingSpec(group_elements("C", 5), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (1, 13), (0.5, 0.7))
+    assert [v.shape for v in class_values(spec, np.eye(3)[None])] == [(1, 3), (1, 105)]
+    assert radius(spec) > 0.0
+    assert embedded_distance(spec, Rotation.identity(), random_rotation(np.random.default_rng(1))) > 0.0
+    dense = [
+        lambda: spec.columns,
+        lambda: spec.ambient_dimension,
+        lambda: dense_class_columns(spec),
+        lambda: dense_rows(spec, class_values(spec, np.eye(3)[None])),
+        lambda: embed(spec, Rotation.identity()),
+        lambda: project_many(spec, np.ones((1, 3))),
+    ]
+    for call in dense:
+        with pytest.raises(ValueError, match="dense-storage limit 12, got 13"):
+            call()
 
 
 def test_orbit_weights_sum_to_one(registered_spec):

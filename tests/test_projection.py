@@ -29,8 +29,9 @@ from so3embed.so3 import (
     random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import class_monomials, class_sums, invariant_class_values, monomial_derivatives, rotate_tuple
-from so3embed.tensors import tuple_norm
+from so3embed.tensors import class_monomials, class_sums, invariant_class_values, rotate_tuple, tuple_norm
+
+from oracles import monomial_derivatives
 
 
 def _noisy_target(spec, r, scale, rng):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from so3embed.so3 import random_rotation
 from so3embed.tensors import (
+    MAX_CLASS_RANK,
     MAX_RANK,
+    _class_index,
     _class_pairs,
     _classes,
     binom_identity_check,
@@ -20,7 +22,6 @@ from so3embed.tensors import (
     inner,
     invariant_class_values,
     invariant_tensor,
-    monomial_derivatives,
     outer_power,
     rotate,
     rotate_tuple,
@@ -29,6 +30,8 @@ from so3embed.tensors import (
     tensor_from_class_values,
     tuple_norm,
 )
+
+from oracles import monomial_derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,39 @@ def test_class_pairs_split_every_class_into_its_two_halves(alpha):
     assert rows.max() < len(lower)
     for n, i, j in zip(_classes(alpha)[1], rows, cols):
         assert tuple(a + b for a, b in zip(lower[i], upper[j])) == n
+
+
+@pytest.mark.parametrize("alpha", range(MAX_RANK + 1, MAX_CLASS_RANK + 1))
+def test_classes_past_the_dense_limit_have_counts_and_exact_multiplicities_only(alpha):
+    ids, counts, mult = _classes(alpha)
+    assert ids is None
+    assert counts == class_counts(alpha)
+    assert counts == tuple((a, b, alpha - a - b) for a in range(alpha + 1) for b in range(alpha + 1 - a))
+    assert [_class_index(a, b, alpha) for a, b, _ in counts] == list(range(len(counts)))
+    assert sum(mult.tolist()) == 3**alpha and np.array_equal(mult.astype(float).astype(np.int64), mult)
+    lower, upper = _classes(alpha // 2)[1], _classes(alpha - alpha // 2)[1]
+    rows, cols = np.divmod(_class_pairs(alpha), len(upper))
+    for n, i, j in zip(counts, rows, cols):
+        assert tuple(a + b for a, b in zip(lower[i], upper[j])) == n
+
+
+def test_dense_paths_reject_a_rank_past_the_storage_limit_and_class_values_take_it():
+    rank = MAX_RANK + 1
+    dense = [
+        lambda: outer_power(np.ones(3), rank),
+        lambda: tensor_from_class_values(np.zeros(math.comb(rank + 2, 2)), rank),
+        lambda: symmetrize(np.broadcast_to(0.0, (3,) * rank)),  # a view: no 3^13 entries
+        lambda: class_sums(np.zeros((1, 3)), rank),
+        lambda: invariant_tensor(rank + 1),
+    ]
+    for call in dense:
+        with pytest.raises(ValueError, match="alpha must be an integer from 1 to the dense-storage limit 12"):
+            call()
+    assert len(class_counts(MAX_CLASS_RANK)) == len(class_multiplicities(MAX_CLASS_RANK)) == 496
+    assert invariant_class_values(MAX_CLASS_RANK)[0] == 1.0
+    for call in (class_counts, class_multiplicities, invariant_class_values):
+        with pytest.raises(ValueError, match="class-value limit 30"):
+            call(MAX_CLASS_RANK + 1)
 
 
 # ---------------------------------------------------------------------------
