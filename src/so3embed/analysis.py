@@ -34,7 +34,8 @@ of ``_MEAN_CHUNK`` Haar rotations is drawn and turned into matrices once,
 and each distinct component sums the orbit images of the chunk through
 ``tensors.class_monomial_sums``, one GEMM of two half-degree monomial
 tables, in sub-blocks sized by ``_MEAN_ENTRIES``.  A component that several
-specs share is summed once.
+specs share is summed once.  :func:`mean_check` takes the norm of the class-value
+mean (``embedding.class_norms``), so it takes every rank a spec does.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ from .embedding import EmbeddingSpec, _tangent_operators, centering_offsets, cla
 from .so3 import _quat_product, group_elements, quaternions_from_axis_angles, quaternions_to_matrices
 from .so3 import quotient_angles, random_quaternions
 from .tensors import class_monomial_sums, class_multiplicities
-from .tensors import tensor_from_class_values, tuple_norm
+from .tensors import tensor_from_class_values
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .embedding import radius  # noqa: F401
-from .tensors import class_counts, inner, invariant_tensor, sym_coordinates  # noqa: F401
+from .tensors import class_counts, inner, invariant_tensor, sym_coordinates, tuple_norm  # noqa: F401
 
 __all__ = [
     "BoundsEstimate",
@@ -541,8 +542,9 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
 # push-forward mean and rank diagnostics
 
 
-def empirical_embedding_means(specs, n_samples: int, seed: int = 0) -> list[tuple[np.ndarray, ...]]:
-    """Mean embeddings of the same ``n_samples`` Haar rotations under each spec.
+def _class_means(specs, n_samples: int, seed: int) -> list[list[np.ndarray]]:
+    """Class values ``(C(alpha_i + 2, 2),)`` per component of the mean
+    embedding of the same ``n_samples`` Haar rotations under each of ``specs``.
 
     One sweep serves every spec: the rotations are drawn from
     ``default_rng(seed)`` in chunks of ``_MEAN_CHUNK`` and converted to
@@ -552,10 +554,8 @@ def empirical_embedding_means(specs, n_samples: int, seed: int = 0) -> list[tupl
     specs share is summed once.  A component sums its chunk in sub-blocks of at
     most ``_MEAN_ENTRIES`` half-degree table entries, so memory stays flat in
     ``n_samples``.  Each spec's mean is its components' sums over
-    ``n_samples`` less its centering term; per spec, the result is
-    :func:`empirical_embedding_mean`.
+    ``n_samples`` less its centering term.
     """
-    specs = list(specs)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     distinct: dict[tuple, int] = {}  # component key -> index into ``terms``
@@ -586,13 +586,31 @@ def empirical_embedding_means(specs, n_samples: int, seed: int = 0) -> list[tupl
     out = []
     for spec, owned in zip(specs, owners):
         means = []
-        for i, a, offset in zip(owned, spec.alpha, centering_offsets(spec)):
+        for i, offset in zip(owned, centering_offsets(spec)):
             mean = sums[i] / n_samples
             if offset is not None:
                 mean -= offset
-            means.append(tensor_from_class_values(mean, a))
-        out.append(tuple(means))
+            means.append(mean)
+        out.append(means)
     return out
+
+
+def _mean_norms(specs, n_samples: int, seed: int) -> list[float]:
+    """Norms of the mean embeddings of :func:`_class_means`, from their class
+    values (``embedding.class_norms``): any rank a spec takes, no dense tensor."""
+    specs = list(specs)
+    means = _class_means(specs, n_samples, seed)
+    return [float(class_norms(spec, [m[None] for m in comps])[0]) for spec, comps in zip(specs, means)]
+
+
+def empirical_embedding_means(specs, n_samples: int, seed: int = 0) -> list[tuple[np.ndarray, ...]]:
+    """Mean embeddings of the same ``n_samples`` Haar rotations under each spec,
+    one dense tensor per component (ranks up to ``tensors.MAX_RANK``): the
+    class-value means of one sweep over all specs, expanded; per spec, the
+    result is :func:`empirical_embedding_mean`."""
+    specs = list(specs)
+    means = _class_means(specs, n_samples, seed)
+    return [tuple(map(tensor_from_class_values, comps, spec.alpha)) for spec, comps in zip(specs, means)]
 
 
 def empirical_embedding_mean(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> tuple[np.ndarray, ...]:
@@ -611,7 +629,7 @@ def mean_check(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> float:
     """
     if not spec.centered:
         raise ValueError("mean_check applies to centered specs only")
-    return tuple_norm(empirical_embedding_mean(spec, n_samples, seed=seed))
+    return _mean_norms([spec], n_samples, seed=seed)[0]
 
 
 def rank_check(

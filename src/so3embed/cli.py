@@ -44,11 +44,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analysis import (
+    _mean_norms,
     b_norms_closed_form,
     derive_beta,
     differential_at_identity,
     distance_scatter,
-    empirical_embedding_means,
     global_bounds,
     isometry_check,
     rank_check,
@@ -57,6 +57,7 @@ from .embedding import (
     TABLE_GROUPS,
     EmbeddingSpec,
     _parse_number,
+    _quoted,
     class_norms,
     class_values,
     dense_class_columns,
@@ -68,7 +69,7 @@ from .embedding import (
 from .projection import _BLOCK_ENTRIES, _ZERO_ROW, _NonFiniteRowError, _project_table
 from .so3 import fundamental_quaternions, group_elements, normalized_quaternions, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
-from .tensors import binom_identity_check, tuple_norm
+from .tensors import binom_identity_check
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .analysis import mean_check  # noqa: F401
@@ -172,7 +173,9 @@ def _csv_row(line: str, lines, n: int):
 
 
 def _blank(cells) -> bool:
-    return not cells or all(not c.strip() for c in cells)
+    """True if every cell is whitespace; a row whose first cell is not is never
+    joined, so a wide row costs one test."""
+    return not cells or (not cells[0].strip() and not "".join(cells).strip())
 
 
 def _row_blocks(n_rows: int, width: int):
@@ -181,18 +184,40 @@ def _row_blocks(n_rows: int, width: int):
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
+# Floats formatted per write of a narrow table: its text and argument tuple
+# stay small whatever the caller's block.
+_WRITE_CELLS = 2**12
+
+
 def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> None:
-    """One line per row: the id, quoted as the csv module quotes it, then the
-    floats of ``values`` ``(N, C)`` at 17 significant digits.  Each float is
-    formatted once; ``take``, a list of at least two column indices, repeats
-    them in its order, as ``embedding.dense_class_columns`` expands class values."""
-    quoted = []  # "<id>,\n" per row: the line terminator takes part in the quoting rule
-    csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n").writerows((i, "") for i in ids)
-    fmt = "%.17g," * values.shape[1]
-    pick = itemgetter(*take) if take is not None else None
-    for head, row in zip(quoted, values.tolist()):
+    """One line per row: the id, quoted as the csv module quotes it (no id
+    column if ``ids`` is None), then the floats of ``values`` ``(N, C)`` at 17
+    significant digits.  Without ``take`` a block of rows is formatted by one
+    ``%`` and written at once.  ``take``, a list of at least two column
+    indices, repeats them in its order, as ``embedding.dense_class_columns``
+    expands class values: each float is formatted once per row and gathered."""
+    heads = []  # "<id>,\n" per row: the line terminator takes part in the quoting rule
+    if ids is not None:
+        csv.writer(SimpleNamespace(write=heads.append), lineterminator="\n").writerows((i, "") for i in ids)
+    width = values.shape[1]
+    if take is None:
+        cols = width + bool(heads)
+        line = "%s" * bool(heads) + ",".join(["%.17g"] * width) + "\n"
+        step = max(1, _WRITE_CELLS // width)
+        for lo in range(0, len(values), step):
+            block = values[lo : lo + step]
+            args = [None] * (len(block) * cols)
+            if heads:
+                args[::cols] = [head[:-1] for head in heads[lo : lo + step]]
+            for k, column in enumerate(block.T.tolist(), start=cols - width):
+                args[k::cols] = column
+            fh.write((line * len(block)) % tuple(args))
+        return
+    fmt = "%.17g," * width
+    pick = itemgetter(*take)
+    for head, row in zip(heads, values.tolist()):
         text = (fmt % tuple(row)).split(",")  # C strings and a last empty one
-        fh.write(head[:-1] + ",".join(pick(text) if pick else text[:-1]) + "\n")
+        fh.write(head[:-1] + ",".join(pick(text)) + "\n")
 
 
 _QUAT_COLS = ("qw", "qx", "qy", "qz")
@@ -253,7 +278,10 @@ def _read_rows(rows, cols, idc: int):
             for row, (line, cells) in zip(out, block):  # the first bad row, and its first bad cell, is named
                 _row_floats(cells, cols, line, row)
                 _cell(cells, idc, line)
-        ids += [_cell(cells, idc, line) for line, cells in block]
+        try:
+            ids += [cells[idc].strip() for _, cells in block]
+        except IndexError:  # a short row: ``_cell`` names it
+            ids += [_cell(cells, idc, line) for line, cells in block]
         lines += [line for line, _ in block]
     table.resize((len(ids), len(cols)), refcheck=False)
     return table, ids, lines
@@ -292,16 +320,11 @@ def _row_floats(cells, cols, line: int, out: np.ndarray) -> None:
         text = _cell(cells, c, line)
         try:
             value = _parse_number(text)
-        except ValueError:
-            raise _DataError(f"line {line}: {_quoted(text)} is not a number") from None
+        except ValueError as exc:
+            raise _DataError(f"line {line}: {exc}") from None
         if not math.isfinite(value):
             raise _DataError(f"line {line}: {_quoted(text)} is not a finite number")
         out[i] = value
-
-
-def _quoted(text: str) -> str:
-    """``repr(text)``, cut after 40 characters to ``...`` and the length: an error line stays short."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _orientations(kind: str, vals: np.ndarray, lines, degrees: bool) -> np.ndarray:
@@ -375,7 +398,7 @@ def cmd_embed(args) -> int:
         vals, ids, lines = _read_rows(reader, cols, idc)
         quats = _orientations(kind, vals, lines, args.degrees)
         fh = _open(stack, args.output, "w")
-        fh.write("id,e" + ",e".join(map(str, range(dim))) + "\n")  # no cell needs quoting
+        fh.write("id" + (",e%d" * dim) % tuple(range(dim)) + "\n")  # no cell needs quoting
         take = dense_class_columns(spec)
         for block in _row_blocks(len(quats), dim):
             comps = class_values(spec, quaternions_to_matrices(quats[block]))
@@ -430,7 +453,7 @@ def cmd_distance(args) -> int:
         q1 = _orientations(kind1, vals[:, : len(cols1)], lines, args.degrees)
         q2 = _orientations(kind2, vals[:, len(cols1) :], lines, args.degrees)
         fh = _open(stack, args.output, "w")
-        csv.writer(fh, lineterminator="\n").writerow(["id", "distance"])
+        fh.write("id,distance\n")
         geodesic = args.metric == "geodesic"
         # a row takes the group's dot products, or the class monomials of every orbit vector
         width = len(group) if geodesic else sum(
@@ -477,8 +500,7 @@ def _verify_checks(suite: str, groups, samples: int, seed: int):
     if suite in ("mean", "all"):
         # One Haar sweep for all groups: every group's mean is over the same rotations.
         specs = [registry_lookup(name) for name in groups]
-        for name, spec, mean in zip(groups, specs, empirical_embedding_means(specs, samples, seed=seed)):
-            value = tuple_norm(mean)
+        for name, spec, value in zip(groups, specs, _mean_norms(specs, samples, seed=seed)):
             bound = 5.0 * radius(spec) / math.sqrt(samples)
             ok = value < bound
             yield f"mean {name}: norm {value:.3e} bound {bound:.3e} {_verdict(ok)}", ok
@@ -547,10 +569,9 @@ def cmd_scatter(args) -> int:
     spec = _resolve_spec(args)
     points = distance_scatter(spec, n_pairs=args.pairs, seed=args.seed)
     with ExitStack() as stack:
-        writer = csv.writer(_open(stack, args.output, "w"), lineterminator="\n")
-        writer.writerow(["geodesic", "embedded"])
-        for d_geo, d_emb in points:
-            writer.writerow([_fmt(d_geo), _fmt(d_emb)])
+        fh = _open(stack, args.output, "w")
+        fh.write("geodesic,embedded\n")
+        _write_rows(fh, None, points)
     return EXIT_OK
 
 

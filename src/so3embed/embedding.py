@@ -397,10 +397,19 @@ def _parse_number(text: str, kind=float):
     """``kind(text)`` under the package's number grammar, shared by table cells,
     command-line options and spec documents: Python's ``int`` and ``float``
     also read digit underscores (``1_0`` as 10) and non-ASCII digits, which
-    the grammar has neither of."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"{text!r} is not a number")
-    return kind(text)
+    the grammar has neither of.  Every failure is a ``ValueError`` that
+    quotes ``text`` as :func:`_quoted` does."""
+    if "_" not in text and text.isascii():
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{_quoted(text)} is not a number")
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)``, cut after 40 characters to ``...`` and the length: an error line stays short."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 _TRUE_WORDS = {"true", "yes", "1", "on"}

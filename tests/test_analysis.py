@@ -571,6 +571,23 @@ def test_mean_norm_shrinks_with_clt_rate(registered_spec):
     assert value < 5.0 * radius(registered_spec) / math.sqrt(n)
 
 
+def test_mean_check_takes_a_rank_past_the_dense_storage_limit():
+    # the norm comes from the mean's class values, so no 3^13-entry tensor is formed
+    spec = cyclic_spec(8, 13, beta=(0.5, 0.7))
+    n = 20_000
+    value = mean_check(spec, n, seed=0)
+    assert math.isfinite(value) and value < 5.0 * radius(spec) / math.sqrt(n)
+    with pytest.raises(ValueError, match="dense-storage limit 12, got 13"):
+        empirical_embedding_mean(spec, n, seed=0)  # the dense API edge keeps its limit
+
+
+@pytest.mark.parametrize("spec", [registry_lookup(name) for name in TABLE_GROUPS] + [cyclic_spec(6, 12)],
+                         ids=[*TABLE_GROUPS, "C6-12"])
+def test_mean_check_is_the_norm_of_the_dense_mean(spec):
+    value = mean_check(spec, 3000, seed=6)
+    assert value == pytest.approx(tuple_norm(empirical_embedding_mean(spec, 3000, seed=6)), rel=1e-12, abs=0.0)
+
+
 def test_mean_check_rejects_uncentered_specs():
     base = registry_lookup("O")
     spec = EmbeddingSpec(base.group, base.u, base.alpha, base.beta, centered=False)

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3embed.cli import _DataError, _read_rows, _table_rows, _write_rows, build_parser, main
+from so3embed import cli
+from so3embed.analysis import distance_scatter, empirical_embedding_means
+from so3embed.cli import _DataError, _blank, _read_rows, _table_rows, _write_rows, build_parser, main
 from so3embed.embedding import (
     TABLE_GROUPS,
     class_values,
@@ -24,11 +26,13 @@ from so3embed.embedding import (
     embedded_distance,
     format_spec_document,
     parse_spec_document,
+    radius,
     registry_lookup,
 )
 from so3embed.projection import _BLOCK_ENTRIES, project
 from so3embed.so3 import Coset, Rotation, as_coset, coset_distance, random_quaternions, random_rotation
 from so3embed.so3 import normalized_quaternions, quaternions_to_matrices
+from so3embed.tensors import tuple_norm
 
 
 def run_cli(*args, stdin=None):
@@ -228,6 +232,15 @@ def test_table_rows_yield_the_cells_and_line_numbers_of_csv_reader(bom, lines, l
     text = "\ufeff" * bom + "".join(a + b for a, b in lines) + last + noise
     reader = csv.reader(io.StringIO(text, newline=""))
     assert list(_table_rows(io.StringIO(text, newline=""))) == [(reader.line_num, cells) for cells in reader]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", " ", "\t", " \u3000 ", "a", " 1 "]), st.lists(st.text(alphabet=" \t\r\n\u00a0\u2028a,1", max_size=3), max_size=4))
+def test_blank_rows_are_those_of_whitespace_cells(first, rest):
+    # decided on the first cell unless it is blank; the cells are then joined
+    cells = [first, *rest]
+    assert _blank(cells) == all(not c.strip() for c in cells)
+    assert _blank([]) and _blank([""]) and not _blank(["", " ", "x"])
 
 
 @pytest.mark.parametrize(
@@ -611,6 +624,41 @@ def test_embed_rank_12_bytes_equal_formatting_every_dense_entry(tmp_path):
     _assert_embed_bytes_format_every_dense_entry(tmp_path, spec, ["--spec", str(doc)], BYTE_QUATS[[0, 1, 3, 4]])
 
 
+_IDS = st.one_of(
+    st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", " lead", "trail ", " "]),
+    st.text(alphabet='ab1 ,"\r\n\t\u00e9', max_size=6),
+)
+_WRITE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300, 0.1, 1.0 / 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda c: st.lists(st.tuples(_IDS, st.lists(_WRITE_FLOATS, min_size=c, max_size=c)),
+                                                    min_size=1, max_size=8)),
+       st.booleans())
+def test_write_rows_without_take_is_the_csv_writer_at_17_digits(rows, with_ids):
+    # the narrow path formats a block of rows with one "%"; the oracle is one
+    # csv row per line, the id first when there is one, every float by format()
+    values = np.array([v for _, v in rows], dtype=float).reshape(len(rows), -1)
+    ids = [i for i, _ in rows] if with_ids else None
+    buf, want = io.StringIO(), io.StringIO()
+    _write_rows(buf, ids, values)
+    csv.writer(want, lineterminator="\n").writerows(
+        [i] * with_ids + [format(x, ".17g") for x in v] for i, v in rows
+    )
+    assert buf.getvalue() == want.getvalue()
+
+
+def test_write_rows_writes_a_table_past_one_write_block(monkeypatch):
+    monkeypatch.setattr(cli, "_WRITE_CELLS", 4)
+    values = np.random.default_rng(14).standard_normal((11, 3))
+    buf = io.StringIO()
+    _write_rows(buf, [f"r{i}" for i in range(11)], values)
+    assert buf.getvalue() == "".join(f"r{i}" + "".join(",%.17g" % x for x in row) + "\n" for i, row in enumerate(values.tolist()))
+
+
 def test_write_rows_repeats_each_formatted_value_with_its_sign():
     # class values never come out as -0.0 in practice, so the gather of
     # formatted strings is checked on one directly
@@ -848,6 +896,19 @@ def test_verify_mean_suite_for_all_groups_prints_each_groups_own_line(capsys):
     assert len(together.splitlines()) == len(TABLE_GROUPS)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_verify_mean_lines_are_those_of_the_dense_mean_norm(seed, capsys):
+    # the suite takes the norm from class values; its lines read as the
+    # norm of the dense mean tensors does at the printed three digits
+    assert main(["verify", "--suite", "mean", "--seed", str(seed)]) == 0
+    specs = [registry_lookup(name) for name in TABLE_GROUPS]
+    want = "".join(
+        f"mean {name}: norm {tuple_norm(mean):.3e} bound {5.0 * radius(spec) / math.sqrt(100_000):.3e} PASS\n"
+        for name, spec, mean in zip(TABLE_GROUPS, specs, empirical_embedding_means(specs, 100_000, seed=seed))
+    )
+    assert capsys.readouterr().out == want
+
+
 def test_verify_rejects_unknown_suite():
     out = run_cli("verify", "--suite", "everything")
     assert out.returncode == 1
@@ -867,6 +928,17 @@ def test_bounds_csv_shape_and_determinism():
     assert rows[0][0] == "C3"
     c_min, c_max = float(rows[0][2]), float(rows[0][3])
     assert 0.0 < c_min < c_max < 1.01
+
+
+def test_scatter_bytes_are_the_csv_writers_of_each_pair(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["scatter", "--group", "O", "--pairs", "300", "--seed", "4", "-o", str(out)]) == 0
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(
+        [["geodesic", "embedded"]] + [[format(g, ".17g"), format(e, ".17g")] for g, e in
+                                      distance_scatter(registry_lookup("O"), 300, seed=4).tolist()]
+    )
+    assert out.read_text() == want.getvalue()
 
 
 def test_scatter_deterministic_and_positive():
@@ -992,6 +1064,15 @@ def test_spec_documents_take_the_number_grammar_of_table_cells(line, cell, tmp_p
     assert capsys.readouterr().err == f"error: {doc}: {cell!r} is not a number\n"
 
 
+def test_a_long_spec_value_that_is_no_number_is_quoted_to_40_characters(tmp_path, capsys):
+    doc = tmp_path / "spec.txt"
+    doc.write_text("group = C\nk = 4\nbeta = 1 " + "1" * 300 + "x\n")
+    assert main(["bounds", "--spec", str(doc), "--pairs", "10", "--no-refine"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {doc}: {'1' * 40!r}... (301 characters) is not a number\n"
+    assert len(err.splitlines()) == 1
+
+
 def test_a_group_name_takes_ascii_digits_only(tmp_path, capsys):
     doc = tmp_path / "spec.txt"
     doc.write_text("group = C\u0664\n")
@@ -1008,6 +1089,14 @@ def test_embed_header_is_the_csv_writers(group, tmp_path):
     n = registry_lookup(group).ambient_dimension
     csv.writer(want, lineterminator="\n").writerow(["id"] + [f"e{i}" for i in range(n)])
     assert out.read_text().splitlines(keepends=True)[0] == want.getvalue()
+
+
+def test_embed_header_of_a_rank_10_spec_names_every_entry(tmp_path):
+    doc, src, out = tmp_path / "spec.txt", tmp_path / "in.csv", tmp_path / "out.csv"
+    doc.write_text("group = C2\nu = 0 1 0\nalpha = 10\nbeta = 1\n")
+    src.write_text("id,qw,qx,qy,qz\n")
+    assert main(["embed", "--spec", str(doc), "-i", str(src), "-o", str(out)]) == 0
+    assert out.read_text() == "id," + ",".join(f"e{i}" for i in range(59049)) + "\n"
 
 
 def test_embed_loads_neither_numpy_ma_nor_fractions(tmp_path):
