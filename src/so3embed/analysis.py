@@ -31,11 +31,14 @@ so the selection and every printed number are those of an exhaustive sweep.
 The Monte Carlo means of :func:`empirical_embedding_means` never form class
 values per rotation, and one sweep serves a whole list of specs: each chunk
 of ``_MEAN_CHUNK`` Haar rotations is drawn and turned into matrices once,
-and each distinct component sums the orbit images of the chunk through
-``tensors.class_monomial_sums``, one GEMM of two half-degree monomial
-tables, in sub-blocks sized by ``_MEAN_ENTRIES``.  A component that several
-specs share is summed once.  :func:`mean_check` takes the norm of the class-value
-mean (``embedding.class_norms``), so it takes every rank a spec does.
+and each distinct (rank, orbit) pair sums the orbit images of the chunk,
+unweighted, through ``tensors.class_monomial_sums``, one GEMM of two
+half-degree monomial tables, in sub-blocks sized by ``_MEAN_ENTRIES``.  Every
+orbit weight is ``1 / len(orbit)`` (orbit-stabilizer), so ``beta_i`` and the
+weight scale each spec's component once, after the sweep, and an orbit that
+specs with different ``beta`` share is summed once.  :func:`mean_check` takes
+the norm of the class-value mean (``embedding.class_norms``), so it takes
+every rank a spec does.
 """
 
 from __future__ import annotations
@@ -187,6 +190,10 @@ _MEAN_CHUNK = 4096
 # Half-degree monomial table entries per sub-block of a component's share of a
 # chunk.  A fixed entry count, not a fixed rotation count: a component with
 # small tables sums its whole chunk at once, and the per-block overhead stays small.
+# With the unweighted kernel, the mean sweep over the twelve registered specs
+# (100,000 rotations, one BLAS thread, 2-vCPU host, 15 interleaved repeats)
+# took a median of 0.151 s at 2**15 entries, 0.145 s at 2**16 and 0.159 s at
+# 2**17, with quartiles about 0.05 s apart; 2**16 also keeps the tables at 0.5 MB.
 _MEAN_ENTRIES = 2**16
 
 # Samples polished at each end of the ratio envelope, and compass passes each.
@@ -549,45 +556,50 @@ def _class_means(specs, n_samples: int, seed: int) -> list[list[np.ndarray]]:
     One sweep serves every spec: the rotations are drawn from
     ``default_rng(seed)`` in chunks of ``_MEAN_CHUNK`` and converted to
     matrices once per chunk.  Each chunk then goes to every distinct
-    component, keyed by its rank, orbit vectors and weighted orbit weights (the
-    inputs of :func:`tensors.class_monomial_sums`), so a component that several
-    specs share is summed once.  A component sums its chunk in sub-blocks of at
-    most ``_MEAN_ENTRIES`` half-degree table entries, so memory stays flat in
-    ``n_samples``.  Each spec's mean is its components' sums over
-    ``n_samples`` less its centering term.
+    component, keyed by its rank and orbit vectors only, and
+    :func:`tensors.class_monomial_sums` sums the orbit images unweighted, so
+    a component that several specs share is summed once, whatever their
+    ``beta``.  A component sums its chunk in sub-blocks of at most
+    ``_MEAN_ENTRIES`` half-degree table entries, so memory stays flat in
+    ``n_samples``.  The orbit weights of a component are all ``1 / len(orbit)``
+    (orbit-stabilizer), so each spec's mean is its components' sums times
+    ``beta_i * weight / n_samples``, less its centering term.  Only a ``u``
+    within the orbit merge tolerance of a symmetry axis gets unequal weights;
+    then each weight value sums its own vectors.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    distinct: dict[tuple, int] = {}  # component key -> index into ``terms``
-    terms, owners = [], []  # terms: (orbit vectors, weights of a sub-block, rank, sub-block rotations)
+    distinct: dict[tuple, int] = {}  # (rank, orbit vectors) -> index into ``terms``
+    terms, owners = [], []  # terms: (orbit vectors, rank, sub-block rotations)
     for spec in specs:
-        owned = []
-        for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
-            weights = b * wts
-            key = (a, vecs.tobytes(), weights.tobytes())
-            if key not in distinct:
-                halves = {a // 2, a - a // 2} if a > 1 else {a}
-                entries = len(vecs) * sum(math.comb(h + 2, 2) for h in halves)  # per rotation
-                step = min(_MEAN_CHUNK, max(1, _MEAN_ENTRIES // entries))
-                distinct[key] = len(terms)
-                terms.append((vecs, np.tile(weights, step), a, step))
-            owned.append(distinct[key])
+        owned = []  # per component: (index into ``terms``, orbit weight) pairs
+        for (vecs, wts), a in zip(spec.orbits, spec.alpha):
+            parts = []
+            for wt in dict.fromkeys(wts.tolist()):  # a first np.unique call adds about 1 MB of RSS
+                part = vecs[wts == wt]
+                key = (a, part.tobytes())
+                if key not in distinct:
+                    halves = {a // 2, a - a // 2} if a > 1 else {a}
+                    entries = len(part) * sum(math.comb(h + 2, 2) for h in halves)  # per rotation
+                    distinct[key] = len(terms)
+                    terms.append((part, a, min(_MEAN_CHUNK, max(1, _MEAN_ENTRIES // entries))))
+                parts.append((distinct[key], wt))
+            owned.append(parts)
         owners.append(owned)
-    sums = [np.zeros(math.comb(a + 2, 2)) for _, _, a, _ in terms]
+    sums = [np.zeros(math.comb(a + 2, 2)) for _, a, _ in terms]
     rng = np.random.default_rng(seed)
     for start in range(0, n_samples, _MEAN_CHUNK):
         # Chunks draw from ``rng`` in turn: the stream of one draw of n_samples.
         mats = quaternions_to_matrices(random_quaternions(rng, min(_MEAN_CHUNK, n_samples - start)))
         rows = np.ascontiguousarray(mats.transpose(1, 0, 2))  # (3, N, 3): row d of every matrix
-        for acc, (vecs, weights, a, step) in zip(sums, terms):
+        for acc, (vecs, a, step) in zip(sums, terms):
             for lo in range(0, len(mats), step):
-                imgs = (rows[:, lo : lo + step] @ vecs.T).reshape(3, -1)  # (3, n * orbit)
-                acc += class_monomial_sums(imgs, weights[: imgs.shape[1]], a)
+                acc += class_monomial_sums((rows[:, lo : lo + step] @ vecs.T).reshape(3, -1), a)
     out = []
     for spec, owned in zip(specs, owners):
         means = []
-        for i, offset in zip(owned, centering_offsets(spec)):
-            mean = sums[i] / n_samples
+        for parts, b, offset in zip(owned, spec.beta, centering_offsets(spec)):
+            mean = sum(sums[i] * (b * wt / n_samples) for i, wt in parts)
             if offset is not None:
                 mean -= offset
             means.append(mean)
@@ -606,8 +618,9 @@ def _mean_norms(specs, n_samples: int, seed: int) -> list[float]:
 def empirical_embedding_means(specs, n_samples: int, seed: int = 0) -> list[tuple[np.ndarray, ...]]:
     """Mean embeddings of the same ``n_samples`` Haar rotations under each spec,
     one dense tensor per component (ranks up to ``tensors.MAX_RANK``): the
-    class-value means of one sweep over all specs, expanded; per spec, the
-    result is :func:`empirical_embedding_mean`."""
+    class-value means of one sweep over all specs (:func:`_class_means`, which
+    sums each distinct orbit once and applies ``beta_i`` at the end), expanded;
+    per spec, the result is :func:`empirical_embedding_mean`."""
     specs = list(specs)
     means = _class_means(specs, n_samples, seed)
     return [tuple(map(tensor_from_class_values, comps, spec.alpha)) for spec, comps in zip(specs, means)]

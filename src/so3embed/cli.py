@@ -411,7 +411,7 @@ def cmd_project(args) -> int:
     with ExitStack() as stack:
         reader, header = _read_header(stack, args.input)
         idc = _id_column(header)
-        coord_cols = [i for i in range(len(header)) if i != idc]
+        coord_cols = [*range(idc), *range(idc + 1, len(header))]
         if len(coord_cols) != dim:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
         table, ids, lines = _read_rows(reader, coord_cols, idc)

@@ -136,22 +136,23 @@ def _class_pairs(alpha: int) -> np.ndarray:
     return out
 
 
-def class_monomial_sums(w, weights, alpha: int) -> np.ndarray:
-    """``sum_p weights[p] * class_monomials(w[:, p], alpha)`` for ``w`` of shape
-    ``(3, P)`` and ``weights`` of shape ``(P,)``: shape ``(C(alpha+2, 2),)``.
+def class_monomial_sums(w, alpha: int) -> np.ndarray:
+    """``class_monomials(w, alpha).sum(axis=1)`` for ``w`` of shape ``(3, P)``: the
+    class values of ``sum_p w[:, p]^{x alpha}``, shape ``(C(alpha+2, 2),)``.
 
     Every rank-``alpha`` monomial is the product of one of rank ``alpha // 2`` and
     one of rank ``alpha - alpha // 2``, so the sums are one GEMM of those two
-    half-degree tables (the same table when ``alpha`` is even), gathered by
-    ``_class_pairs``.  Ranks 0 and 1 sum :func:`class_monomials` directly.
+    half-degree tables (``l @ l.T`` when ``alpha`` is even), gathered by
+    ``_class_pairs``.  A rank-1 half is ``w[::-1]``, which is
+    ``class_monomials(w, 1)``, so no table is built for it.  Ranks 0 and 1 sum
+    :func:`class_monomials` directly.
     """
     w = np.asarray(w, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     if alpha <= 1:
-        return class_monomials(w, alpha) @ weights
-    lo = class_monomials(w, alpha // 2)
+        return class_monomials(w, alpha).sum(axis=1)
+    lo = w[::-1] if alpha // 2 == 1 else class_monomials(w, alpha // 2)
     hi = lo if alpha % 2 == 0 else class_monomials(w, alpha - alpha // 2)
-    return ((lo * weights) @ hi.T).ravel()[_class_pairs(alpha)]
+    return (lo @ hi.T).ravel()[_class_pairs(alpha)]
 
 
 @lru_cache(maxsize=None)

@@ -641,6 +641,16 @@ def test_empirical_mean_over_several_blocks_agrees_with_dense_average(name, monk
         assert np.abs(got - want).max() < 1e-12
 
 
+def test_empirical_mean_of_an_unevenly_merged_orbit_agrees_with_dense_average():
+    # u 7e-10 off the O 4-fold axis: each cluster of four images splits 3 + 1
+    # under the orbit merge tolerance, so the weights differ and each weight
+    # value sums its own vectors
+    spec = EmbeddingSpec(group_elements("O"), ((7e-10, 0.0, 1.0),) * 2, (1, 2), (1.0, 0.8))
+    assert all(len(np.unique(wts)) > 1 for _, wts in spec.orbits)
+    for got, want in zip(empirical_embedding_mean(spec, 50, seed=9), _dense_mean(spec, 50, 9)):
+        assert np.abs(got - want).max() < 1e-12
+
+
 def test_one_sweep_gives_every_spec_its_own_mean(monkeypatch):
     # all twelve registered specs, an uncentered one and a repeated one share
     # one sweep of several chunks, the last one partial; components that specs
@@ -670,19 +680,21 @@ def test_one_sweep_gives_every_spec_its_own_mean(monkeypatch):
 
 
 def test_one_sweep_sums_each_distinct_component_once_per_chunk(monkeypatch):
-    # the 24 registered components are 16 distinct (rank, orbit, weights)
-    # triples: C3/D3, C4/D4 and C6/D6 share their rank-3, 4 and 6 parts,
-    # C1/C2/C4 their rank-1 part, and C2/D2 and D2/D4 rank-2 parts
+    # the 24 registered components are 12 distinct (rank, orbit) pairs, whatever
+    # their beta: C3/D3, C4/D4 and C6/D6 share their rank-3, 4 and 6 parts;
+    # C1, C2, C3, C4 and C6 share e1 at rank 1, D2, D3, D4 and D6 share e1 at
+    # rank 2, C2 and D2 share e2 and e3 at rank 2; C1's e2 and e3 at rank 1
+    # and the T, O and Y components stand alone
     calls = []
 
-    def counted(w, weights, alpha):
+    def counted(w, alpha):
         calls.append(alpha)
-        return class_monomial_sums(w, weights, alpha)
+        return class_monomial_sums(w, alpha)
 
     monkeypatch.setattr(analysis, "_MEAN_CHUNK", 64)
     monkeypatch.setattr(analysis, "class_monomial_sums", counted)
     analysis.empirical_embedding_means([registry_lookup(name) for name in TABLE_GROUPS], 128, seed=1)
-    assert len(calls) == 2 * 16
+    assert len(calls) == 2 * 12
 
 
 # ---------------------------------------------------------------------------

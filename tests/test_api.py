@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import re
 from pathlib import Path
@@ -25,6 +26,20 @@ def test_every_exported_name_of_a_module_resolves(name):
 def test_every_exported_name_of_the_package_resolves():
     assert [attr for attr in so3embed.__all__ if not hasattr(so3embed, attr)] == []
     assert len(set(so3embed.__all__)) == len(so3embed.__all__)
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # bench/spans.py looks each (module, attribute) up with getattr when it
+    # installs, and replaces cli.Rotation by its traced constructors
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS and spans.ROTATION_CTORS
+    missing = [(mod, attr) for mod, attr, _ in spans.TARGETS if not hasattr(importlib.import_module(mod), attr)]
+    assert missing == []
+    rotation = importlib.import_module("so3embed.cli").Rotation
+    assert [name for name in spans.ROTATION_CTORS if not callable(getattr(rotation, name, None))] == []
 
 
 def test_readme_quick_start_runs():

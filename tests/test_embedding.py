@@ -192,6 +192,26 @@ def test_only_even_rank_orbits_fold_antipodal_images():
     assert len(vecs) == 4 and np.all(wts == 0.25)
 
 
+@pytest.mark.parametrize("key", REGISTERED_SPECS)
+def test_registered_orbit_weights_are_one_over_the_orbit_size(key):
+    # the mean sweep sums an orbit unweighted and scales the sum by this one weight
+    for vecs, wts in registry_lookup(*REGISTERED_SPECS[key]).orbits:
+        assert np.array_equal(wts, np.full(len(vecs), 1.0 / len(vecs)))
+
+
+@pytest.mark.parametrize("group", [*(f"{f}{k}" for f in "CD" for k in range(1, 13)), "T", "O", "Y"])
+def test_orbit_weights_are_one_over_the_orbit_size(group, rng):
+    # orbit-stabilizer: every image of u is met |S| / len(orbit) times, so
+    # each weight is (|S| / k) / |S|, which rounds to exactly 1 / k
+    random = rng.normal(size=3)
+    dirs = (*np.eye(3), np.ones(3) / math.sqrt(3.0), random / np.linalg.norm(random))
+    ranks = range(1, 7)
+    us = [u for u in dirs for _ in ranks]
+    spec = EmbeddingSpec(group_elements(group), us, [*ranks] * len(dirs), [1.0] * len(us))
+    for vecs, wts in spec.orbits:
+        assert np.array_equal(wts, np.full(len(vecs), 1.0 / len(vecs)))
+
+
 @pytest.mark.parametrize("key", [*REGISTERED_SPECS, *EXTRA_SPECS])
 def test_class_values_match_plain_group_average(key, rng):
     # The folded orbit sum against the plain average of class_monomials(R s u)
