@@ -213,10 +213,13 @@ _COMPASS = np.array([d for d in product((-1.0, 0.0, 1.0), repeat=3) if sum(map(a
 _CHUNK = 2048
 
 # Rounding margin of the Gram-power screen of the bounds sweep, relative to
-# sum_i beta_i^2 (sum_v |wt_v|)^2, the largest the kernel's terms can sum to.
-# Its error against the class-value d^2 measured at most 2.7e-15 of that on
-# Haar rotations; near the identity the interval is wide against the ratio's
-# gap to 1, so the ladder is always evaluated exactly.
+# sum_i beta_i^2 (sum_v |wt_v|)^2 max(1, alpha_i / 10), the largest the
+# kernel's terms can sum to, widened above rank 10, where the rounding of a
+# component grows about with its rank.  Its error against the class-value
+# d^2 measured at most 2.7e-15 of that on Haar rotations at ranks up to 10,
+# and 2.3e-2 of the margin at rank 30 without the widening; near the identity
+# the interval is wide against the ratio's gap to 1, so the ladder is always
+# evaluated exactly.
 _SCREEN_MARGIN = 1e-12
 
 # Bound on the rounding error of the screen's cos(d/2) = max_s |q . s|: the
@@ -359,7 +362,7 @@ def _gram_tables(spec: EmbeddingSpec):
         m = np.einsum("abij,vi,wj->abvw", _ROTATION_QUADRATIC, vecs, vecs).reshape(4, 4, -1)
         table = np.where((_PAIRS[0] == _PAIRS[1])[:, None], 1.0, 2.0) * m[_PAIRS]
         comps.append((table, w.ravel(), a, float(np.sum(w * _int_power(vecs @ vecs.T, a)))))
-        scale += b * b * float(np.abs(wts).sum()) ** 2
+        scale += b * b * float(np.abs(wts).sum()) ** 2 * max(1.0, a / 10)
     return comps, _SCREEN_MARGIN * scale
 
 
@@ -562,29 +565,23 @@ def _class_means(specs, n_samples: int, seed: int) -> list[list[np.ndarray]]:
     ``beta``.  A component sums its chunk in sub-blocks of at most
     ``_MEAN_ENTRIES`` half-degree table entries, so memory stays flat in
     ``n_samples``.  The orbit weights of a component are all ``1 / len(orbit)``
-    (orbit-stabilizer), so each spec's mean is its components' sums times
-    ``beta_i * weight / n_samples``, less its centering term.  Only a ``u``
-    within the orbit merge tolerance of a symmetry axis gets unequal weights;
-    then each weight value sums its own vectors.
+    (``EmbeddingSpec.orbits``), so each spec's mean is its components' sums
+    times ``beta_i * weight / n_samples``, less its centering term.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     distinct: dict[tuple, int] = {}  # (rank, orbit vectors) -> index into ``terms``
     terms, owners = [], []  # terms: (orbit vectors, rank, sub-block rotations)
     for spec in specs:
-        owned = []  # per component: (index into ``terms``, orbit weight) pairs
+        owned = []  # per component: (index into ``terms``, orbit weight)
         for (vecs, wts), a in zip(spec.orbits, spec.alpha):
-            parts = []
-            for wt in dict.fromkeys(wts.tolist()):  # a first np.unique call adds about 1 MB of RSS
-                part = vecs[wts == wt]
-                key = (a, part.tobytes())
-                if key not in distinct:
-                    halves = {a // 2, a - a // 2} if a > 1 else {a}
-                    entries = len(part) * sum(math.comb(h + 2, 2) for h in halves)  # per rotation
-                    distinct[key] = len(terms)
-                    terms.append((part, a, min(_MEAN_CHUNK, max(1, _MEAN_ENTRIES // entries))))
-                parts.append((distinct[key], wt))
-            owned.append(parts)
+            key = (a, vecs.tobytes())
+            if key not in distinct:
+                halves = {a // 2, a - a // 2} if a > 1 else {a}
+                entries = len(vecs) * sum(math.comb(h + 2, 2) for h in halves)  # per rotation
+                distinct[key] = len(terms)
+                terms.append((vecs, a, min(_MEAN_CHUNK, max(1, _MEAN_ENTRIES // entries))))
+            owned.append((distinct[key], float(wts[0])))
         owners.append(owned)
     sums = [np.zeros(math.comb(a + 2, 2)) for _, a, _ in terms]
     rng = np.random.default_rng(seed)
@@ -598,8 +595,8 @@ def _class_means(specs, n_samples: int, seed: int) -> list[list[np.ndarray]]:
     out = []
     for spec, owned in zip(specs, owners):
         means = []
-        for parts, b, offset in zip(owned, spec.beta, centering_offsets(spec)):
-            mean = sum(sums[i] * (b * wt / n_samples) for i, wt in parts)
+        for (i, wt), b, offset in zip(owned, spec.beta, centering_offsets(spec)):
+            mean = sums[i] * (b * wt / n_samples)
             if offset is not None:
                 mean -= offset
             means.append(mean)

@@ -184,40 +184,153 @@ def _row_blocks(n_rows: int, width: int):
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
-# Floats formatted per write of a narrow table: its text and argument tuple
-# stay small whatever the caller's block.
+def _decade(m: int) -> float:
+    """The least double that is at least ``10**m``, for ``m <= 0``."""
+    x = float(f"1e{m}")
+    num, den = x.as_integer_ratio()
+    return math.nextafter(x, 1.0) if num * 10**-m < den else x
+
+
+# 2^27 + 1: Veltkamp's split of x into two 26-bit halves starts from x * _VELTKAMP
+_VELTKAMP = 134217729.0
+
+
+@lru_cache(maxsize=None)
+def _text_tables():
+    """The lookup tables of :func:`_texts`, built on first use.
+
+    ``words``: the numbers 0-9999 as 4-byte records of four digits, then
+    (at ``+ 10000``) without their trailing zeros, null-padded, so 10000 is
+    empty.  ``head``: 8-byte records ``,[-]d.`` for ``k = 0`` and
+    ``,[-]0.0..d`` (``-k - 1`` zeros) for ``k`` in -4..-1, null-padded, at
+    ``(k + 4) 40 + 20 negative + 2 d + point``, split in two 4-byte halves.
+    ``decades``: the least doubles at least 1e-3, 1e-2, 1e-1 and 1.
+    ``scales``: ``10^(16 - k)`` at ``k + 4`` for ``k`` in -4..0, exact, and
+    its Veltkamp halves.
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # of 0-9999, the first digit first
+    kept = digits != 0
+    for j in (2, 1, 0):
+        kept[j] |= kept[j + 1]  # a digit stays if it or a later one is nonzero
+    digits += ord("0")
+    words = np.concatenate([digits, digits * kept], axis=1).T.copy()
+    heads = [
+        ("," + neg + ("0." + "0" * (-k - 1) + d if k < 0 else d + point)).encode().ljust(8, b"\0")
+        for k in range(-4, 1) for neg in ("", "-") for d in "0123456789" for point in ("", ".")
+    ]
+    head = np.frombuffer(b"".join(heads), np.uint32).reshape(-1, 2).T.copy()
+    scales = np.array([float(10**p) for p in range(20, 15, -1)])
+    split = _VELTKAMP * scales
+    high = split - (split - scales)
+    tables = words.view(np.uint32).ravel(), head, np.array([_decade(m) for m in range(-3, 1)]), scales, high, scales - high
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """``"%.17g" % v`` for every float ``v`` of the 1-D array ``values``, the
+    same bytes, laid out by numpy for most of them.
+
+    A ``v`` with ``1e-4 <= |v| < 10`` and a nonzero fractional digit prints as
+    ``[-]d.ddd`` or ``[-]0.0..ddd`` without trailing zeros.  Its decimal
+    exponent ``k`` comes from exact comparisons with the least doubles at
+    least 1e-3, 1e-2, 0.1 and 1.  Its 17 digits are ``|v| 10^(16-k)`` rounded
+    half to even: the product is ``hi + lo`` exactly (Dekker's product, with
+    ``10^(16-k)`` exact), ``hi`` an even integer in [1e16, 1e17], so the
+    digits are ``hi + rint(lo)``, held exactly as a leading digit and four
+    4-digit words.  Each value is one 24-byte record: a comma, the sign and
+    the digits up to the first fraction digit (``head``), then the four
+    words, the last nonzero one without its trailing zeros and the ones
+    after it empty.  One ``translate`` drops the nulls and one ``split`` makes
+    the strings.  Other values (+-0, subnormals, ``|v| >= 10``, ``|v| <
+    1e-4``, integers, and any that rounds up to the next decade, which no
+    double in the range does) go through ``%``.
+    """
+    words, head, decades, scales, high, low_part = _text_tables()
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 10.0) & (np.floor(a) != a)
+    a[~fast] = 1.5  # any fast value: the others' records are replaced
+    i = decades.searchsorted(a, side="right")  # k + 4
+    hi = a * scales.take(i)
+    split = _VELTKAMP * a
+    ah = split - (split - a)
+    al = a - ah
+    sh, sl = high.take(i), low_part.take(i)
+    lo = ah * sh  # lo = ((ah sh - hi) + ah sl + al sh) + al sl, left to right
+    lo -= hi
+    lo += ah * sl
+    lo += al * sh
+    lo += al * sl
+    del a, split, ah, al, sh, sl  # each temporary goes once spent: they set the peak of a write
+    top = np.floor(hi / 1e8)  # the digits are top 1e8 + low; the quotient may round top up by one
+    low = hi
+    low -= top * 1e8
+    low += np.rint(lo, out=lo)
+    carry = np.floor(low / 1e8)
+    top += carry
+    low -= carry * 1e8
+    fast &= top < 1e9
+    lead = np.floor(top / 1e8)
+    top -= lead * 1e8
+    quad = np.empty((4, len(values)))
+    np.floor(top / 1e4, out=quad[0])
+    np.subtract(top, quad[0] * 1e4, out=quad[1])
+    np.floor(low / 1e4, out=quad[2])
+    np.subtract(low, quad[2] * 1e4, out=quad[3])
+    del hi, lo, top, low, carry
+    rest = quad[1:] == 0  # row j: the words after word j are all zero
+    rest[1] &= rest[2]
+    rest[0] &= rest[1]
+    quad[:3] += 1e4 * rest
+    quad[3] += 1e4
+    code = (40 * i + 20 * (values < 0) + 2 * lead + ((i == 4) & (quad[0] != 1e4))).astype(np.intp)
+    records = np.empty((6, len(values)), np.uint32)
+    head.take(code, axis=1, out=records[:2], mode="clip")  # a record replaced below may index past the table
+    words.take(quad.astype(np.intp), out=records[2:], mode="clip")
+    del i, lead, quad, rest, code
+    texts = records.T.tobytes().translate(None, b"\0").decode("ascii").split(",")
+    del texts[0]
+    for n in np.flatnonzero(~fast).tolist():
+        texts[n] = "%.17g" % values[n]
+    return texts
+
+
+# Floats formatted per call of ``_texts``: a block's records and strings stay
+# small whatever the caller's block.
 _WRITE_CELLS = 2**12
 
 
 def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> None:
     """One line per row: the id, quoted as the csv module quotes it (no id
     column if ``ids`` is None), then the floats of ``values`` ``(N, C)`` at 17
-    significant digits.  Without ``take`` a block of rows is formatted by one
-    ``%`` and written at once.  ``take``, a list of at least two column
-    indices, repeats them in its order, as ``embedding.dense_class_columns``
-    expands class values: each float is formatted once per row and gathered."""
+    significant digits (``%.17g``).  Blocks of at most ``_WRITE_CELLS``
+    floats are formatted by one :func:`_texts` call.  Without ``take`` a
+    block of rows is joined by one ``%`` and written at once.  ``take``, a
+    list of at least two column indices, repeats them in its order, as
+    ``embedding.dense_class_columns`` expands class values: each row gathers
+    its formatted floats."""
     heads = []  # "<id>,\n" per row: the line terminator takes part in the quoting rule
     if ids is not None:
         csv.writer(SimpleNamespace(write=heads.append), lineterminator="\n").writerows((i, "") for i in ids)
     width = values.shape[1]
-    if take is None:
-        cols = width + bool(heads)
-        line = "%s" * bool(heads) + ",".join(["%.17g"] * width) + "\n"
-        step = max(1, _WRITE_CELLS // width)
-        for lo in range(0, len(values), step):
-            block = values[lo : lo + step]
-            args = [None] * (len(block) * cols)
-            if heads:
-                args[::cols] = [head[:-1] for head in heads[lo : lo + step]]
-            for k, column in enumerate(block.T.tolist(), start=cols - width):
-                args[k::cols] = column
-            fh.write((line * len(block)) % tuple(args))
-        return
-    fmt = "%.17g," * width
-    pick = itemgetter(*take)
-    for head, row in zip(heads, values.tolist()):
-        text = (fmt % tuple(row)).split(",")  # C strings and a last empty one
-        fh.write(head[:-1] + ",".join(pick(text)) + "\n")
+    step = max(1, _WRITE_CELLS // width)
+    line = "%s" + ",".join(["%s"] * width) + "\n"  # the id cell and its comma, if any, then the floats
+    pick = itemgetter(*take) if take else None
+    for lo in range(0, len(values), step):
+        texts = _texts(values[lo : lo + step].ravel())
+        n = len(texts) // width
+        starts = [head[:-1] for head in heads[lo : lo + step]] if heads else [""] * n
+        if take:
+            for at, start in zip(range(0, len(texts), width), starts):
+                fh.write(start + ",".join(pick(texts[at : at + width])) + "\n")
+        else:
+            args = [None] * (n * (width + 1))
+            args[:: width + 1] = starts
+            for k in range(width):
+                args[k + 1 :: width + 1] = texts[k::width]
+            fh.write((line * n) % tuple(args))
+        del texts  # before the next block's strings are made
 
 
 _QUAT_COLS = ("qw", "qx", "qy", "qz")

@@ -122,29 +122,26 @@ class EmbeddingSpec:
     def orbits(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per component: the distinct group-orbit vectors of ``u_i`` and their weights.
 
-        Weights sum to 1, so the symmetrized outer power is the weighted sum
-        over these vectors only; by orbit-stabilizer they are all equal.  An
-        even power does not see the sign of its vector, so for even
-        ``alpha_i`` the orbit is taken up to sign: ``w`` and ``-w`` merge into
-        the first of them met, carrying both weights.
+        The images ``s u_i`` merge into clusters by single linkage: two within
+        1e-9 of each other (Euclidean) are one vector, kept as the first image
+        of its cluster.  An even power does not see the sign of its vector,
+        so for even ``alpha_i`` the orbit is taken up to sign: ``w`` and
+        ``-w`` count as within.  The group permutes the clusters, so each
+        holds ``|S| / len(orbit)`` images and every weight is ``1 /
+        len(orbit)`` (orbit-stabilizer): the symmetrized outer power is the
+        plain average over these vectors.
         """
-        mats = self.group.matrices
         out = []
         for vec, a in zip(self.u_vectors, self.alpha):
-            imgs = mats @ vec
-            signs = (1.0, -1.0) if a % 2 == 0 else (1.0,)
-            reps: list[np.ndarray] = []
-            counts: list[int] = []
-            for w in imgs:
-                for j, r in enumerate(reps):
-                    if any(float(np.abs(w - s * r).max()) < 1e-9 for s in signs):
-                        counts[j] += 1
-                        break
-                else:
-                    reps.append(w)
-                    counts.append(1)
-            v = np.array(reps)
-            wts = np.array(counts, dtype=float) / len(imgs)
+            imgs = self.group.matrices @ vec
+            near = np.linalg.norm(imgs[:, None] - imgs, axis=2) < 1e-9
+            if a % 2 == 0:
+                near |= np.linalg.norm(imgs[:, None] + imgs, axis=2) < 1e-9
+            first = np.arange(len(imgs))  # per image: the first image of its cluster, once settled
+            while not np.array_equal(settled := np.where(near, first, len(imgs)).min(axis=1), first):
+                first = settled
+            v = imgs[first == np.arange(len(imgs))]
+            wts = np.full(len(v), 1.0 / len(v))
             v.setflags(write=False)
             wts.setflags(write=False)
             out.append((v, wts))

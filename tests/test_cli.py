@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -672,6 +673,61 @@ def test_write_rows_repeats_each_formatted_value_with_its_sign():
     buf = io.StringIO()
     _write_rows(buf, ["a", "b"], values[:, :1])
     assert buf.getvalue() == "a,-0\nb,1.0000000000000001e+300\n"
+
+
+_FAST_FLOATS = st.floats(1e-4, 10.0, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _FAST_FLOATS), max_size=40))
+def test_texts_are_the_17_digit_format_of_every_float(floats):
+    # any float, and the range that numpy lays out, 1e-4 <= |v| < 10
+    assert cli._texts(np.array(floats, dtype=float)) == ["%.17g" % x for x in floats]
+
+
+def _neighbours(x: float, n: int = 3) -> list[float]:
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def test_texts_of_decades_ties_and_the_other_floats():
+    # the range ends and every power of ten with its neighbours, values that
+    # round up into the next decade, products that are exact ties at 17
+    # digits (half to even: 1.0000076293945312, not ...13), and the floats
+    # that go through "%": zeros, subnormals, large, small and integral ones
+    floats = [x for m in range(-6, 3) for x in _neighbours(float(f"1e{m}"), 4)]
+    floats += [0.99999999999999999, 9.9999999999999995e-05, 0.09999999999999999, 9.999999999999998]
+    floats += [1.0 + 2.0**-17, 1.0 + 3 * 2.0**-17, 7.0 + 2.0**-16, 0.25 + 2.0**-19, 1.0 / 3.0, 0.1, 2.5, 9.5]
+    floats += [0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308, 1e-5, 12.0, 3.0, 1e17]
+    floats += np.random.default_rng(24).standard_normal(2_000).tolist()
+    floats += [-x for x in floats]
+    assert cli._texts(np.array(floats)) == ["%.17g" % x for x in floats]
+    assert cli._texts(np.array([1.0 + 2.0**-17, 0.5])) == ["1.0000076293945312", "0.5"]
+    assert cli._texts(np.array([])) == []
+
+
+def test_write_rows_formats_a_dense_table_in_small_blocks():
+    # 2,000 C4 rows of 18 class values, 84 columns: formatted at most
+    # _WRITE_CELLS values per call, the write peaked at 0.64 MiB of tracemalloc
+    # (the per-row "%" of every row's floats, one list of the whole block's
+    # floats: 1.34 MiB); one call over the whole table peaked at 4.7 MiB
+    spec = registry_lookup("C4")
+    quats = random_quaternions(np.random.default_rng(25), 2_000)
+    values = np.concatenate(class_values(spec, quaternions_to_matrices(quats)), axis=1)
+    ids, take = [f"r{i}" for i in range(2_000)], cli.dense_class_columns(spec)
+    sink = SimpleNamespace(write=len)  # holds no output
+    _write_rows(sink, ids[:1], values[:1], take)  # the lookup tables are built on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _write_rows(sink, ids, values, take)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
