@@ -9,20 +9,8 @@ the quotient, and numerical verification tooling for the sphere, mean, rank,
 isometry and global distance-distortion properties.
 """
 
-from .analysis import (
-    BoundsEstimate,
-    IsometryReport,
-    b_norms_closed_form,
-    bound_ratio_table,
-    derive_beta,
-    differential_at_identity,
-    distance_scatter,
-    empirical_embedding_mean,
-    global_bounds,
-    isometry_check,
-    mean_check,
-    rank_check,
-)
+import importlib
+
 from .embedding import (
     TABLE_GROUPS,
     EmbeddedPoint,
@@ -35,14 +23,6 @@ from .embedding import (
     parse_spec_document,
     radius,
     registry_lookup,
-)
-from .projection import (
-    DegenerateConfigurationError,
-    DegenerateInputError,
-    ProjectionResult,
-    kabsch,
-    project,
-    project_many,
 )
 from .so3 import (
     GOLDEN_RATIO,
@@ -67,6 +47,33 @@ from .tensors import (
     symmetrize,
     tuple_norm,
 )
+
+# Loaded on first access (PEP 562): ``import so3embed`` imports neither module,
+# and neither do the ``embed`` and ``distance`` commands.
+_LAZY = {
+    "analysis": (
+        "BoundsEstimate",
+        "IsometryReport",
+        "b_norms_closed_form",
+        "bound_ratio_table",
+        "derive_beta",
+        "differential_at_identity",
+        "distance_scatter",
+        "empirical_embedding_mean",
+        "global_bounds",
+        "isometry_check",
+        "mean_check",
+        "rank_check",
+    ),
+    "projection": (
+        "DegenerateConfigurationError",
+        "DegenerateInputError",
+        "ProjectionResult",
+        "kabsch",
+        "project",
+        "project_many",
+    ),
+}
 
 __version__ = "0.1.0"
 
@@ -121,3 +128,20 @@ __all__ = [
     "tuple_norm",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """The ``analysis`` or ``projection`` module, or a name of ``__all__`` that
+    one of them defines, imported on first access and bound here."""
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            value = importlib.import_module(f".{module}", __name__)
+            if name != module:
+                value = getattr(value, name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

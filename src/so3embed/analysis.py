@@ -233,16 +233,20 @@ _COS_ERROR = 4e-15
 _NEAR_ANGLE = 1e-2
 
 
+def _block_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient geodesic and embedded distance from each of at most ``_BLOCK``
+    rotations ``(N, 4)`` to the identity coset; the ratio of the second to the
+    first is the distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
+    here = class_values(spec, quaternions_to_matrices(quats))
+    d_emb = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
+    return quotient_angles(quats, spec.group.quaternions), d_emb
+
+
 def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient geodesic and embedded distance from each rotation ``(N, 4)``
-    to the identity coset, ``_BLOCK`` rotations at a time; the ratio of the
-    second to the first is the distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
+    """:func:`_block_distances` of any number of rotations, ``_BLOCK`` at a time."""
     d_geo, d_emb = np.empty(len(quats)), np.empty(len(quats))
     for at in range(0, len(quats), _BLOCK):
-        block = quats[at : at + _BLOCK]
-        here = class_values(spec, quaternions_to_matrices(block))
-        d_emb[at : at + _BLOCK] = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
-        d_geo[at : at + _BLOCK] = quotient_angles(block, spec.group.quaternions)
+        d_geo[at : at + _BLOCK], d_emb[at : at + _BLOCK] = _block_distances(spec, quats[at : at + _BLOCK])
     return d_geo, d_emb
 
 
@@ -278,17 +282,26 @@ def _polish(spec: EmbeddingSpec, quats: np.ndarray, values: np.ndarray, signs: n
     """
     quats, best = quats.copy(), signs * values
     step = quotient_angles(quats, spec.group.quaternions) / 8.0
+    axes = _COMPASS / np.linalg.norm(_COMPASS, axis=-1, keepdims=True)  # as quaternions_from_axis_angles scales them
     evaluations = 0
     for _ in range(_POLISH_PASSES):
         live = np.flatnonzero(step >= 1e-9)
         if not live.size:
             break
-        turns = quaternions_from_axis_angles(_COMPASS, step[live, None])  # (live, compass, 4)
+        half = 0.5 * step[live]
+        turns = np.empty((len(live), len(axes), 4))  # the turns by step about each axis
+        turns[..., 0] = np.cos(half)[:, None]
+        np.multiply(np.sin(half)[:, None, None], axes, out=turns[..., 1:])
         trials = _quat_product(turns, quats[live, None, :]).reshape(-1, 4)
-        d_geo, d_emb = _identity_distances(spec, trials)
+        d_geo, d_emb = _block_distances(spec, trials)  # 14 trials a lane, 20 lanes: one block
         evaluations += len(trials)
-        ratio = np.divide(d_emb, d_geo, out=np.full(len(trials), np.nan), where=d_geo > _POLISH_FLOOR)
-        scores = np.nan_to_num(ratio.reshape(len(live), -1) * signs[live, None], nan=np.inf)
+        shape = (len(live), len(axes))
+        scores = np.divide(
+            d_emb.reshape(shape) * signs[live, None],  # exact: the signs are +-1
+            d_geo.reshape(shape),
+            out=np.full(shape, np.inf),
+            where=(d_geo > _POLISH_FLOOR).reshape(shape),
+        )
         pick = scores.argmin(axis=1)
         gain = scores[np.arange(len(live)), pick] < best[live]
         moved = live[gain]

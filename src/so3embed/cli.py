@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import math
 import sys
 from contextlib import ExitStack
@@ -43,17 +44,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .analysis import (
-    _mean_norms,
-    b_norms_closed_form,
-    derive_beta,
-    differential_at_identity,
-    distance_scatter,
-    global_bounds,
-    isometry_check,
-    rank_check,
-)
 from .embedding import (
+    _BLOCK_ENTRIES,
     TABLE_GROUPS,
     EmbeddingSpec,
     _parse_number,
@@ -66,16 +58,52 @@ from .embedding import (
     radius,
     registry_lookup,
 )
-from .projection import _BLOCK_ENTRIES, _ZERO_ROW, _NonFiniteRowError, _project_table
 from .so3 import fundamental_quaternions, group_elements, normalized_quaternions, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
 from .tensors import binom_identity_check
 
 # Bound but not called: bench/spans.py traces these names in this module.
-from .analysis import mean_check  # noqa: F401
 from .embedding import embed, embedded_distance  # noqa: F401
-from .projection import project  # noqa: F401
 from .so3 import Rotation, coset_distance, fundamental_representative  # noqa: F401
+
+# Names of ``analysis`` and ``projection`` bound here by ``_bind`` in the
+# commands that call them, so that ``embed`` and ``distance`` load neither
+# module.  ``mean_check`` and ``project`` are bound but not called, as above.
+_LAZY = {
+    "analysis": (
+        "_mean_norms",
+        "b_norms_closed_form",
+        "derive_beta",
+        "differential_at_identity",
+        "distance_scatter",
+        "global_bounds",
+        "isometry_check",
+        "mean_check",
+        "rank_check",
+    ),
+    "projection": ("_ZERO_ROW", "_NonFiniteRowError", "_project_table", "project"),
+}
+
+
+def _bind(module: str) -> None:
+    """Import ``module`` and bind its names of ``_LAZY`` here.  A name already
+    bound is kept, so a wrapper set on this module (bench/spans.py) still sees
+    the calls."""
+    mod = importlib.import_module(f".{module}", __package__)
+    names = globals()
+    for name in _LAZY[module]:
+        if name not in names:
+            names[name] = getattr(mod, name)
+
+
+def __getattr__(name: str):
+    """A name of ``_LAZY``, bound on first access as a command binds it."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["entry", "main"]
 
@@ -520,6 +548,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_project(args) -> int:
+    _bind("projection")
     spec, dim = _dense_spec(args)
     with ExitStack() as stack:
         reader, header = _read_header(stack, args.input)
@@ -643,6 +672,7 @@ def cmd_verify(args) -> int:
         if name not in TABLE_GROUPS:
             raise _UsageError(f"no registered embedding for group {args.group!r}")
         groups = (name,)
+    _bind("analysis")
     failures = 0
     for text, ok in _verify_checks(args.suite, groups, args.samples, args.seed):
         print(text)
@@ -654,6 +684,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _bind("analysis")
     spec = _resolve_spec(args)
     if args.beta is not None:
         betas = tuple(args.beta)
@@ -679,6 +710,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    _bind("analysis")
     spec = _resolve_spec(args)
     points = distance_scatter(spec, n_pairs=args.pairs, seed=args.seed)
     with ExitStack() as stack:

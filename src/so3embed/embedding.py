@@ -263,6 +263,11 @@ def registry_lookup(group_name: str, variant: str = "isometric") -> EmbeddingSpe
 # ---------------------------------------------------------------------------
 # the embedding map
 
+# Entries per batch of rows: ``cli`` embeds and measures rows of width ``w``
+# ``_BLOCK_ENTRIES // w`` at a time, and ``projection`` sizes its lockstep
+# batches by it, so the arrays of a large table are never all held at once.
+_BLOCK_ENTRIES = 2**20
+
 
 def class_values(spec: EmbeddingSpec, mats: np.ndarray) -> list[np.ndarray]:
     """Class values, shape ``(N, C(alpha_i + 2, 2))`` per component, of the

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, _tangent_operators, class_values, dense_rows, embed, radius
+from .embedding import _BLOCK_ENTRIES, EmbeddingSpec, _tangent_operators, class_values, dense_rows, embed, radius
 from .so3 import Coset, Rotation, _quat_product, normalized_quaternions, quaternions_from_matrices
 from .so3 import quaternions_to_matrices, random_quaternions
 from .tensors import class_multiplicities, class_sums, inner
@@ -214,11 +214,6 @@ def hessian(spec: EmbeddingSpec, r: Rotation, target) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # multi-start ascent
-
-# Entries per lockstep batch of rows.  Every lane holds its orbit monomials and
-# its 13 maps (``_Targets``) at once, so batching bounds the memory of a large
-# table; rows are independent, so the batch size changes a result only by round-off.
-_BLOCK_ENTRIES = 2**20
 
 # Ascents run per target at most, taken from the starts in screened order.
 _MAX_RUNS = 8
@@ -481,6 +476,9 @@ def _project_table(spec: EmbeddingSpec, targets, tol: float, max_iter: int, star
     spiral = _spiral_quaternions(n_starts, seed)
     # A lane counts orbit * (alpha + 1)**2 entries per component.
     lane = sum(len(vecs) * (a + 1) ** 2 for (vecs, _), a in zip(spec.orbits, spec.alpha))
+    # Every lane holds its orbit monomials and its 13 maps (``_Targets``) at
+    # once, so batching bounds the memory of a large table; rows are
+    # independent, so the batch size changes a result only by round-off.
     size = max(1, _BLOCK_ENTRIES // ((n_starts + 1) * lane))
     for lo in range(0, len(live), size):
         block = live[lo : lo + size]

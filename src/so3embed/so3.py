@@ -295,6 +295,10 @@ _KEY = np.sin(np.arange(1.0, 17.0)).reshape(4, 4)
 # the closure check of a table costs O(k^2 log k).
 MAX_FOLD = 1000
 
+# Products of table elements the closure check forms at a time: blocks of
+# rows of the product table keep its arrays near 2 MB each whatever |S|.
+_CHECK_PRODUCTS = 2**16
+
 
 def relative_quaternions(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """``conj(q2) q1`` for unit quaternions ``(N, 4)``, renormalized, so that
@@ -388,21 +392,26 @@ class SymmetryGroup:
 def _check_table(name: str, qs: np.ndarray, tol: float = 1e-10) -> None:
     """Raise ValueError unless the unit quaternions ``qs`` ``(|S|, 4)`` contain the
     identity and are closed under composition within ``tol`` (``1 - |p . q|`` for a
-    product ``p`` and its nearest element ``q``).  A product is compared with its two
-    neighbours by rotation key ``p^T _KEY p``, and with every element only if neither matches."""
+    product ``p`` and its nearest element ``q``).  The products are formed
+    ``_CHECK_PRODUCTS`` at a time, a block of rows of the product table.  A product is
+    compared with its two neighbours by rotation key ``p^T _KEY p``, and with every
+    element only if neither matches."""
     if not len(qs):
         raise ValueError("a symmetry group needs at least the identity element")
     if np.abs(np.abs(qs[:, 0]) - 1.0).min() > tol:
         raise ValueError(f"group {name!r} does not contain the identity")
-    keys = np.einsum("ni,ij,nj->n", qs, _KEY, qs)
+    keys = np.einsum("ni,ni->n", qs @ _KEY, qs)
     order = np.argsort(keys)
-    for e in qs:
-        prod = _quat_product(e, qs)
-        pos = np.searchsorted(keys, np.einsum("mi,ij,mj->m", prod, _KEY, prod), sorter=order)
-        near = qs[order[np.clip([pos - 1, pos], 0, len(qs) - 1)]]  # (2, |S|, 4)
+    keys, by_key = keys[order], qs[order]
+    step = max(1, _CHECK_PRODUCTS // len(qs))  # rows of the table, or unmatched products, per block
+    for lo in range(0, len(qs), step):
+        prod = _quat_product(qs[lo : lo + step, None], qs).reshape(-1, 4)
+        pos = np.searchsorted(keys, np.einsum("mi,mi->m", prod @ _KEY, prod))
+        near = by_key[np.clip([pos - 1, pos], 0, len(qs) - 1)]  # (2, block products, 4)
         miss = prod[np.abs(np.abs(np.einsum("md,kmd->km", prod, near)).max(axis=0) - 1.0) > tol]
-        if len(miss) and np.abs(np.abs(miss @ qs.T).max(axis=1) - 1.0).max() > tol:
-            raise ValueError(f"group {name!r} is not closed under composition")
+        for at in range(0, len(miss), step):
+            if np.abs(np.abs(miss[at : at + step] @ qs.T).max(axis=1) - 1.0).max() > tol:
+                raise ValueError(f"group {name!r} is not closed under composition")
 
 
 def _signed_rows(v, perms) -> np.ndarray:

@@ -24,8 +24,12 @@ def test_every_exported_name_of_a_module_resolves(name):
 
 
 def test_every_exported_name_of_the_package_resolves():
+    # the names of analysis and projection resolve on first access (PEP 562)
     assert [attr for attr in so3embed.__all__ if not hasattr(so3embed, attr)] == []
     assert len(set(so3embed.__all__)) == len(so3embed.__all__)
+    assert set(so3embed.__all__) <= set(dir(so3embed))
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        getattr(so3embed, "missing")
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():

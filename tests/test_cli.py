@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib
 import importlib.util
@@ -20,6 +21,7 @@ from so3embed import cli
 from so3embed.analysis import distance_scatter, empirical_embedding_means
 from so3embed.cli import _DataError, _blank, _read_rows, _table_rows, _write_rows, build_parser, main
 from so3embed.embedding import (
+    _BLOCK_ENTRIES,
     TABLE_GROUPS,
     class_values,
     dense_rows,
@@ -30,7 +32,7 @@ from so3embed.embedding import (
     radius,
     registry_lookup,
 )
-from so3embed.projection import _BLOCK_ENTRIES, project
+from so3embed.projection import project
 from so3embed.so3 import Coset, Rotation, as_coset, coset_distance, random_quaternions, random_rotation
 from so3embed.so3 import normalized_quaternions, quaternions_to_matrices
 from so3embed.tensors import tuple_norm
@@ -1054,6 +1056,72 @@ def test_cli_import_loads_no_dependency_but_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+_PRINT_PACKAGE_MODULES = "print(sorted(m for m in sys.modules if m.startswith('so3embed')))\n"
+_BASE_MODULES = ["so3embed", "so3embed.embedding", "so3embed.so3", "so3embed.tensors"]
+
+
+def test_package_import_loads_neither_analysis_nor_projection():
+    code = "import sys\nimport so3embed\n" + _PRINT_PACKAGE_MODULES + "import so3embed.cli\n" + _PRINT_PACKAGE_MODULES
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [str(_BASE_MODULES), str(sorted(_BASE_MODULES + ["so3embed.cli"]))]
+
+
+_PAIR_TABLE = "id,qw1,qx1,qy1,qz1,qw2,qx2,qy2,qz2\np0,1,0,0,0,0,1,0,0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,table,loaded",
+    [
+        (["embed", "--group", "Y"], "id,qw,qx,qy,qz\nr0,1,0,0,0\n", []),
+        (["distance", "--group", "C4"], _PAIR_TABLE, []),
+        (["distance", "--group", "C4", "--metric", "embedded"], _PAIR_TABLE, []),
+        (["project", "--group", "C1"], "id," + ",".join(f"e{i}" for i in range(9)) + "\nr0,1,0,0,0,1,0,0,0,1\n",
+         ["so3embed.projection"]),
+        (["bounds", "--group", "C4", "--pairs", "10", "--no-refine"], None, ["so3embed.analysis"]),
+        (["verify", "--suite", "binom"], None, ["so3embed.analysis"]),
+        (["scatter", "--group", "C4", "--pairs", "10"], None, ["so3embed.analysis"]),
+    ],
+    ids=["embed", "distance-geodesic", "distance-embedded", "project", "bounds", "verify", "scatter"],
+)
+def test_a_command_loads_analysis_or_projection_only_if_it_calls_them(argv, table, loaded, tmp_path):
+    # embed and distance start faster for importing neither module
+    argv = [*argv, "-o", str(tmp_path / "out.csv")] if argv[0] != "verify" else argv
+    if table is not None:
+        (tmp_path / "in.csv").write_text(table)
+        argv += ["-i", str(tmp_path / "in.csv")]
+    code = (
+        "import sys\n"
+        "from so3embed.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in ('so3embed.analysis', 'so3embed.projection') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_bench_tracer_sees_the_analysis_calls_of_the_cli():
+    # the commands bind the analysis names in cli on first use and keep a
+    # binding that exists, so a wrapper installed before they run sees the calls
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["bounds", "--group", "C4", "--pairs", "100", "--no-refine"]) == 0
+            assert cli.main(["verify", "--suite", "isometry", "--group", "C4"]) == 0
+            assert cli.main(["verify", "--suite", "rank", "--group", "C4"]) == 0
+    finally:
+        tracer.restore()
+    names = {span[0] for span in tracer.spans}
+    assert {"analysis.global_bounds", "analysis.isometry_check", "analysis.rank_check"} <= names
+    assert not hasattr(cli.global_bounds, "__wrapped__")
 
 
 # ---------------------------------------------------------------------------

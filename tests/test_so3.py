@@ -404,6 +404,37 @@ def test_from_elements_rejects_one_element_off_a_large_table():
         SymmetryGroup.from_elements("bad", rows)
 
 
+def test_from_elements_rejects_a_table_without_the_identity():
+    with pytest.raises(ValueError, match="does not contain the identity"):
+        SymmetryGroup.from_elements("bad", [Rotation.from_axis_angle(E1, math.pi)])
+
+
+def test_from_elements_rejects_one_element_off_in_the_last_block_of_products():
+    # the products are checked a block of table rows at a time; D200 spans
+    # several blocks, and its turned element sits in the last one
+    rows = list(group_elements("D200"))
+    step = so3._CHECK_PRODUCTS // len(rows)
+    assert len(rows) > 2 * step
+    rows[-1] = rows[-1] @ Rotation.from_axis_angle(E3, 1e-4)
+    with pytest.raises(ValueError, match="not closed"):
+        SymmetryGroup.from_elements("bad", rows)
+
+
+def test_closure_check_forms_every_product_once_in_blocks(monkeypatch):
+    formed = []
+
+    def product(q1, q2):
+        out = _quat_product(q1, q2)
+        formed.append(out.shape[:-1])
+        return out
+
+    monkeypatch.setattr(so3, "_quat_product", product)
+    qs = group_elements("D200").quaternions
+    so3._check_table("D200", qs)
+    assert len(formed) > 2 and all(rows * cols <= so3._CHECK_PRODUCTS for rows, cols in formed)
+    assert sum(rows for rows, _ in formed) == len(qs) and {cols for _, cols in formed} == {len(qs)}
+
+
 @pytest.mark.parametrize("name", TABLE_GROUPS + ("D13",))
 def test_group_table_is_the_field_and_elements_its_edge_view(name):
     g = group_elements(name)
