@@ -616,7 +616,7 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _verify_checks(suite: str, groups, samples: int, seed: int):
+def _verify_checks(suite: str, groups, seed: int):
     """Yield (report_line, passed) pairs for the requested suite."""
     if suite in ("isometry", "all"):
         for name in groups:
@@ -640,10 +640,11 @@ def _verify_checks(suite: str, groups, samples: int, seed: int):
             ok = defect < 1e-12
             yield f"beta {name}: max defect {defect:.3e} {_verdict(ok)}", ok
     if suite in ("mean", "all"):
-        # One Haar sweep for all groups: every group's mean is over the same rotations.
+        # Exact means, each group on its own quadrature; the bound is the
+        # rounding bound derived in analysis._mean_norms.
         specs = [registry_lookup(name) for name in groups]
-        for name, spec, value in zip(groups, specs, _mean_norms(specs, samples, seed=seed)):
-            bound = 5.0 * radius(spec) / math.sqrt(samples)
+        for name, spec, value in zip(groups, specs, _mean_norms(specs)):
+            bound = 1e-12 * radius(spec)
             ok = value < bound
             yield f"mean {name}: norm {value:.3e} bound {bound:.3e} {_verdict(ok)}", ok
     if suite in ("rank", "all"):
@@ -674,7 +675,7 @@ def cmd_verify(args) -> int:
         groups = (name,)
     _bind("analysis")
     failures = 0
-    for text, ok in _verify_checks(args.suite, groups, args.samples, args.seed):
+    for text, ok in _verify_checks(args.suite, groups, args.seed):
         print(text)
         failures += 0 if ok else 1
     if failures:
@@ -767,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numerical verification suites")
     p.add_argument("--suite", choices=("isometry", "norms", "mean", "rank", "binom", "all"), default="all")
     p.add_argument("--group", default="all", help="restrict group-wise suites to one group")
-    p.add_argument("--samples", type=_number(int, 1), default=100_000, help="sample count for the mean suite")
+    p.add_argument("--samples", type=_number(int, 1), default=100_000, help="validated, not read: the mean suite is exact")
     p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(func=cmd_verify)
 

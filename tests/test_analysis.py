@@ -41,7 +41,8 @@ from so3embed.so3 import (
     random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import class_monomial_sums, class_monomials, inner, invariant_tensor, outer_power, tuple_norm
+from so3embed.tensors import MAX_CLASS_RANK, class_monomial_sums, class_monomials, inner, invariant_class_values
+from so3embed.tensors import invariant_tensor, outer_power, tuple_norm
 
 from oracles import monomial_derivatives, orbit_gram
 
@@ -700,6 +701,72 @@ def test_one_sweep_sums_each_distinct_component_once_per_chunk(monkeypatch):
     monkeypatch.setattr(analysis, "class_monomial_sums", counted)
     analysis.empirical_embedding_means([registry_lookup(name) for name in TABLE_GROUPS], 128, seed=1)
     assert len(calls) == 2 * 12
+
+
+# ---------------------------------------------------------------------------
+# exact Haar means by product quadrature
+
+
+def _design_average(design, f):
+    """The design's Haar mean of ``f(mats)``, ``f`` taken per slab of matrices
+    ``(N, 3, 3)`` and averaged over the slab's first axis."""
+    quats, weights = design
+    return sum(w * f(mats).mean(axis=0) for w, mats in zip(weights, quaternions_to_matrices(quats)))
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_design_integrates_first_and_second_moments_of_the_rotation_matrix(L):
+    # L up to the dense rank limit; at L = 16 and above, these plain slab
+    # means of up to 961 rotations round past 1e-15 (1.6e-15 at L = 28)
+    design = analysis._haar_design(L)
+    assert design[0].shape == (L // 2 + 1, (L + 1) ** 2, 4)
+    first = _design_average(design, lambda m: m)
+    second = _design_average(design, lambda m: np.einsum("nij,nkl->nijkl", m, m))
+    assert np.abs(first).max() <= 1e-15
+    assert np.abs(second - np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3)) / 3).max() <= 1e-15
+
+
+@pytest.mark.parametrize("m", range(1, MAX_CLASS_RANK // 2 + 2))
+def test_gauss_legendre_nodes_and_weights_are_those_of_leggauss(m):
+    from numpy.polynomial.legendre import leggauss  # the tests only; the package never imports it
+
+    nodes, weights = analysis._gauss_legendre(m)
+    want_nodes, want_weights = leggauss(m)
+    assert np.abs(nodes - want_nodes).max() <= 1e-15
+    assert np.abs(weights - want_weights / 2).max() <= 1e-15
+    assert abs(weights.sum() - 1.0) <= 1e-15
+
+
+_AXES = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.36, -0.48, 0.8)]
+
+
+def _power_mean(L, alpha, u):
+    """The design's class-value mean of ``(R u)^{x alpha}`` for a design of degree ``L``."""
+    return _design_average(analysis._haar_design(L), lambda m: class_monomials((m @ np.array(u)).T, alpha).T)
+
+
+@pytest.mark.parametrize("alpha", range(1, MAX_CLASS_RANK + 1))
+def test_design_mean_of_a_tensor_power_is_the_isotropic_moment(alpha):
+    # E[(R u)^{x alpha}] = I_alpha / (alpha + 1) at even alpha and 0 at odd alpha
+    want = invariant_class_values(alpha) / (alpha + 1) if alpha % 2 == 0 else 0.0
+    for u in _AXES:
+        assert np.abs(_power_mean(alpha, alpha, u) - want).max() <= 1e-14
+    # a design one degree short misses by far more than rounding (2.3e-10 at rank 30)
+    assert min(np.abs(_power_mean(alpha - 1, alpha, u) - want).max() for u in _AXES) > 1e-12
+
+
+def test_exact_mean_of_an_uncentered_spec_keeps_its_isotropic_part():
+    base = registry_lookup("O")
+    spec = EmbeddingSpec(base.group, base.u, base.alpha, base.beta, centered=False)
+    value = analysis._mean_norms([spec])[0]
+    assert value == pytest.approx(base.beta[0] * math.sqrt(5.0) / 5.0, rel=1e-14, abs=0.0)
+    assert value > 1e9 * 1e-12 * radius(spec)
+
+
+def test_exact_mean_norms_of_registered_specs_are_rounding_level():
+    specs = [registry_lookup(name) for name in TABLE_GROUPS] + [cyclic_spec(8, 13, beta=(0.5, 0.7))]
+    for spec, value in zip(specs, analysis._mean_norms(specs)):
+        assert value < 1e-14 * radius(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3embed import cli
-from so3embed.analysis import distance_scatter, empirical_embedding_means
+from so3embed import analysis, cli
+from so3embed.analysis import distance_scatter
 from so3embed.cli import _DataError, _blank, _read_rows, _table_rows, _write_rows, build_parser, main
 from so3embed.embedding import (
     _BLOCK_ENTRIES,
@@ -954,17 +954,33 @@ def test_verify_mean_suite_for_all_groups_prints_each_groups_own_line(capsys):
     assert len(together.splitlines()) == len(TABLE_GROUPS)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 12345])
-def test_verify_mean_lines_are_those_of_the_dense_mean_norm(seed, capsys):
-    # the suite takes the norm from class values; its lines read as the
-    # norm of the dense mean tensors does at the printed three digits
-    assert main(["verify", "--suite", "mean", "--seed", str(seed)]) == 0
-    specs = [registry_lookup(name) for name in TABLE_GROUPS]
-    want = "".join(
-        f"mean {name}: norm {tuple_norm(mean):.3e} bound {5.0 * radius(spec) / math.sqrt(100_000):.3e} PASS\n"
-        for name, spec, mean in zip(TABLE_GROUPS, specs, empirical_embedding_means(specs, 100_000, seed=seed))
-    )
-    assert capsys.readouterr().out == want
+def test_verify_mean_lines_bound_the_design_mean_of_dense_embeddings(capsys):
+    # the oracle averages dense embed tensors over each group's design; it and
+    # the printed norm are rounding-level, below the printed 1e-12 r bound
+    assert main(["verify", "--suite", "mean"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(TABLE_GROUPS)
+    for name, line in zip(TABLE_GROUPS, lines):
+        spec = registry_lookup(name)
+        head, norm, _, bound, verdict = line.rsplit(" ", 4)
+        assert (head, verdict) == (f"mean {name}: norm", "PASS")
+        assert bound == f"{1e-12 * radius(spec):.3e}" and float(norm) < float(bound)
+        slabs, weights = analysis._haar_design(max(spec.alpha))
+        mean = [0.0] * spec.n_components
+        for slab, weight in zip(slabs, weights):
+            for q in slab:
+                point = embed(spec, Rotation.from_quaternion(q)).value
+                mean = [m + (weight / len(slab)) * t for m, t in zip(mean, point)]
+        assert tuple_norm(mean) < 1e-12 * radius(spec)
+
+
+def test_verify_mean_fails_on_a_design_too_short_for_the_rank(monkeypatch, capsys):
+    # O's rank-4 mean needs a degree-4 design; a degree-3 one leaves 0.197
+    design = analysis._haar_design
+    monkeypatch.setattr(analysis, "_haar_design", lambda L: design(3))
+    assert main(["verify", "--suite", "mean", "--group", "O"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("mean O: norm 1.97") and out.endswith(" FAIL\n")
 
 
 def test_verify_rejects_unknown_suite():
@@ -1221,6 +1237,19 @@ def test_embed_header_of_a_rank_10_spec_names_every_entry(tmp_path):
     src.write_text("id,qw,qx,qy,qz\n")
     assert main(["embed", "--spec", str(doc), "-i", str(src), "-o", str(out)]) == 0
     assert out.read_text() == "id," + ",".join(f"e{i}" for i in range(59049)) + "\n"
+
+
+def test_verify_mean_loads_neither_numpy_polynomial_nor_numpy_ma_nor_fractions():
+    # the design's Gauss-Legendre nodes come from the Legendre recurrence, not numpy.polynomial
+    code = (
+        "import sys\n"
+        "from so3embed.cli import main\n"
+        "assert main(['verify', '--suite', 'mean']) == 0\n"
+        "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma', 'fractions') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_embed_loads_neither_numpy_ma_nor_fractions(tmp_path):
