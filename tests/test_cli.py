@@ -954,11 +954,16 @@ def test_verify_mean_suite_for_all_groups_prints_each_groups_own_line(capsys):
     assert len(together.splitlines()) == len(TABLE_GROUPS)
 
 
-def test_verify_mean_lines_bound_the_design_mean_of_dense_embeddings(capsys):
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_verify_mean_lines_are_those_of_the_dense_mean_norm(seed, capsys):
     # the oracle averages dense embed tensors over each group's design; it and
-    # the printed norm are rounding-level, below the printed 1e-12 r bound
+    # the printed norm are rounding-level, below the printed 1e-12 r bound,
+    # and the seed, which only Monte Carlo checks read, leaves the lines alone
+    assert main(["verify", "--suite", "mean", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
     assert main(["verify", "--suite", "mean"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    assert capsys.readouterr().out == out
+    lines = out.splitlines()
     assert len(lines) == len(TABLE_GROUPS)
     for name, line in zip(TABLE_GROUPS, lines):
         spec = registry_lookup(name)
