@@ -338,9 +338,6 @@ def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> N
     list of at least two column indices, repeats them in its order, as
     ``embedding.dense_class_columns`` expands class values: each row gathers
     its formatted floats."""
-    heads = []  # "<id>,\n" per row: the line terminator takes part in the quoting rule
-    if ids is not None:
-        csv.writer(SimpleNamespace(write=heads.append), lineterminator="\n").writerows((i, "") for i in ids)
     width = values.shape[1]
     step = max(1, _WRITE_CELLS // width)
     line = "%s" + ",".join(["%s"] * width) + "\n"  # the id cell and its comma, if any, then the floats
@@ -348,7 +345,7 @@ def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> N
     for lo in range(0, len(values), step):
         texts = _texts(values[lo : lo + step].ravel())
         n = len(texts) // width
-        starts = [head[:-1] for head in heads[lo : lo + step]] if heads else [""] * n
+        starts = [""] * n if ids is None else _heads(ids[lo : lo + step])
         if take:
             for at, start in zip(range(0, len(texts), width), starts):
                 fh.write(start + ",".join(pick(texts[at : at + width])) + "\n")
@@ -359,6 +356,18 @@ def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> N
                 args[k + 1 :: width + 1] = texts[k::width]
             fh.write((line * n) % tuple(args))
         del texts  # before the next block's strings are made
+
+
+def _heads(ids) -> list[str]:
+    """``"<id>,"`` for every id, quoted as the csv module quotes it.  Ids none
+    of which holds a comma, a quote or a line break need no quoting; the
+    others go through ``csv.writer``."""
+    joined = "".join(ids)
+    if not ("," in joined or '"' in joined or "\r" in joined or "\n" in joined):
+        return [i + "," for i in ids]
+    heads = []  # "<id>,\n" per row: the line terminator takes part in the quoting rule
+    csv.writer(SimpleNamespace(write=heads.append), lineterminator="\n").writerows((i, "") for i in ids)
+    return [head[:-1] for head in heads]
 
 
 _QUAT_COLS = ("qw", "qx", "qy", "qz")
@@ -397,16 +406,39 @@ def _cell(row, col: int, line: int) -> str:
 # once: blocks of 2**11 cells left the peak RSS of a process that embeds
 # 2,000-row tables about 0.2 MB higher, at the same speed.
 _BLOCK_CELLS = 2**9
+# Cells of a block's first row that are looked at to pick its conversion: a
+# dense row repeats a class value within them, an orientation row repeats
+# nothing.  A set over a whole Y row (59,048 cells) cost more than the
+# conversion it picks saves.
+_PROBE_CELLS = 64
+
+
+def _picker(cols):
+    """A function that gives the cells ``cols`` (at least two) of a row, in
+    their order, and raises IndexError on a row too short for them.  A
+    ``range`` of step 1 is taken as one slice, so no index is held per cell."""
+    if isinstance(cols, range) and cols.step == 1:
+        lo, hi = cols.start, cols.stop
+
+        def pick(cells):
+            if len(cells) < hi:
+                raise IndexError
+            return cells[lo:hi]
+
+        return pick
+    return itemgetter(*cols)
 
 
 def _read_rows(rows, cols, idc: int):
-    """The cells ``cols`` (at least two) of every remaining row of ``rows``
-    (``_table_rows``) as one ``(N, len(cols))`` array of finite floats, with the
-    id cell and the line number of every row.  Rows are converted in blocks of
-    about ``_BLOCK_CELLS`` cells straight into the table, which grows in place
-    by a quarter when full, so no block's text outlives it and the floats are
-    held once."""
-    pick = itemgetter(*cols)
+    """The cells ``cols`` (at least two, a list or a ``range``) of every
+    remaining row of ``rows`` (``_table_rows``) as one ``(N, len(cols))``
+    array of finite floats, with the id cell and the line number of every row.
+    Rows are converted in blocks of about ``_BLOCK_CELLS`` cells, a block whose
+    rows repeat cells once per distinct text and any other cell by cell
+    (``_block_floats``), straight into the table, which grows in place by a
+    quarter when full, so no block's text outlives it and the floats are held
+    once."""
+    pick = _picker(cols)
     table = np.empty((0, len(cols)))
     ids, lines = [], []
     filled = ((line, cells) for line, cells in rows if not _blank(cells))
@@ -430,27 +462,67 @@ def _read_rows(rows, cols, idc: int):
 
 def _block_floats(block, pick, out: np.ndarray) -> bool:
     """Write the cells of the rows ``block`` that ``pick`` takes into ``out`` if
-    all of them are finite numbers, converting each distinct cell text once, as
-    a dense row repeats its class values.  Python's ``float`` also reads digit
-    underscores (``1_0`` is 10) and non-ASCII digits, which the number grammar
-    has neither of.  False, with ``out`` unwritten, if a cell is missing, has
-    either or is not a finite number, or if the distinct values' sum overflows."""
+    all of them are finite numbers.  If the first ``_PROBE_CELLS`` cells of the
+    first row repeat a text, as a dense row repeats its class values, each
+    distinct text is converted once (``_distinct_floats``); otherwise every
+    cell is (``_cell_floats``).  Either way ``_read_rows`` gives the bits of
+    ``float`` per cell, or the same data error.  False, with ``out``
+    unwritten, if a cell is missing or a conversion gives None; ``_row_floats``
+    then converts the block again under the number grammar."""
     try:
         picked = [pick(cells) for _, cells in block]
     except IndexError:
         return False
-    texts = dict.fromkeys(chain.from_iterable(picked))
-    joined = "".join(texts)
-    if "_" in joined or not joined.isascii():
+    values = (_distinct_floats if _repeats(picked[0]) else _cell_floats)(picked, out.size)
+    if values is None:
         return False
+    out.reshape(-1)[:] = values
+    return True
+
+
+def _repeats(cells) -> bool:
+    """True if the first ``_PROBE_CELLS`` of ``cells`` hold a text twice."""
+    head = cells[:_PROBE_CELLS]
+    return len(set(head)) < len(head)
+
+
+def _plain(texts) -> bool:
+    """True if the joined ``texts`` hold no digit underscore and no non-ASCII
+    character: Python's ``float`` reads both (``1_0`` is 10, an Arabic-Indic
+    digit two is 2.0), and the number grammar has neither."""
+    joined = "".join(texts)
+    return "_" not in joined and joined.isascii()
+
+
+def _cell_floats(picked, size: int):
+    """The ``size`` floats of the cells of the rows ``picked``, one ``float``
+    call per cell, or None if the cells are not ``_plain``, or a cell is no
+    number or is not finite."""
+    cells = list(chain.from_iterable(picked))
+    if not _plain(cells):
+        return None
+    try:
+        values = np.fromiter(map(float, cells), float, size)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _distinct_floats(picked, size: int):
+    """The ``size`` floats of the cells of the rows ``picked``, one ``float``
+    call per distinct cell text, or None if the texts are not ``_plain``, or a
+    text is no number, or the distinct values' sum is not finite (on inf or
+    nan, and on a sum that overflows, which ``_row_floats`` then accepts)."""
+    texts = dict.fromkeys(chain.from_iterable(picked))
+    if not _plain(texts):
+        return None
     try:
         values = dict(zip(texts, map(float, texts)))
     except ValueError:
-        return False
-    if not math.isfinite(sum(values.values())):  # false on inf or nan, and on an overflowing sum
-        return False
-    out.reshape(-1)[:] = np.fromiter(map(values.__getitem__, chain.from_iterable(picked)), float, out.size)
-    return True
+        return None
+    if not math.isfinite(sum(values.values())):
+        return None
+    return np.fromiter(map(values.__getitem__, chain.from_iterable(picked)), float, size)
 
 
 def _row_floats(cells, cols, line: int, out: np.ndarray) -> None:
@@ -552,8 +624,9 @@ def cmd_project(args) -> int:
     spec, dim = _dense_spec(args)
     with ExitStack() as stack:
         reader, header = _read_header(stack, args.input)
-        idc = _id_column(header)
-        coord_cols = [*range(idc), *range(idc + 1, len(header))]
+        idc, width = _id_column(header), len(header)
+        del header  # a Y header is 59,049 strings: dropped before the rows are read
+        coord_cols = range(1, width) if idc == 0 else [*range(idc), *range(idc + 1, width)]
         if len(coord_cols) != dim:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
         table, ids, lines = _read_rows(reader, coord_cols, idc)

@@ -9,12 +9,14 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from so3embed import analysis, cli
@@ -294,27 +296,174 @@ def test_read_rows_takes_each_id_after_its_row_converts():
     assert str(err.value) == "line 2: expected at least 3 columns, found 2"
 
 
+def _spy_paths(monkeypatch) -> list[str]:
+    """The conversion of every block ``_block_floats`` hands on, in order:
+    "distinct" (``_distinct_floats``) or "cell" (``_cell_floats``)."""
+    paths = []
+    for name in ("_distinct_floats", "_cell_floats"):
+        def spy(picked, size, convert=getattr(cli, name), path=name[1:-7]):
+            paths.append(path)
+            return convert(picked, size)
+        monkeypatch.setattr(cli, name, spy)
+    return paths
+
+
+def _noisy_d6_table() -> str:
+    # the recover noisy shape: 8 embedded D6 rows of 738 cells, each entry
+    # moved by Gaussian noise, so no row repeats a cell
+    spec = registry_lookup("D6")
+    rows = dense_rows(spec, class_values(spec, quaternions_to_matrices(random_quaternions(np.random.default_rng(15), 8))))
+    rows += 0.05 * radius(spec) / math.sqrt(rows.shape[1]) * np.random.default_rng(16).standard_normal(rows.shape)
+    text = "id," + ",".join(f"e{i}" for i in range(rows.shape[1])) + "\n"
+    return text + "".join(f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows.tolist()))
+
+
 @pytest.mark.parametrize("repeated", [True, False])
-def test_read_rows_gives_the_bits_of_float_per_cell(repeated, tmp_path):
-    # two clean Y rows repeat 66 distinct class values over 59,049 cells; random
-    # rows, with a signed zero beside each zero, repeat none but those
+def test_read_rows_gives_the_bits_of_float_per_cell(repeated, tmp_path, monkeypatch):
+    # two clean Y rows repeat 66 distinct class values over 59,049 cells and
+    # are converted once per distinct text; random rows, with a signed zero
+    # beside each zero in the first row, and noisy D6 rows of 738 cells repeat
+    # none but those, and past the first block of the random rows every cell
+    # is converted on its own
     if repeated:
         src, out = tmp_path / "q.csv", tmp_path / "e.csv"
         src.write_text(quaternion_table(random_quaternions(np.random.default_rng(12), 2)))
         assert main(["embed", "--group", "Y", "-i", str(src), "-o", str(out)]) == 0
-        text = out.read_text()
+        texts = [out.read_text()]
     else:
         floats = np.random.default_rng(13).standard_normal((300, 40)) * 10.0 ** np.arange(-150, 150)[:, None]
         floats[0, :4] = [0.0, -0.0, 0.0, -0.0]
         text = "id," + ",".join(f"e{i}" for i in range(40)) + "\n"
-        text += "".join(f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(floats.tolist()))
+        texts = [text + "".join(f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(floats.tolist())),
+                 _noisy_d6_table()]
+    paths = _spy_paths(monkeypatch)
+    for text in texts:
+        paths.clear()
+        reader = _table_rows(io.StringIO(text))
+        width = len(next(reader)[1]) - 1
+        vals, ids, lines = _read_rows(reader, list(range(1, width + 1)), 0)
+        want = np.array([[float(c) for c in line.split(",")[1:]] for line in text.splitlines()[1:]])
+        assert vals.shape == want.shape and vals.tobytes() == want.tobytes()
+        distinct = len(set(map(repr, vals.ravel().tolist())))
+        if repeated:
+            assert distinct < 200 and paths == ["distinct"] * 2
+        elif width == 40:
+            assert distinct == vals.size - 2 and paths == ["distinct"] + ["cell"] * 24
+        else:
+            assert distinct == vals.size and paths == ["cell"] * 8
+
+
+def _read_outcome(text: str, cols, idc: int, force: str | None = None, block_cells: int = 8):
+    """What ``_read_rows`` gives on the rows of ``text`` after its header, in
+    blocks of ``block_cells`` cells: the table's bytes and shape, the ids and
+    the line numbers, or the data error's message.  ``force`` picks the
+    conversion of every block: "distinct", "cell", or "row" (``_row_floats``
+    alone, the number grammar cell by cell)."""
+    patches = [mock.patch.object(cli, "_BLOCK_CELLS", block_cells)]
+    if force == "row":
+        patches.append(mock.patch.object(cli, "_block_floats", lambda block, pick, out: False))
+    elif force is not None:
+        patches.append(mock.patch.object(cli, "_repeats", lambda cells: force == "distinct"))
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        reader = _table_rows(io.StringIO(text))
+        next(reader)
+        try:
+            vals, ids, lines = _read_rows(reader, cols, idc)
+        except _DataError as exc:
+            return str(exc)
+        return vals.tobytes(), vals.shape, ids, lines
+
+
+# Cells for the conversion paths: texts that repeat (a few numbers, padded,
+# signed zeros, two 1e308 whose sum overflows), texts that do not (any
+# float), and texts that Python's float reads but the grammar does not, or
+# that are no finite number.
+_REPEATED_CELLS = st.sampled_from(["0", "-0", "0.0", "-0.0", "1", " 1 ", "\t2.5", "1e308", "1e308 ", "-1e-320", "0.1"])
+_UNIQUE_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_BAD_CELLS = st.sampled_from(["1_0", "\u0661", "nan", "-nan", "inf", "-inf", "1e999", "x", "", " ", "\u00a01", "1e5_0"])
+_CONVERSION_LAYOUTS = [("id,a,b,c", range(1, 4), 0), ("id,a,b,c", [1, 2, 3], 0), ("a,id,b,c", [0, 2, 3], 1)]
+_CONVERSION_TABLES = (
+    st.sampled_from(_CONVERSION_LAYOUTS),
+    st.lists(st.lists(st.one_of(_REPEATED_CELLS, _UNIQUE_CELLS), min_size=3, max_size=3), min_size=1, max_size=9),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2), st.one_of(_BAD_CELLS, st.just(None))), max_size=2),
+    st.integers(1, 16),
+)
+
+
+def _assert_every_conversion_path_agrees(layout, rows, edits, block_cells):
+    # each block's first row picks its conversion; forced either way, and with
+    # no fast path at all, the same floats, ids and lines come out, or the same
+    # data error.  An edit puts a bad cell into a row or cuts the row short.
+    header, cols, idc = layout
+    for at, col, cell in edits:
+        if at < len(rows):
+            rows[at] = rows[at][:col] + ([cell] + rows[at][col + 1 :] if cell is not None else [])
+    lines = []
+    for i, cells in enumerate(rows):
+        cells = [*cells]
+        cells.insert(idc, f"r{i}")
+        lines.append(",".join(cells))
+    text = header + "\n" + "\n".join(lines) + "\n"
+    want = _read_outcome(text, cols, idc, "row", block_cells)
+    for force in ("distinct", "cell", None):
+        assert _read_outcome(text, cols, idc, force, block_cells) == want, force
+
+
+@settings(max_examples=300, deadline=None)
+@given(*_CONVERSION_TABLES)
+def test_read_rows_gives_the_same_table_or_error_on_every_conversion_path(layout, rows, edits, block_cells):
+    _assert_every_conversion_path_agrees(layout, rows, edits, block_cells)
+
+
+def test_a_cell_path_without_its_finiteness_check_fails_the_conversion_test(monkeypatch):
+    # the negative control: converted cell by cell, inf, nan and 1e999 are
+    # floats, and only the finiteness check sends their block to _row_floats.
+    # The same examples are drawn, and the first failure is not shrunk.
+    def unchecked(picked, size):
+        cells = list(chain.from_iterable(picked))
+        if not cli._plain(cells):
+            return None
+        try:
+            return np.fromiter(map(float, cells), float, size)
+        except ValueError:
+            return None
+
+    monkeypatch.setattr(cli, "_cell_floats", unchecked)
+    test = settings(max_examples=300, deadline=None, phases=[Phase.generate])(given(*_CONVERSION_TABLES)(
+        _assert_every_conversion_path_agrees
+    ))
+    with pytest.raises(AssertionError, match="cell"):
+        test()
+
+
+def test_a_row_repeats_if_its_first_64_cells_hold_a_text_twice():
+    # a wide row is judged on a prefix: a repeat past it is not looked for
+    cells = [str(i) for i in range(cli._PROBE_CELLS)]
+    assert not cli._repeats(cells + ["0"]) and cli._repeats(cells[:-1] + ["0"] + cells)
+    assert not cli._repeats(range(1000)) and cli._repeats(["1", "1"]) and not cli._repeats([" 1", "1"])
+
+
+@pytest.mark.parametrize("repeats_first", [True, False])
+def test_read_rows_picks_the_conversion_of_each_block(repeats_first, monkeypatch):
+    # 3 cells a row, 170 rows a block: a block of rows that repeat cells, then
+    # blocks of rows that do not, or the reverse; each block is converted its
+    # own way, to the bits of float per cell
+    rng = np.random.default_rng(17)
+    repeating = [[0.5, 0.5, -0.0]] * 170
+    unique = rng.standard_normal((400, 3)).tolist()
+    rows = repeating + unique if repeats_first else unique + repeating
+    text = "id,a,b,c\n" + "".join(f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows))
+    paths = _spy_paths(monkeypatch)
     reader = _table_rows(io.StringIO(text))
-    width = len(next(reader)[1]) - 1
-    vals, ids, lines = _read_rows(reader, list(range(1, width + 1)), 0)
-    want = np.array([[float(c) for c in line.split(",")[1:]] for line in text.splitlines()[1:]])
-    assert vals.shape == want.shape and vals.tobytes() == want.tobytes()
-    distinct = len(set(map(repr, vals.ravel().tolist())))
-    assert distinct < 200 if repeated else distinct == vals.size - 2
+    next(reader)
+    vals, ids, lines = _read_rows(reader, [1, 2, 3], 0)
+    assert vals.tobytes() == np.array(rows).tobytes() and ids[-1] == "r569" and lines[-1] == 571
+    # in the reverse table the third block starts with the last 60 unique
+    # rows, so its repeating rows are converted cell by cell too
+    assert paths == (["distinct", "cell", "cell", "cell"] if repeats_first else ["cell", "cell", "cell", "distinct"])
+    assert _read_outcome(text, [1, 2, 3], 0, "row", cli._BLOCK_CELLS) == (vals.tobytes(), vals.shape, ids, lines)
 
 
 def test_header_names_match_stripped_and_caseless_and_the_first_one_wins():
@@ -675,6 +824,23 @@ def test_write_rows_repeats_each_formatted_value_with_its_sign():
     buf = io.StringIO()
     _write_rows(buf, ["a", "b"], values[:, :1])
     assert buf.getvalue() == "a,-0\nb,1.0000000000000001e+300\n"
+
+
+@pytest.mark.parametrize("write_cells", [4096, 8])
+def test_write_rows_with_take_quotes_only_the_ids_that_need_it(write_cells, monkeypatch):
+    # dense rows whose block mixes plain ids and ids with a comma, a quote, a
+    # CR or an LF; at 8 cells a block (2 rows) some blocks hold plain ids
+    # only.  The ids are the csv writer's either way: a block with a CR goes
+    # through it, whether or not this Python quotes a CR.
+    monkeypatch.setattr(cli, "_WRITE_CELLS", write_cells)
+    ids = ["plain", "a,b", " lead", 'say "hi"', "", "cr\rhere", "tab\there", "two\nlines", "end ", "x"]
+    values = np.random.default_rng(26).standard_normal((len(ids), 4))
+    take = [1, 0, 0, 3, 2, 1]
+    buf, want = io.StringIO(), io.StringIO()
+    _write_rows(buf, ids, values, take)
+    csv.writer(want, lineterminator="\n").writerows([i] + ["%.17g" % x for x in row[take]] for i, row in zip(ids, values))
+    assert buf.getvalue() == want.getvalue()
+    assert buf.getvalue().startswith("plain,") and '\n"a,b",' in buf.getvalue()
 
 
 _FAST_FLOATS = st.floats(1e-4, 10.0, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x]))
