@@ -789,14 +789,16 @@ _WRITE_FLOATS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda c: st.lists(st.tuples(_IDS, st.lists(_WRITE_FLOATS, min_size=c, max_size=c)),
                                                     min_size=1, max_size=8)),
-       st.booleans())
-def test_write_rows_without_take_is_the_csv_writer_at_17_digits(rows, with_ids):
+       st.booleans(), st.sampled_from([1, 2, 3, 5, cli._WRITE_CELLS]))
+def test_write_rows_without_take_is_the_csv_writer_at_17_digits(rows, with_ids, write_cells):
     # the narrow path formats a block of rows with one "%"; the oracle is one
-    # csv row per line, the id first when there is one, every float by format()
+    # csv row per line, the id first when there is one, every float by format().
+    # Small write blocks hold plain ids only, quoted ones only, or both.
     values = np.array([v for _, v in rows], dtype=float).reshape(len(rows), -1)
     ids = [i for i, _ in rows] if with_ids else None
     buf, want = io.StringIO(), io.StringIO()
-    _write_rows(buf, ids, values)
+    with mock.patch.object(cli, "_WRITE_CELLS", write_cells):
+        _write_rows(buf, ids, values)
     csv.writer(want, lineterminator="\n").writerows(
         [i] * with_ids + [format(x, ".17g") for x in v] for i, v in rows
     )
@@ -824,23 +826,6 @@ def test_write_rows_repeats_each_formatted_value_with_its_sign():
     buf = io.StringIO()
     _write_rows(buf, ["a", "b"], values[:, :1])
     assert buf.getvalue() == "a,-0\nb,1.0000000000000001e+300\n"
-
-
-@pytest.mark.parametrize("write_cells", [4096, 8])
-def test_write_rows_with_take_quotes_only_the_ids_that_need_it(write_cells, monkeypatch):
-    # dense rows whose block mixes plain ids and ids with a comma, a quote, a
-    # CR or an LF; at 8 cells a block (2 rows) some blocks hold plain ids
-    # only.  The ids are the csv writer's either way: a block with a CR goes
-    # through it, whether or not this Python quotes a CR.
-    monkeypatch.setattr(cli, "_WRITE_CELLS", write_cells)
-    ids = ["plain", "a,b", " lead", 'say "hi"', "", "cr\rhere", "tab\there", "two\nlines", "end ", "x"]
-    values = np.random.default_rng(26).standard_normal((len(ids), 4))
-    take = [1, 0, 0, 3, 2, 1]
-    buf, want = io.StringIO(), io.StringIO()
-    _write_rows(buf, ids, values, take)
-    csv.writer(want, lineterminator="\n").writerows([i] + ["%.17g" % x for x in row[take]] for i, row in zip(ids, values))
-    assert buf.getvalue() == want.getvalue()
-    assert buf.getvalue().startswith("plain,") and '\n"a,b",' in buf.getvalue()
 
 
 _FAST_FLOATS = st.floats(1e-4, 10.0, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x]))
