@@ -34,19 +34,19 @@ so :func:`_haar_design` integrates it exactly with a few hundred rotations at
 most: a product rule in ZYZ Euler angles with ``L + 1`` equispaced nodes in
 alpha and in gamma and ``ceil((L + 1) / 2)`` Gauss-Legendre nodes in cos(beta)
 (Kostelec and Rockmore, J. Fourier Anal. Appl. 14, 2008).  ``verify --suite
-mean`` reads these exact means through :func:`_mean_norms`.
+mean`` reads these exact means through :func:`_mean_norm`.
 
-The Monte Carlo means of :func:`empirical_embedding_means` never form class
-values per rotation, and one sweep serves a whole list of specs: each chunk
-of ``_MEAN_CHUNK`` Haar rotations is drawn and turned into matrices once,
-and each distinct (rank, orbit) pair sums the orbit images of the chunk,
-unweighted, through ``tensors.class_monomial_sums``, one GEMM of two
-half-degree monomial tables, in sub-blocks sized by ``_MEAN_ENTRIES``.  Every
-orbit weight is ``1 / len(orbit)`` (orbit-stabilizer), so ``beta_i`` and the
-weight scale each spec's component once, after the sweep, and an orbit that
-specs with different ``beta`` share is summed once.  :func:`mean_check` takes
-the norm of that class-value mean (``embedding.class_norms``), so it takes
-every rank a spec does.
+Exact and Monte Carlo means share one per-spec sum, :func:`_class_mean`, which
+never forms class values per rotation: each batch of rotations sums the orbit
+images of each component, unweighted, through ``tensors.class_monomial_sums``,
+one GEMM of two half-degree monomial tables, times the batch's weight (a
+design slab's quadrature weight, 1 for a Haar draw).  Every orbit weight is
+``1 / len(orbit)`` (orbit-stabilizer), so ``beta_i`` and that weight scale
+each component once, at the end.  :func:`mean_check` and
+:func:`empirical_embedding_mean` draw their Haar rotations in batches sized
+by ``_MEAN_ENTRIES``, so memory stays flat in ``n_samples``;
+:func:`mean_check` takes the norm of the class-value mean
+(``embedding.class_norms``), so it takes every rank a spec does.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
     "differential_at_identity",
     "distance_scatter",
     "empirical_embedding_mean",
-    "empirical_embedding_means",
     "global_bounds",
     "isometry_check",
     "mean_check",
@@ -191,17 +190,9 @@ def derive_beta(family: str, k: int) -> tuple[float, float]:
 # in cache, and memory stays bounded however large the orbits.
 _BLOCK = 512
 
-# Haar rotations per chunk of the mean sweep: each chunk is drawn and turned
-# into matrices once, then summed by every component of every spec.
-_MEAN_CHUNK = 4096
-
-# Half-degree monomial table entries per sub-block of a component's share of a
-# chunk.  A fixed entry count, not a fixed rotation count: a component with
-# small tables sums its whole chunk at once, and the per-block overhead stays small.
-# With the unweighted kernel, the mean sweep over the twelve registered specs
-# (100,000 rotations, one BLAS thread, 2-vCPU host, 15 interleaved repeats)
-# took a median of 0.151 s at 2**15 entries, 0.145 s at 2**16 and 0.159 s at
-# 2**17, with quartiles about 0.05 s apart; 2**16 also keeps the tables at 0.5 MB.
+# Half-degree monomial table entries per batch of a Monte Carlo mean: a spec
+# draws its Haar rotations in batches whose largest tables hold at most this
+# many entries (0.5 MB), so memory stays flat in the sample count.
 _MEAN_ENTRIES = 2**16
 
 # Samples polished at each end of the ratio envelope, and compass passes each.
@@ -573,56 +564,52 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
 # push-forward mean and rank diagnostics
 
 
-def _class_means(specs, n_samples: int, seed: int) -> list[list[np.ndarray]]:
-    """Class values ``(C(alpha_i + 2, 2),)`` per component of the mean
-    embedding of the same ``n_samples`` Haar rotations under each of ``specs``.
+def _class_mean(spec: EmbeddingSpec, batches, size: int) -> list[np.ndarray]:
+    """Class values ``(C(alpha_i + 2, 2),)`` per component of the mean embedding
+    of weighted rotations.
 
-    One sweep serves every spec: the rotations are drawn from
-    ``default_rng(seed)`` in chunks of ``_MEAN_CHUNK`` and converted to
-    matrices once per chunk.  Each chunk then goes to every distinct
-    component, keyed by its rank and orbit vectors only, and
-    :func:`tensors.class_monomial_sums` sums the orbit images unweighted, so
-    a component that several specs share is summed once, whatever their
-    ``beta``.  A component sums its chunk in sub-blocks of at most
-    ``_MEAN_ENTRIES`` half-degree table entries, so memory stays flat in
-    ``n_samples``.  The orbit weights of a component are all ``1 / len(orbit)``
-    (``EmbeddingSpec.orbits``), so each spec's mean is its components' sums
-    times ``beta_i * weight / n_samples``, less its centering term.
+    ``batches`` yields ``(rows, weight)``: the rows ``(3, N, 3)`` of ``N``
+    rotation matrices (row ``d`` of every matrix) and their common weight.
+    Each component sums the orbit images of a batch, unweighted, by
+    :func:`tensors.class_monomial_sums`, times ``weight``.  The orbit weights
+    of a component are all ``1 / len(orbit)`` (``EmbeddingSpec.orbits``), so
+    the mean is that weighted sum times ``beta_i`` and the orbit weight over
+    ``size``, less the centering term.
+    """
+    sums = [np.zeros(math.comb(a + 2, 2)) for a in spec.alpha]
+    for rows, weight in batches:
+        for acc, (vecs, _), a in zip(sums, spec.orbits, spec.alpha):
+            acc += weight * class_monomial_sums((rows @ vecs.T).reshape(3, -1), a)
+    means = []
+    for acc, (_, wts), b, offset in zip(sums, spec.orbits, spec.beta, centering_offsets(spec)):
+        mean = acc * (b * float(wts[0]) / size)
+        if offset is not None:
+            mean -= offset
+        means.append(mean)
+    return means
+
+
+def _haar_mean(spec: EmbeddingSpec, n_samples: int, seed: int) -> list[np.ndarray]:
+    """:func:`_class_mean` of ``n_samples`` Haar rotations from ``default_rng(seed)``.
+
+    The rotations are drawn in batches of as many as keep the largest
+    half-degree tables of the spec's components within ``_MEAN_ENTRIES``
+    entries, so memory stays flat in ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    distinct: dict[tuple, int] = {}  # (rank, orbit vectors) -> index into ``terms``
-    terms, owners = [], []  # terms: (orbit vectors, rank, sub-block rotations)
-    for spec in specs:
-        owned = []  # per component: (index into ``terms``, orbit weight)
-        for (vecs, wts), a in zip(spec.orbits, spec.alpha):
-            key = (a, vecs.tobytes())
-            if key not in distinct:
-                halves = {a // 2, a - a // 2} if a > 1 else {a}
-                entries = len(vecs) * sum(math.comb(h + 2, 2) for h in halves)  # per rotation
-                distinct[key] = len(terms)
-                terms.append((vecs, a, min(_MEAN_CHUNK, max(1, _MEAN_ENTRIES // entries))))
-            owned.append((distinct[key], float(wts[0])))
-        owners.append(owned)
-    sums = [np.zeros(math.comb(a + 2, 2)) for _, a, _ in terms]
+    per_rotation = max(
+        len(vecs) * sum(math.comb(h + 2, 2) for h in ({a // 2, a - a // 2} if a > 1 else {a}))
+        for (vecs, _), a in zip(spec.orbits, spec.alpha)
+    )
+    step = max(1, _MEAN_ENTRIES // per_rotation)
     rng = np.random.default_rng(seed)
-    for start in range(0, n_samples, _MEAN_CHUNK):
-        # Chunks draw from ``rng`` in turn: the stream of one draw of n_samples.
-        mats = quaternions_to_matrices(random_quaternions(rng, min(_MEAN_CHUNK, n_samples - start)))
-        rows = np.ascontiguousarray(mats.transpose(1, 0, 2))  # (3, N, 3): row d of every matrix
-        for acc, (vecs, a, step) in zip(sums, terms):
-            for lo in range(0, len(mats), step):
-                acc += class_monomial_sums((rows[:, lo : lo + step] @ vecs.T).reshape(3, -1), a)
-    out = []
-    for spec, owned in zip(specs, owners):
-        means = []
-        for (i, wt), b, offset in zip(owned, spec.beta, centering_offsets(spec)):
-            mean = sums[i] * (b * wt / n_samples)
-            if offset is not None:
-                mean -= offset
-            means.append(mean)
-        out.append(means)
-    return out
+    # Batches draw from ``rng`` in turn: the stream of one draw of n_samples.
+    batches = (
+        (quaternions_to_matrices(random_quaternions(rng, min(step, n_samples - at))).transpose(1, 0, 2), 1.0)
+        for at in range(0, n_samples, step)
+    )
+    return _class_mean(spec, batches, n_samples)
 
 
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -672,58 +659,32 @@ def _haar_design(L: int) -> tuple[np.ndarray, np.ndarray]:
     return quaternions_from_euler_zyz(angles.reshape(-1, 3)).reshape(m, (L + 1) ** 2, 4), weights
 
 
-def _mean_norms(specs) -> list[float]:
-    """Norms of the exact Haar mean embeddings of ``specs``, from their class
-    values (``embedding.class_norms``): any rank a spec takes, no dense tensor.
+def _mean_norm(spec: EmbeddingSpec) -> float:
+    """Norm of the exact Haar mean embedding of ``spec``, from its class values
+    (``embedding.class_norms``): any rank the spec takes, no dense tensor.
 
-    Each spec reads its own :func:`_haar_design` with ``L = max(alpha)``, so
-    a spec's norm is the same in any list.  Each slab of the design is turned
-    into matrices and summed per component, unweighted, by
-    :func:`tensors.class_monomial_sums`; the sum is scaled by the slab's
-    weight over its size, and the components by ``beta_i`` and their orbit
-    weight, less their centering term.  An uncentered spec's mean keeps its
-    isotropic part; a centered spec's is zero up to rounding, below ``1e-12
-    radius`` on every registered spec: a class value sums ``n = (L + 1)^2 k``
-    terms of a slab (``k`` orbit vectors), each a product of ``alpha``
-    entries of ``R v`` with ``|R v| = 1`` within about 10 ulps, then ``m``
-    slabs with positive weights that sum to 1, so its error is at most about
-    ``(n + m + 10 alpha) u beta_i`` in norm per component (``u = 2^-53``).
-    That is at most 3.4e-13 radius on the registered specs (Y); their
-    measured norms are at most 2.2e-15 radius.
+    :func:`_class_mean` sums the slabs of :func:`_haar_design` with ``L =
+    max(alpha)``, each with its node weight, over the slab size.  An
+    uncentered spec's mean keeps its isotropic part; a centered spec's is
+    zero up to rounding, below ``1e-12 radius`` on every registered spec: a
+    class value sums ``n = (L + 1)^2 k`` terms of a slab (``k`` orbit
+    vectors), each a product of ``alpha`` entries of ``R v`` with ``|R v| =
+    1`` within about 10 ulps, then ``m`` slabs with positive weights that sum
+    to 1, so its error is at most about ``(n + m + 10 alpha) u beta_i`` in
+    norm per component (``u = 2^-53``).  That is at most 3.4e-13 radius on
+    the registered specs (Y); their measured norms are at most 2.2e-15 radius.
     """
-    out = []
-    for spec in specs:
-        slabs, weights = _haar_design(max(spec.alpha))
-        rows = quaternions_to_matrices(slabs).transpose(0, 2, 1, 3)  # (m, 3, N, 3): row d of every matrix
-        sums = [np.zeros(math.comb(a + 2, 2)) for a in spec.alpha]
-        for slab, weight in zip(rows, weights):
-            for acc, (vecs, _), a in zip(sums, spec.orbits, spec.alpha):
-                acc += weight * class_monomial_sums((slab @ vecs.T).reshape(3, -1), a)
-        means = []
-        for acc, (_, wts), b, offset in zip(sums, spec.orbits, spec.beta, centering_offsets(spec)):
-            mean = acc * (b * float(wts[0]) / slabs.shape[1])
-            if offset is not None:
-                mean -= offset
-            means.append(mean[None])
-        out.append(float(class_norms(spec, means)[0]))
-    return out
-
-
-def empirical_embedding_means(specs, n_samples: int, seed: int = 0) -> list[tuple[np.ndarray, ...]]:
-    """Mean embeddings of the same ``n_samples`` Haar rotations under each spec,
-    one dense tensor per component (ranks up to ``tensors.MAX_RANK``): the
-    class-value means of one sweep over all specs (:func:`_class_means`, which
-    sums each distinct orbit once and applies ``beta_i`` at the end), expanded;
-    per spec, the result is :func:`empirical_embedding_mean`."""
-    specs = list(specs)
-    means = _class_means(specs, n_samples, seed)
-    return [tuple(map(tensor_from_class_values, comps, spec.alpha)) for spec, comps in zip(specs, means)]
+    slabs, weights = _haar_design(max(spec.alpha))
+    rows = quaternions_to_matrices(slabs).transpose(0, 2, 1, 3)  # (m, 3, N, 3): row d of every matrix
+    means = _class_mean(spec, zip(rows, weights), slabs.shape[1])
+    return float(class_norms(spec, [m[None] for m in means])[0])
 
 
 def empirical_embedding_mean(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> tuple[np.ndarray, ...]:
-    """Mean embedding of ``n_samples`` Haar rotations, one tensor per component:
-    the one-spec sweep of :func:`empirical_embedding_means`."""
-    return empirical_embedding_means([spec], n_samples, seed=seed)[0]
+    """Mean embedding of ``n_samples`` Haar rotations, one dense tensor per
+    component (ranks up to ``tensors.MAX_RANK``): the class-value mean of
+    :func:`_haar_mean`, expanded."""
+    return tuple(map(tensor_from_class_values, _haar_mean(spec, n_samples, seed), spec.alpha))
 
 
 def mean_check(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> float:
@@ -736,7 +697,7 @@ def mean_check(spec: EmbeddingSpec, n_samples: int, seed: int = 0) -> float:
     """
     if not spec.centered:
         raise ValueError("mean_check applies to centered specs only")
-    means = _class_means([spec], n_samples, seed)[0]
+    means = _haar_mean(spec, n_samples, seed)
     return float(class_norms(spec, [m[None] for m in means])[0])
 
 

@@ -22,6 +22,8 @@ from so3embed.analysis import (
 from so3embed.embedding import (
     TABLE_GROUPS,
     EmbeddingSpec,
+    centering_offsets,
+    class_values,
     embed,
     embedded_distance,
     expected_hull_dimension,
@@ -41,8 +43,8 @@ from so3embed.so3 import (
     random_quaternions,
     random_rotation,
 )
-from so3embed.tensors import MAX_CLASS_RANK, class_monomial_sums, class_monomials, inner, invariant_class_values
-from so3embed.tensors import invariant_tensor, outer_power, tuple_norm
+from so3embed.tensors import MAX_CLASS_RANK, class_monomial_sums, class_monomials, class_multiplicities, inner
+from so3embed.tensors import invariant_class_values, invariant_tensor, outer_power, tuple_norm
 
 from oracles import monomial_derivatives, orbit_gram
 
@@ -626,23 +628,45 @@ def test_empirical_mean_agrees_with_dense_average():
         assert np.abs(got - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("name", ["C4", "D3", "T"])
-def test_empirical_mean_over_several_blocks_agrees_with_dense_average(name, monkeypatch):
-    # a small table budget splits the sweep into blocks, the last one partial;
-    # they draw one stream, so the mean is that of the one-draw oracle
-    spec = registry_lookup(name)
-    sizes = []
+def _class_value_mean(spec, n, seed):
+    """The mean embedding of one draw of ``n`` Haar rotations in class values,
+    one rotation and orbit vector at a time."""
+    mats = quaternions_to_matrices(random_quaternions(np.random.default_rng(seed), n))
+    out = []
+    for (vecs, wts), a, b, offset in zip(spec.orbits, spec.alpha, spec.beta, centering_offsets(spec)):
+        mean = b * sum(wt * class_monomials(m @ v, a) for m in mats for v, wt in zip(vecs, wts)) / n
+        out.append(mean if offset is None else mean - offset)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    [(registry_lookup(name), 200) for name in ("C4", "D3", "T")] + [(cyclic_spec(8, 13, beta=(0.5, 0.7)), 2000)],
+    ids=["C4", "D3", "T", "C8-13"],
+)
+def test_empirical_mean_over_several_blocks_agrees_with_dense_average(spec, budget, monkeypatch):
+    # a small table budget splits the draw into batches, the last one partial,
+    # and every call's half-degree tables stay within it; the batches draw one
+    # stream, so the mean is that of the one-draw oracle (its dense expansion
+    # is checked against dense outer powers above)
+    sizes, entries = [], []
 
     def recorded(rng, n):
         sizes.append(n)
         return random_quaternions(rng, n)
 
-    monkeypatch.setattr(analysis, "_MEAN_CHUNK", 20)
-    monkeypatch.setattr(analysis, "_MEAN_ENTRIES", 200)
+    def counted(w, alpha):
+        halves = {alpha // 2, alpha - alpha // 2} if alpha > 1 else {alpha}
+        entries.append(w.shape[1] * sum(math.comb(h + 2, 2) for h in halves))
+        return class_monomial_sums(w, alpha)
+
+    monkeypatch.setattr(analysis, "_MEAN_ENTRIES", budget)
     monkeypatch.setattr(analysis, "random_quaternions", recorded)
-    mean = empirical_embedding_mean(spec, 47, seed=9)
+    monkeypatch.setattr(analysis, "class_monomial_sums", counted)
+    mean = analysis._haar_mean(spec, 47, seed=9)
     assert len(sizes) >= 3 and sum(sizes) == 47 and sizes[-1] < sizes[0]
-    for got, want in zip(mean, _dense_mean(spec, 47, 9)):
+    assert len(entries) == len(sizes) * spec.n_components and max(entries) <= budget
+    for got, want in zip(mean, _class_value_mean(spec, 47, 9)):
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -655,52 +679,6 @@ def test_empirical_mean_of_a_near_axis_orbit_agrees_with_dense_average():
     assert [(len(vecs), wts.tolist()) for vecs, wts in spec.orbits] == [(6, [1 / 6] * 6), (3, [1 / 3] * 3)]
     for got, want in zip(empirical_embedding_mean(spec, 50, seed=9), _dense_mean(spec, 50, 9)):
         assert np.abs(got - want).max() < 1e-12
-
-
-def test_one_sweep_gives_every_spec_its_own_mean(monkeypatch):
-    # all twelve registered specs, an uncentered one and a repeated one share
-    # one sweep of several chunks, the last one partial; components that specs
-    # share are summed once, and each spec still gets the mean it gets alone
-    base = registry_lookup("O")
-    specs = [registry_lookup(name) for name in TABLE_GROUPS]
-    specs += [EmbeddingSpec(base.group, base.u, base.alpha, base.beta, centered=False), registry_lookup("C4")]
-    draws = []
-
-    def recorded(rng, n):
-        draws.append(n)
-        return random_quaternions(rng, n)
-
-    monkeypatch.setattr(analysis, "_MEAN_CHUNK", 64)
-    monkeypatch.setattr(analysis, "_MEAN_ENTRIES", 500)
-    monkeypatch.setattr(analysis, "random_quaternions", recorded)
-    together = analysis.empirical_embedding_means(specs, 300, seed=5)
-    assert draws == [64, 64, 64, 64, 44]
-    assert len(together) == len(specs)
-    for spec, got in zip(specs, together):
-        alone = empirical_embedding_mean(spec, 300, seed=5)
-        assert len(got) == len(alone) == spec.n_components
-        for g, a in zip(got, alone):
-            assert g.shape == a.shape
-            assert np.abs(g - a).max() <= 1e-13 * max(np.abs(a).max(), 1e-300)
-    assert tuple_norm(together[-2]) > 0.4  # the uncentered spec keeps its isotropic part
-
-
-def test_one_sweep_sums_each_distinct_component_once_per_chunk(monkeypatch):
-    # the 24 registered components are 12 distinct (rank, orbit) pairs, whatever
-    # their beta: C3/D3, C4/D4 and C6/D6 share their rank-3, 4 and 6 parts;
-    # C1, C2, C3, C4 and C6 share e1 at rank 1, D2, D3, D4 and D6 share e1 at
-    # rank 2, C2 and D2 share e2 and e3 at rank 2; C1's e2 and e3 at rank 1
-    # and the T, O and Y components stand alone
-    calls = []
-
-    def counted(w, alpha):
-        calls.append(alpha)
-        return class_monomial_sums(w, alpha)
-
-    monkeypatch.setattr(analysis, "_MEAN_CHUNK", 64)
-    monkeypatch.setattr(analysis, "class_monomial_sums", counted)
-    analysis.empirical_embedding_means([registry_lookup(name) for name in TABLE_GROUPS], 128, seed=1)
-    assert len(calls) == 2 * 12
 
 
 # ---------------------------------------------------------------------------
@@ -758,15 +736,14 @@ def test_design_mean_of_a_tensor_power_is_the_isotropic_moment(alpha):
 def test_exact_mean_of_an_uncentered_spec_keeps_its_isotropic_part():
     base = registry_lookup("O")
     spec = EmbeddingSpec(base.group, base.u, base.alpha, base.beta, centered=False)
-    value = analysis._mean_norms([spec])[0]
+    value = analysis._mean_norm(spec)
     assert value == pytest.approx(base.beta[0] * math.sqrt(5.0) / 5.0, rel=1e-14, abs=0.0)
     assert value > 1e9 * 1e-12 * radius(spec)
 
 
 def test_exact_mean_norms_of_registered_specs_are_rounding_level():
-    specs = [registry_lookup(name) for name in TABLE_GROUPS] + [cyclic_spec(8, 13, beta=(0.5, 0.7))]
-    for spec, value in zip(specs, analysis._mean_norms(specs)):
-        assert value < 1e-14 * radius(spec)
+    for spec in [registry_lookup(name) for name in TABLE_GROUPS] + [cyclic_spec(8, 13, beta=(0.5, 0.7))]:
+        assert analysis._mean_norm(spec) < 1e-14 * radius(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +767,41 @@ def test_rank_of_symmetrized_image(name):
     again = rank_check(spec, n_samples=n + 100, seed=1, symmetrized=True)
     assert again == got
     assert got <= AMBIENT_RANKS[name] <= expected_hull_dimension(spec)
+
+
+def _moment_eigenvalues(spec, design, symmetrized):
+    """Ascending eigenvalues of the design's second moment of the centered
+    embedding in orthonormal class coordinates (class values times the square
+    roots of the class sizes), sampled as :func:`rank_check` samples it."""
+    sampled = spec if symmetrized else EmbeddingSpec(group_elements("C1"), spec.u, spec.alpha, spec.beta)
+    scale = np.concatenate([np.sqrt(class_multiplicities(a)) for a in spec.alpha])
+    quats, weights = design
+    moment = 0.0
+    for weight, mats in zip(weights, quaternions_to_matrices(quats)):
+        y = np.concatenate(class_values(sampled, mats), axis=1) * scale
+        moment = moment + (weight / len(y)) * (y.T @ y)
+    return np.linalg.eigvalsh(moment)  # the tests only; the package never calls a symmetric eigensolver
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_rank_check_is_the_rank_of_the_exact_second_moment(name):
+    # the moment's entries have degree at most 2 max(alpha) in R, so a design of
+    # that degree integrates them exactly, and its rank is the dimension of
+    # the span rank_check samples; kept and dropped eigenvalues lie far apart
+    spec = registry_lookup(name)
+    design = analysis._haar_design(2 * max(spec.alpha))
+    n = max(500, 2 * expected_hull_dimension(spec))
+    for symmetrized in (False, True):
+        eig = _moment_eigenvalues(spec, design, symmetrized)
+        kept = eig > 1e-12 * eig[-1]
+        assert kept.sum() == rank_check(spec, n_samples=n, seed=0, symmetrized=symmetrized)
+        assert eig[kept].min() > 1e-3 * eig[-1] and eig[~kept].max(initial=0.0) < 1e-14 * eig[-1]
+
+
+def test_a_design_too_short_for_the_second_moment_misses_the_rank():
+    # a degree-1 design has 4 rotations, so the moment has rank at most 4
+    eig = _moment_eigenvalues(registry_lookup("Y"), analysis._haar_design(1), False)
+    assert (eig > 1e-12 * eig[-1]).sum() <= 4 < AMBIENT_RANKS["Y"]
 
 
 def test_rank_check_rejects_uncentered_and_tiny_samples():

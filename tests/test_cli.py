@@ -1093,8 +1093,8 @@ def test_verify_isometry_suite_reports_all_groups():
 
 
 def test_verify_mean_suite_for_all_groups_prints_each_groups_own_line(capsys):
-    # one Haar sweep serves every group, and each line is still the mean of
-    # the same rotations a run for that group alone reads
+    # each group reads its own quadrature, so its line is the one a run for
+    # that group alone prints
     assert main(["verify", "--suite", "mean", "--samples", "5000", "--seed", "3"]) == 0
     together = capsys.readouterr().out
     alone = ""
@@ -1137,6 +1137,14 @@ def test_verify_mean_fails_on_a_design_too_short_for_the_rank(monkeypatch, capsy
     assert main(["verify", "--suite", "mean", "--group", "O"]) == 3
     out = capsys.readouterr().out
     assert out.startswith("mean O: norm 1.97") and out.endswith(" FAIL\n")
+
+
+def test_verify_group_all_ignores_case_and_surrounding_spaces(capsys):
+    assert main(["verify", "--suite", "isometry", "--group", "all"]) == 0
+    want = capsys.readouterr().out
+    for group in ("ALL", " all"):
+        assert main(["verify", "--suite", "isometry", "--group", group]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_verify_rejects_unknown_suite():
