@@ -15,10 +15,10 @@ sampling plus a deterministic near-identity ladder, and polishes the extreme
 samples with a lockstep compass search.  By equivariance a pair reduces to
 its relative rotation Q, and the polish, :func:`distance_scatter` and every
 reported ratio take the distances of ``(N, 4)`` quaternions to the identity
-coset from the package's two distance kernels, ``so3.quotient_angles`` and
-``embedding.class_norms``.  Both work on differences, so the ratio stays
+coset from one kernel, :func:`_identity_distances`, on ``so3.quotient_angles``
+and ``embedding.class_norms``.  Both work on differences, so the ratio stays
 accurate down to tiny distances, and both are row-independent: a rotation's
-distances have the same bits in any batch.  The Haar sweep of the bounds
+distances have the same bits in any block of rotations.  The Haar sweep of the bounds
 first screens chunks of ``_CHUNK`` rotations straight from their quaternions
 with a Gram-power kernel, ``|E(Q) - E(I)|^2`` as a polynomial in the orbit
 Gram entries ``v . Q w``, each a quadratic form in the quaternion (k^2
@@ -57,7 +57,8 @@ from itertools import product
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, _tangent_operators, centering_offsets, class_norms, class_values, registry_lookup
+from .embedding import _BLOCK_ENTRIES, EmbeddingSpec, _tangent_operators, centering_offsets, class_norms, class_values
+from .embedding import registry_lookup
 from .so3 import _quat_product, group_elements, quaternions_from_axis_angles, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, random_quaternions
 from .tensors import class_monomial_sums, class_multiplicities
@@ -186,8 +187,8 @@ def derive_beta(family: str, k: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # distances to the identity coset
 
-# Rotations per block of ``_identity_distances``: a block's class values stay
-# in cache, and memory stays bounded however large the orbits.
+# Rotations per block of ``_identity_distances``, whose class values stay in
+# cache; fewer past ``_BLOCK_ENTRIES`` class monomials (Y takes 396 a rotation).
 _BLOCK = 512
 
 # Half-degree monomial table entries per batch of a Monte Carlo mean: a spec
@@ -232,35 +233,18 @@ _COS_ERROR = 4e-15
 _NEAR_ANGLE = 1e-2
 
 
-def _block_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient geodesic and embedded distance from each of at most ``_BLOCK``
-    rotations ``(N, 4)`` to the identity coset; the ratio of the second to the
-    first is the distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
-    here = class_values(spec, quaternions_to_matrices(quats))
-    d_emb = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
-    return quotient_angles(quats, spec.group.quaternions), d_emb
-
-
 def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_block_distances` of any number of rotations, ``_BLOCK`` at a time."""
+    """Quotient geodesic and embedded distance from each rotation ``(N, 4)`` to the
+    identity coset, ``_BLOCK`` at a time (see there); the ratio of the second to
+    the first is the distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
+    step = max(1, min(_BLOCK, _BLOCK_ENTRIES // spec.monomial_width))
     d_geo, d_emb = np.empty(len(quats)), np.empty(len(quats))
-    for at in range(0, len(quats), _BLOCK):
-        d_geo[at : at + _BLOCK], d_emb[at : at + _BLOCK] = _block_distances(spec, quats[at : at + _BLOCK])
+    for at in range(0, len(quats), step):
+        block = quats[at : at + step]
+        here = class_values(spec, quaternions_to_matrices(block))
+        d_emb[at : at + step] = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
+        d_geo[at : at + step] = quotient_angles(block, spec.group.quaternions)
     return d_geo, d_emb
-
-
-def _sampled_distances(spec: EmbeddingSpec, rng: np.random.Generator, n: int):
-    """Yield ``(quats, d_geo, d_emb)`` for ``n`` Haar rotations, ``_CHUNK`` at a time.
-
-    Rotations whose coset coincides numerically with the identity coset
-    (quotient distance below 1e-9) are dropped.  Chunks draw from ``rng`` in
-    turn, so the stream is the one a single draw of ``n`` would give.
-    """
-    for lo in range(0, n, _CHUNK):
-        quats = random_quaternions(rng, min(_CHUNK, n - lo))
-        d_geo, d_emb = _identity_distances(spec, quats)
-        keep = d_geo > 1e-9
-        yield quats[keep], d_geo[keep], d_emb[keep]
 
 
 def _polish(spec: EmbeddingSpec, quats: np.ndarray, values: np.ndarray, signs: np.ndarray):
@@ -292,7 +276,7 @@ def _polish(spec: EmbeddingSpec, quats: np.ndarray, values: np.ndarray, signs: n
         turns[..., 0] = np.cos(half)[:, None]
         np.multiply(np.sin(half)[:, None, None], axes, out=turns[..., 1:])
         trials = _quat_product(turns, quats[live, None, :]).reshape(-1, 4)
-        d_geo, d_emb = _block_distances(spec, trials)  # 14 trials a lane, 20 lanes: one block
+        d_geo, d_emb = _identity_distances(spec, trials)  # 14 trials a lane, 20 lanes
         evaluations += len(trials)
         shape = (len(live), len(axes))
         scores = np.divide(
@@ -365,8 +349,7 @@ def _gram_tables(spec: EmbeddingSpec):
     C(alpha_i+2, 2)``, a large orbit, where the screen would cost more than
     the exact path.
     """
-    sizes = [len(vecs) for vecs, _ in spec.orbits]
-    if sum(k * k for k in sizes) > sum(k * math.comb(a + 2, 2) for k, a in zip(sizes, spec.alpha)):
+    if sum(len(vecs) ** 2 for vecs, _ in spec.orbits) > spec.monomial_width:
         return None
     comps, scale = [], 0.0
     for (vecs, wts), a, b in zip(spec.orbits, spec.alpha, spec.beta):
@@ -394,11 +377,15 @@ def _int_power(g: np.ndarray, a: int) -> np.ndarray:
 
 def _gram_d2(comps, quats: np.ndarray) -> np.ndarray:
     """Squared embedded distances ``(N,)`` from unit quaternions ``(N, 4)`` to
-    the identity coset by the Gram-power kernel of :func:`_gram_tables`."""
-    qq = quats[:, _PAIRS[0]] * quats[:, _PAIRS[1]]
-    d2 = np.zeros(len(quats))
-    for table, w, a, k0 in comps:
-        d2 += 2.0 * (k0 - _int_power(qq @ table, a) @ w)
+    the identity coset by the Gram-power kernel of :func:`_gram_tables`, on
+    blocks of rows of at most ``_BLOCK_ENTRIES`` Gram entries (``k^2`` a row)."""
+    d2, step = np.zeros(len(quats)), max(1, _BLOCK_ENTRIES // sum(w.size for _, w, _, _ in comps))
+    for at in range(0, len(quats), step):
+        q, out = quats[at : at + step], d2[at : at + step]
+        qq = q[:, _PAIRS[0]]  # a copy, multiplied in place: one temporary fewer
+        qq *= q[:, _PAIRS[1]]
+        for table, w, a, k0 in comps:
+            out += 2.0 * (k0 - _int_power(qq @ table, a) @ w)
     return d2
 
 
@@ -425,7 +412,7 @@ def _screened_ratios(spec: EmbeddingSpec, tables, quats: np.ndarray):
     least 1e-13.  Below ``_NEAR_ANGLE`` the first-order bound is loose and
     the interval is ``[0, inf]``: such a row stays a candidate and is settled
     exactly, where a quotient angle below 1e-9 drops it as in
-    :func:`_sampled_distances`.  Without tables the intervals are the exact
+    :func:`distance_scatter`.  Without tables the intervals are the exact
     ratios, and ``[0, inf]`` for those dropped rows.
     """
     if tables is None:
@@ -556,8 +543,11 @@ def distance_scatter(spec: EmbeddingSpec, n_pairs: int, seed: int = 0) -> np.nda
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    chunks = _sampled_distances(spec, np.random.default_rng(seed), n_pairs)
-    return np.concatenate([np.column_stack([d_geo, d_emb]) for _, d_geo, d_emb in chunks])
+    rng, out = np.random.default_rng(seed), []
+    for at in range(0, n_pairs, _CHUNK):  # chunks draw in turn: the stream of one draw of n_pairs
+        d_geo, d_emb = _identity_distances(spec, random_quaternions(rng, min(_CHUNK, n_pairs - at)))
+        out.append(np.column_stack([d_geo, d_emb])[d_geo > 1e-9])
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +698,15 @@ def rank_check(
 
     Embeddings are taken in orthonormal symmetric-class coordinates (class
     values times the square roots of the class sizes, a linear isometry),
-    stacked into an ``n_samples`` row matrix, and the rank is the count of
+    stacked into an ``n_samples`` row matrix (in blocks of at most
+    ``_BLOCK_ENTRIES`` class monomials), and the rank is the count of
     singular values above ``1e-8`` times the largest.
 
     By default the component maps ``R -> (R u_i)^{x alpha_i}`` are sampled
-    without group averaging; the result then reaches the
-    :func:`expected_hull_dimension` bound for every registered spec except
-    D2, whose orthonormal directions obey ``sum_i (R e_i)^{x 2} = I`` and
-    span 10 instead of 15.  With ``symmetrized=True`` the group-averaged map
+    without group averaging; their span is exactly
+    ``embedding.expected_hull_dimension``, which the result meets on every
+    registered spec (D2, whose orthonormal directions obey ``sum_i (R
+    e_i)^{x 2} = I``, spans 10).  With ``symmetrized=True`` the group-averaged map
     itself is sampled.  Averaging can annihilate harmonic blocks of a
     component (for example the rank-3 component of C3 loses its vector part
     because the orbit of ``u`` sums to zero) or tie blocks of different
@@ -730,7 +721,10 @@ def rank_check(
         sampled = EmbeddingSpec(group_elements("C1"), spec.u, spec.alpha, spec.beta)
     rng = np.random.default_rng(seed)
     mats = quaternions_to_matrices(random_quaternions(rng, n_samples))
-    comps = class_values(sampled, mats)
-    rows = np.concatenate([v * np.sqrt(class_multiplicities(a)) for v, a in zip(comps, spec.alpha)], axis=1)
+    scale = np.concatenate([np.sqrt(class_multiplicities(a)) for a in spec.alpha])
+    step = max(1, _BLOCK_ENTRIES // sampled.monomial_width)
+    blocks = [np.concatenate(class_values(sampled, mats[at : at + step]), axis=1) for at in range(0, n_samples, step)]
+    rows = np.concatenate(blocks)
+    rows *= scale
     svals = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(svals > 1e-8 * svals[0]))

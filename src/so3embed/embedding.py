@@ -14,7 +14,8 @@ whose radius depends only on the spec.
 
 Components are computed as class values (see ``tensors``) by
 :func:`class_values`; :func:`dense_rows` expands them to flat rows of dense
-tensors, the public layout, for :func:`embed`, the CLI and projection.
+tensors, the public layout, for :func:`embed` and projection (the CLI takes
+its columns, :func:`dense_class_columns`).
 
 Two named parameter sets are registered per group: ``"arnold"`` (the classic
 unit-weight vectors and ranks) and ``"isometric"`` (weights chosen so the
@@ -148,6 +149,12 @@ class EmbeddingSpec:
         return tuple(out)
 
     @cached_property
+    def monomial_width(self) -> int:
+        """Class monomials per rotation of :func:`class_values`, ``sum_i len(orbit_i)
+        C(alpha_i + 2, 2)``; ``cli`` and ``analysis`` size their blocks by it."""
+        return sum(len(vecs) * math.comb(a + 2, 2) for (vecs, _), a in zip(self.orbits, self.alpha))
+
+    @cached_property
     def columns(self) -> tuple[slice, ...]:
         """The flat-row layout: where each component's entries, row-major, sit in a row."""
         ends = np.cumsum([3 ** _check_rank(a) for a in self.alpha]).tolist()
@@ -264,8 +271,9 @@ def registry_lookup(group_name: str, variant: str = "isometric") -> EmbeddingSpe
 # the embedding map
 
 # Entries per batch of rows: ``cli`` embeds and measures rows of width ``w``
-# ``_BLOCK_ENTRIES // w`` at a time, and ``projection`` sizes its lockstep
-# batches by it, so the arrays of a large table are never all held at once.
+# ``_BLOCK_ENTRIES // w`` at a time, ``analysis`` blocks its distance, screen
+# and rank rotations by it, and ``projection`` sizes its lockstep batches by
+# it, so the arrays of a large table or orbit are never all held at once.
 _BLOCK_ENTRIES = 2**20
 
 
@@ -375,15 +383,16 @@ def equivariance_defect(spec: EmbeddingSpec, r: Rotation, c) -> float:
 
 
 def expected_hull_dimension(spec: EmbeddingSpec) -> int:
-    """Dimension bound for the affine hull of the image: sum of the
-    symmetric-tensor dimensions ``C(alpha_i + 2, 2)`` minus one for every
-    even rank.
-
-    The bound is the exact hull dimension of the component maps for generic
-    direction vectors; structured choices can span less.  See
-    ``analysis.rank_check`` for the measured value.
-    """
-    return sum(math.comb(a + 2, 2) for a in spec.alpha) - sum(1 for a in spec.alpha if a % 2 == 0)
+    """Dimension of the affine hull of the component maps: ``sum_{l >= 1} (2l + 1) rank G_l``,
+    ``G_l[i, j] = P_l(u_i . u_j)`` over the components with ``alpha_i - l`` even, ``>= 0``."""
+    dots, alpha, total = spec.u_vectors @ spec.u_vectors.T, np.array(spec.alpha), 0
+    prev, legendre = np.ones_like(dots), dots  # P_{l-1} and P_l, by the three-term recurrence
+    for ell in range(1, max(spec.alpha) + 1):
+        use = (alpha >= ell) & (alpha % 2 == ell % 2)
+        if use.any():  # |P_l| <= 1: an absolute tolerance
+            total += (2 * ell + 1) * int(np.linalg.matrix_rank(legendre[np.ix_(use, use)], tol=1e-10))
+        prev, legendre = legendre, ((2 * ell + 1) * dots * legendre - ell * prev) / (ell + 1)
+    return total
 
 
 def embedded_distance(spec: EmbeddingSpec, c1, c2) -> float:

@@ -56,10 +56,24 @@ QUOTIENT_RANKS = {
     "D3": 12, "D4": 14, "D6": 27, "T": 7, "O": 9, "Y": 34,
 }
 
-# component-map (unsymmetrized) hull dimensions; the formula bound except D2
+# component-map (unsymmetrized) hull dimensions, expected_hull_dimension's values
 AMBIENT_RANKS = {
     "C1": 9, "C2": 13, "C3": 13, "C4": 17, "C6": 30, "D2": 10,
     "D3": 15, "D4": 19, "D6": 32, "T": 10, "O": 14, "Y": 65,
+}
+
+# component maps whose directions tie their zonal harmonics, spanning less
+# than the count sum_i C(alpha_i + 2, 2) - #even alpha_i: (spec, span)
+_C1 = group_elements("C1")
+_E1, _E2, _E3 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+TIED_SPECS = {
+    "e1-e1-rank-2": (EmbeddingSpec(_C1, (_E1, _E1), (2, 2), (1.0, 1.0)), 5),  # count 10
+    "frame-and-diagonal-rank-1": (
+        EmbeddingSpec(_C1, (_E1, _E2, _E3, (1 / math.sqrt(2), 1 / math.sqrt(2), 0.0)), (1,) * 4, (1.0,) * 4), 9
+    ),  # count 12
+    "frame-and-body-diagonal-rank-2": (
+        EmbeddingSpec(_C1, (_E1, _E2, _E3, (1 / math.sqrt(3),) * 3), (2,) * 4, (1.0,) * 4), 15
+    ),  # count 20
 }
 
 
@@ -350,15 +364,18 @@ def test_bound_ratio_table_d4_row():
 
 def _exhaustive_samples(spec, n_pairs, seed):
     """The selection of ``analysis._extreme_samples`` with every sample's ratio
-    evaluated exactly: class values block by block, then one stable argsort."""
+    evaluated exactly: one draw of all ``n_pairs`` rotations through
+    ``analysis.random_quaternions`` (the stream of its chunked draws), rows
+    within 1e-9 of the identity coset dropped, then one stable argsort."""
     pair_seq, ladder_seq = np.random.SeedSequence(seed).spawn(2)
     ladder = analysis._ladder_quaternions(np.random.default_rng(ladder_seq))
-    parts = list(analysis._sampled_distances(spec, np.random.default_rng(pair_seq), n_pairs))
-    parts.append((ladder, *analysis._identity_distances(spec, ladder)))
-    ratios = np.concatenate([d_emb / d_geo for _, d_geo, d_emb in parts])
+    quats = np.concatenate([analysis.random_quaternions(np.random.default_rng(pair_seq), n_pairs), ladder])
+    d_geo, d_emb = analysis._identity_distances(spec, quats)
+    keep = d_geo > 1e-9  # never a rung: their angles are 1e-4 rad and more
+    ratios = d_emb[keep] / d_geo[keep]
     order = np.argsort(ratios, kind="stable")
     ends = np.concatenate([order[:10], order[::-1][:10]])
-    return np.concatenate([q for q, _, _ in parts])[ends], ratios[ends]
+    return quats[keep][ends], ratios[ends]
 
 
 def _exhaustive_bounds(spec, n_pairs, seed, refine):
@@ -545,6 +562,28 @@ def test_bounds_memory_stays_flat_in_the_pair_count():
     spec = registry_lookup("Y")
     global_bounds(spec, n_pairs=1_000, refine=False)  # cached orbit and class tables
     assert _bounds_peak(spec, 400_000) <= _bounds_peak(spec, 50_000) + 2**20
+
+
+def test_memory_stays_flat_in_the_orbit():
+    # C200 at rank 30: 100 orbit vectors up to sign, 49,600 class monomials and
+    # 10,000 Gram entries a rotation.  Blocks of at most _BLOCK_ENTRIES entries
+    # keep each peak near 10-17 MiB, where whole 512-rotation blocks and
+    # 2,048-row screen chunks took 226-314 MiB.
+    spec = parse_spec_document("group = C200\nu = 0 1 0\nalpha = 30\nbeta = 1\n")
+    calls = {
+        "scatter": lambda: distance_scatter(spec, 2048),
+        "bounds": lambda: global_bounds(spec, 2048, refine=False),
+        "rank": lambda: rank_check(spec, 500, symmetrized=True),
+    }
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 40 * 2**20, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +789,11 @@ def test_exact_mean_norms_of_registered_specs_are_rounding_level():
 # affine-hull dimension
 
 
-@pytest.mark.parametrize("name", TABLE_GROUPS)
+@pytest.mark.parametrize("name", [*TABLE_GROUPS, *TIED_SPECS])
 def test_rank_of_component_maps(name):
-    spec = registry_lookup(name)
+    spec, span = TIED_SPECS[name] if name in TIED_SPECS else (registry_lookup(name), AMBIENT_RANKS[name])
     got = rank_check(spec, n_samples=max(500, 2 * expected_hull_dimension(spec)), seed=0)
-    assert got == AMBIENT_RANKS[name]
+    assert got == expected_hull_dimension(spec) == span
 
 
 @pytest.mark.parametrize("name", TABLE_GROUPS)

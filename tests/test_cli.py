@@ -948,6 +948,19 @@ def test_project_row_whose_squared_norm_overflows_is_a_data_error(tmp_path, caps
     assert not out.exists()
 
 
+def test_project_start_set_past_memory_is_a_usage_error(tmp_path, capsys):
+    # 10^15 starts would take petabytes: numpy refuses the start set before it
+    # allocates anything, and the error names the option, with no output written
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    dim = registry_lookup("C4").ambient_dimension
+    src.write_text("id," + ",".join(f"e{i}" for i in range(dim)) + "\nr0,1" + ",0" * (dim - 1) + "\n")
+    argv = ["project", "--group", "C4", "--starts", "1000000000000000", "-i", str(src), "-o", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --starts 1000000000000000")
+    assert not out.exists()
+
+
 def test_project_dimension_mismatch_names_counts():
     out = run_cli("project", "--group", "O", stdin="id,e0,e1\nr0,0.1,0.2\n")
     assert out.returncode == 2

@@ -54,7 +54,7 @@ ISOMETRIC_TABLE = {
 }
 
 HULL_DIMENSIONS = {
-    "C1": 9, "C2": 13, "C3": 13, "C4": 17, "C6": 30, "D2": 15,
+    "C1": 9, "C2": 13, "C3": 13, "C4": 17, "C6": 30, "D2": 10,
     "D3": 15, "D4": 19, "D6": 32, "T": 10, "O": 14, "Y": 65,
 }
 
