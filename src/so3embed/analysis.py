@@ -57,7 +57,7 @@ from itertools import product
 
 import numpy as np
 
-from .embedding import _BLOCK_ENTRIES, EmbeddingSpec, _tangent_operators, centering_offsets, class_norms, class_values
+from .embedding import EmbeddingSpec, _row_blocks, _tangent_operators, centering_offsets, class_norms, class_values
 from .embedding import registry_lookup
 from .so3 import _quat_product, group_elements, quaternions_from_axis_angles, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, random_quaternions
@@ -188,7 +188,8 @@ def derive_beta(family: str, k: int) -> tuple[float, float]:
 # distances to the identity coset
 
 # Rotations per block of ``_identity_distances``, whose class values stay in
-# cache; fewer past ``_BLOCK_ENTRIES`` class monomials (Y takes 396 a rotation).
+# cache; fewer past 2^20 class monomials (``embedding._row_blocks``; Y takes
+# 396 a rotation).
 _BLOCK = 512
 
 # Half-degree monomial table entries per batch of a Monte Carlo mean: a spec
@@ -237,13 +238,12 @@ def _identity_distances(spec: EmbeddingSpec, quats: np.ndarray) -> tuple[np.ndar
     """Quotient geodesic and embedded distance from each rotation ``(N, 4)`` to the
     identity coset, ``_BLOCK`` at a time (see there); the ratio of the second to
     the first is the distortion ``|E(Q) - E(I)| / d([Q], [I])``."""
-    step = max(1, min(_BLOCK, _BLOCK_ENTRIES // spec.monomial_width))
     d_geo, d_emb = np.empty(len(quats)), np.empty(len(quats))
-    for at in range(0, len(quats), step):
-        block = quats[at : at + step]
+    for at in _row_blocks(len(quats), spec.monomial_width, _BLOCK):
+        block = quats[at]
         here = class_values(spec, quaternions_to_matrices(block))
-        d_emb[at : at + step] = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
-        d_geo[at : at + step] = quotient_angles(block, spec.group.quaternions)
+        d_emb[at] = class_norms(spec, [v - v0 for v, v0 in zip(here, spec.identity_class_values)])
+        d_geo[at] = quotient_angles(block, spec.group.quaternions)
     return d_geo, d_emb
 
 
@@ -378,10 +378,10 @@ def _int_power(g: np.ndarray, a: int) -> np.ndarray:
 def _gram_d2(comps, quats: np.ndarray) -> np.ndarray:
     """Squared embedded distances ``(N,)`` from unit quaternions ``(N, 4)`` to
     the identity coset by the Gram-power kernel of :func:`_gram_tables`, on
-    blocks of rows of at most ``_BLOCK_ENTRIES`` Gram entries (``k^2`` a row)."""
-    d2, step = np.zeros(len(quats)), max(1, _BLOCK_ENTRIES // sum(w.size for _, w, _, _ in comps))
-    for at in range(0, len(quats), step):
-        q, out = quats[at : at + step], d2[at : at + step]
+    row blocks of ``embedding._row_blocks``, ``k^2`` Gram entries a row."""
+    d2 = np.zeros(len(quats))
+    for at in _row_blocks(len(quats), sum(w.size for _, w, _, _ in comps)):
+        q, out = quats[at], d2[at]
         qq = q[:, _PAIRS[0]]  # a copy, multiplied in place: one temporary fewer
         qq *= q[:, _PAIRS[1]]
         for table, w, a, k0 in comps:
@@ -698,9 +698,12 @@ def rank_check(
 
     Embeddings are taken in orthonormal symmetric-class coordinates (class
     values times the square roots of the class sizes, a linear isometry),
-    stacked into an ``n_samples`` row matrix (in blocks of at most
-    ``_BLOCK_ENTRIES`` class monomials), and the rank is the count of
-    singular values above ``1e-8`` times the largest.
+    stacked into an ``n_samples`` row matrix (in the row blocks of
+    ``embedding._row_blocks``), and the rank is the count of singular values
+    above ``1e-8 sqrt(n_samples sum_i beta_i^2)``.  That scale is fixed in
+    advance: a row's norm is the embedding radius, at most ``|beta|``, so it
+    bounds the largest singular value, and an image that vanishes identically,
+    whose samples are rounding noise, has rank 0.
 
     By default the component maps ``R -> (R u_i)^{x alpha_i}`` are sampled
     without group averaging; their span is exactly
@@ -709,8 +712,10 @@ def rank_check(
     e_i)^{x 2} = I``, spans 10).  With ``symmetrized=True`` the group-averaged map
     itself is sampled.  Averaging can annihilate harmonic blocks of a
     component (for example the rank-3 component of C3 loses its vector part
-    because the orbit of ``u`` sums to zero) or tie blocks of different
-    components together, so the symmetrized span can be strictly smaller.
+    because the orbit of ``u`` sums to zero), the whole image (T, O and Y act
+    irreducibly on R^3, so by Schur's lemma their rank-2 averages are
+    isotropic and center to zero) or tie blocks of different components
+    together, so the symmetrized span can be strictly smaller.
     """
     if not spec.centered:
         raise ValueError("rank_check applies to centered specs only")
@@ -722,9 +727,8 @@ def rank_check(
     rng = np.random.default_rng(seed)
     mats = quaternions_to_matrices(random_quaternions(rng, n_samples))
     scale = np.concatenate([np.sqrt(class_multiplicities(a)) for a in spec.alpha])
-    step = max(1, _BLOCK_ENTRIES // sampled.monomial_width)
-    blocks = [np.concatenate(class_values(sampled, mats[at : at + step]), axis=1) for at in range(0, n_samples, step)]
-    rows = np.concatenate(blocks)
+    blocks = _row_blocks(n_samples, sampled.monomial_width)
+    rows = np.concatenate([np.concatenate(class_values(sampled, mats[at]), axis=1) for at in blocks])
     rows *= scale
     svals = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(svals > 1e-8 * svals[0]))
+    return int(np.sum(svals > 1e-8 * math.sqrt(n_samples * sum(b * b for b in spec.beta))))

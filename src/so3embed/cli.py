@@ -45,11 +45,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .embedding import (
-    _BLOCK_ENTRIES,
     TABLE_GROUPS,
     EmbeddingSpec,
     _parse_number,
     _quoted,
+    _row_blocks,
     class_norms,
     class_values,
     dense_class_columns,
@@ -204,12 +204,6 @@ def _blank(cells) -> bool:
     """True if every cell is whitespace; a row whose first cell is not is never
     joined, so a wide row costs one test."""
     return not cells or (not cells[0].strip() and not "".join(cells).strip())
-
-
-def _row_blocks(n_rows: int, width: int):
-    """Slices of at most ``_BLOCK_ENTRIES // width`` rows (at least one)."""
-    step = max(1, _BLOCK_ENTRIES // width)
-    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def _decade(m: int) -> float:

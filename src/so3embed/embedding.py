@@ -134,14 +134,18 @@ class EmbeddingSpec:
         """
         out = []
         for vec, a in zip(self.u_vectors, self.alpha):
-            imgs = self.group.matrices @ vec
-            near = np.linalg.norm(imgs[:, None] - imgs, axis=2) < 1e-9
-            if a % 2 == 0:
-                near |= np.linalg.norm(imgs[:, None] + imgs, axis=2) < 1e-9
-            first = np.arange(len(imgs))  # per image: the first image of its cluster, once settled
-            while not np.array_equal(settled := np.where(near, first, len(imgs)).min(axis=1), first):
+            imgs, n = self.group.matrices @ vec, len(self.group)
+            blocks, near = _row_blocks(n, 3 * n), np.empty((n, n), dtype=bool)  # never all n^2 differences at once
+            for b in blocks:
+                near[b] = np.linalg.norm(imgs[b, None] - imgs, axis=2) < 1e-9
+                if a % 2 == 0:
+                    near[b] |= np.linalg.norm(imgs[b, None] + imgs, axis=2) < 1e-9
+            first = np.arange(n)  # per image: the first image of its cluster, once settled
+            while not np.array_equal(
+                settled := np.concatenate([np.where(near[b], first, n).min(axis=1) for b in blocks]), first
+            ):
                 first = settled
-            v = imgs[first == np.arange(len(imgs))]
+            v = imgs[first == np.arange(n)]
             wts = np.full(len(v), 1.0 / len(v))
             v.setflags(write=False)
             wts.setflags(write=False)
@@ -270,11 +274,15 @@ def registry_lookup(group_name: str, variant: str = "isometric") -> EmbeddingSpe
 # ---------------------------------------------------------------------------
 # the embedding map
 
-# Entries per batch of rows: ``cli`` embeds and measures rows of width ``w``
-# ``_BLOCK_ENTRIES // w`` at a time, ``analysis`` blocks its distance, screen
-# and rank rotations by it, and ``projection`` sizes its lockstep batches by
-# it, so the arrays of a large table or orbit are never all held at once.
+# Entries per batch of rows, read by :func:`_row_blocks` alone, so the arrays
+# of a large table, sample set or orbit are never all held at once.
 _BLOCK_ENTRIES = 2**20
+
+
+def _row_blocks(n_rows: int, width: int, cap: int = _BLOCK_ENTRIES) -> list[slice]:
+    """Slices of at most ``_BLOCK_ENTRIES // width`` rows (at least one, at most ``cap``)."""
+    step = max(1, min(cap, _BLOCK_ENTRIES // width))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def class_values(spec: EmbeddingSpec, mats: np.ndarray) -> list[np.ndarray]:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import _BLOCK_ENTRIES, EmbeddingSpec, _tangent_operators, class_values, dense_rows, embed, radius
+from .embedding import EmbeddingSpec, _row_blocks, _tangent_operators, class_values, dense_rows, embed, radius
 from .so3 import Coset, Rotation, _quat_product, normalized_quaternions, quaternions_from_matrices
 from .so3 import quaternions_to_matrices, random_quaternions
 from .tensors import class_multiplicities, class_sums, inner
@@ -479,10 +479,9 @@ def _project_table(spec: EmbeddingSpec, targets, tol: float, max_iter: int, star
     # Every lane holds its orbit monomials and its 13 maps (``_Targets``) at
     # once, so batching bounds the memory of a large table; rows are
     # independent, so the batch size changes a result only by round-off.
-    size = max(1, _BLOCK_ENTRIES // ((n_starts + 1) * lane))
-    for lo in range(0, len(live), size):
-        block = live[lo : lo + size]
-        sub = rows[lo : lo + size] if len(live) == len(rows) else rows[block]  # a view when no row is zero
+    for at in _row_blocks(len(live), (n_starts + 1) * lane):
+        block = live[at]
+        sub = rows[at] if len(live) == len(rows) else rows[block]  # a view when no row is zero
         for column, part in zip(out, _project_block(spec, sub, norms[block], spiral, tol, max_iter)):
             column[block] = part
     return (*out, zero)

@@ -295,8 +295,8 @@ _KEY = np.sin(np.arange(1.0, 17.0)).reshape(4, 4)
 # the closure check of a table costs O(k^2 log k).
 MAX_FOLD = 1000
 
-# Products of table elements the closure check forms at a time: blocks of
-# rows of the product table keep its arrays near 2 MB each whatever |S|.
+# Products of group elements the closure check and ``fundamental_quaternions``
+# form at a time: blocks of rows keep their arrays near 2 MB each whatever |S|.
 _CHECK_PRODUCTS = 2**16
 
 
@@ -559,13 +559,17 @@ def fundamental_quaternions(q, group: SymmetryGroup) -> np.ndarray:
     lexicographic order of the sign-canonical quaternion, which makes the
     choice deterministic.
     """
-    prods = canonical_quaternion(_quat_product(np.asarray(q, dtype=float)[:, None, :], group.quaternions))
-    overlap = np.abs(prods[:, :, 0])
-    tied = overlap >= overlap.max(axis=1, keepdims=True) - 1e-9
-    for d in range(4):  # keep the tied rows that are smallest in component d
-        value = np.where(tied, prods[:, :, d], np.inf)
-        tied &= value == value.min(axis=1, keepdims=True)
-    return prods[np.arange(len(prods)), tied.argmax(axis=1)]
+    q = np.asarray(q, dtype=float)
+    out, step = np.empty((len(q), 4)), max(1, _CHECK_PRODUCTS // len(group))  # rows per block of products
+    for lo in range(0, len(q), step):
+        prods = canonical_quaternion(_quat_product(q[lo : lo + step, None, :], group.quaternions))
+        overlap = np.abs(prods[:, :, 0])
+        tied = overlap >= overlap.max(axis=1, keepdims=True) - 1e-9
+        for d in range(4):  # keep the tied rows that are smallest in component d
+            value = np.where(tied, prods[:, :, d], np.inf)
+            tied &= value == value.min(axis=1, keepdims=True)
+        out[lo : lo + step] = prods[np.arange(len(prods)), tied.argmax(axis=1)]
+    return out
 
 
 def fundamental_representative(c: Coset) -> Rotation:

@@ -566,7 +566,7 @@ def test_bounds_memory_stays_flat_in_the_pair_count():
 
 def test_memory_stays_flat_in_the_orbit():
     # C200 at rank 30: 100 orbit vectors up to sign, 49,600 class monomials and
-    # 10,000 Gram entries a rotation.  Blocks of at most _BLOCK_ENTRIES entries
+    # 10,000 Gram entries a rotation.  Blocks of at most 2^20 entries
     # keep each peak near 10-17 MiB, where whole 512-rotation blocks and
     # 2,048-row screen chunks took 226-314 MiB.
     spec = parse_spec_document("group = C200\nu = 0 1 0\nalpha = 30\nbeta = 1\n")
@@ -841,6 +841,18 @@ def test_a_design_too_short_for_the_second_moment_misses_the_rank():
     # a degree-1 design has 4 rotations, so the moment has rank at most 4
     eig = _moment_eigenvalues(registry_lookup("Y"), analysis._haar_design(1), False)
     assert (eig > 1e-12 * eig[-1]).sum() <= 4 < AMBIENT_RANKS["Y"]
+
+
+@pytest.mark.parametrize("group, alpha", [("T", (2,)), ("T", (2, 2)), ("O", (5, 2))])
+def test_a_vanishing_symmetrized_image_has_rank_0(group, alpha):
+    # T and O act irreducibly on R^3, so by Schur's lemma the symmetrized rank-2
+    # components are isotropic and center to zero, and O keeps no harmonic of
+    # degree 1, 3 or 5; the samples are rounding noise, which an a-priori
+    # threshold drops (one relative to the largest noise value counted 6, 12, 27)
+    us = ((1.0, 0.0, 0.0), (0.0, 0.6, 0.8))[: len(alpha)]
+    spec = EmbeddingSpec(group_elements(group), us, alpha, (1.0,) * len(alpha))
+    assert rank_check(spec, symmetrized=True) == 0
+    assert rank_check(spec) == expected_hull_dimension(spec) > 0
 
 
 def test_rank_check_rejects_uncentered_and_tiny_samples():

@@ -86,6 +86,13 @@ def test_every_import_of_a_module_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_only_embedding_names_the_block_budget():
+    # embedding._row_blocks is the one reader of _BLOCK_ENTRIES; the other
+    # modules cut their rows through it
+    assert [path.name for path in SOURCES if "_BLOCK_ENTRIES" in path.read_text(encoding="utf-8")] == ["embedding.py"]
+    assert "def _row_blocks" not in (SOURCES[0].parent / "cli.py").read_text(encoding="utf-8")
+
+
 def test_unused_import_check_flags_an_unread_name_only():
     source = (
         "from __future__ import annotations\n"

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from so3embed import embedding
 from so3embed.embedding import (
     TABLE_GROUPS,
     EmbeddingSpec,
@@ -210,6 +212,46 @@ def test_orbit_weights_are_one_over_the_orbit_size(group, rng):
     spec = EmbeddingSpec(group_elements(group), us, [*ranks] * len(dirs), [1.0] * len(us))
     for vecs, wts in spec.orbits:
         assert np.array_equal(wts, np.full(len(vecs), 1.0 / len(vecs)))
+
+
+ORBIT_SPECS = {
+    "O near an axis": ("O", ((7e-10, 0.0, 1.0), (7e-10, 0.0, 1.0)), (1, 2)),
+    "C12 on its axis": ("C12", ((1.0, 0.0, 0.0), (0.0, 0.6, 0.8)), (3, 4)),
+    "D37 generic": ("D37", ((0.48, 0.6, 0.64), (0.0, 1.0, 0.0)), (2, 3)),
+    "Y generic": ("Y", ((0.48, 0.6, 0.64), (0.0, 0.0, 1.0)), (5, 10)),
+}
+
+
+@pytest.mark.parametrize("key", ORBIT_SPECS)
+def test_orbits_do_not_depend_on_their_row_blocks(key, monkeypatch):
+    # registered orders take one block; one image a block must link the same clusters
+    group, us, alpha = ORBIT_SPECS[key]
+    whole = EmbeddingSpec(group_elements(group), us, alpha, (1.0,) * len(us)).orbits
+    monkeypatch.setattr(embedding, "_BLOCK_ENTRIES", 1)
+    split = EmbeddingSpec(group_elements(group), us, alpha, (1.0,) * len(us)).orbits
+    for (v1, w1), (v2, w2) in zip(whole, split, strict=True):
+        assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
+
+
+def test_orbit_memory_stays_bounded_in_the_group_order():
+    # D1000 has 2,000 images; all their differences at once took 248 MiB
+    spec = EmbeddingSpec(group_elements("D1000"), ((0.48, 0.6, 0.64),), (2,), (1.0,))
+    tracemalloc.start()
+    try:
+        assert len(spec.orbits[0][0]) == 2000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_row_blocks_keep_at_least_one_row_and_at_most_the_cap():
+    row_blocks, budget = embedding._row_blocks, embedding._BLOCK_ENTRIES
+    assert row_blocks(0, 5) == [] and row_blocks(10, 1) == [slice(0, budget)]
+    assert row_blocks(3, budget + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert row_blocks(5, budget // 2) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert row_blocks(5, 1, cap=2) == row_blocks(5, budget // 2, cap=3)
+    assert row_blocks(1000, 4, cap=512) == [slice(0, 512), slice(512, 1024)]
 
 
 @pytest.mark.parametrize("key", [*REGISTERED_SPECS, *EXTRA_SPECS])

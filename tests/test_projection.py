@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from so3embed import projection
+from so3embed import embedding, projection
 from so3embed.embedding import TABLE_GROUPS, EmbeddingSpec, _tangent_operators, centering_offsets, embed, radius
 from so3embed.embedding import registry_lookup
 from so3embed.projection import (
@@ -114,7 +114,7 @@ def test_only_tables_with_two_rank_1_components_run_kabsch(monkeypatch, rng, nam
 
     monkeypatch.setattr(projection, "_kabsch_quaternions", spy)
     if name == "C1":
-        monkeypatch.setattr(projection, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(embedding, "_BLOCK_ENTRIES", 1)
     rows = np.array([embed(spec, random_rotation(rng)).flatten() for _ in range(3)])
     assert all(res.converged for res in project_many(spec, rows))
     assert len(seen) == calls
@@ -464,7 +464,7 @@ def test_project_many_batches_rows_without_changing_them(rng, monkeypatch):
     table = np.array([np.concatenate([t.ravel() for t in target]) for target in targets])
     table = np.insert(table, 2, 0.0, axis=0)
     whole = project_many(spec, table, seed=5)
-    monkeypatch.setattr(projection, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(embedding, "_BLOCK_ENTRIES", 1)
     split = project_many(spec, table, seed=5)
     assert isinstance(split[2], DegenerateInputError)
     for i, (got, ref) in enumerate(zip(split, whole)):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -565,6 +566,31 @@ def test_fundamental_quaternions_match_the_scalar_tie_rule(rng, name):
         assert np.array_equal(out, want)
         assert np.array_equal(np.signbit(out), np.signbit(want))
         assert np.array_equal(fundamental_representative(Coset(rep, group)).quat, want)
+
+
+@pytest.mark.parametrize("name", ["O", "Y", "D37"])
+def test_fundamental_quaternions_do_not_depend_on_their_row_blocks(rng, name, monkeypatch):
+    # rows are independent, so blocks of 1 or 7 rows give the bits of one block
+    group = group_elements(name)
+    q = np.concatenate([_special_quaternions(rng), -group.quaternions])
+    assert len(q) * len(group) <= so3._CHECK_PRODUCTS  # one block unpatched
+    whole = fundamental_quaternions(q, group)
+    for products in (1, 7 * len(group)):
+        monkeypatch.setattr(so3, "_CHECK_PRODUCTS", products)
+        split = fundamental_quaternions(q, group)
+        assert np.array_equal(split, whole) and np.array_equal(np.signbit(split), np.signbit(whole))
+
+
+def test_fundamental_quaternions_memory_stays_bounded_in_the_table(rng):
+    # 1,000 rows against the 2,000 elements of D1000: all products at once took 200 MiB
+    group, q = group_elements("D1000"), random_quaternions(rng, 1000)
+    tracemalloc.start()
+    try:
+        fundamental_quaternions(q, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_as_coset_coercion(rng):
