@@ -60,7 +60,7 @@ from .embedding import (
 )
 from .so3 import fundamental_quaternions, group_elements, normalized_quaternions, quaternions_from_euler_zyz
 from .so3 import quaternions_to_matrices, quotient_angles, relative_quaternions
-from .tensors import binom_identity_check
+from .tensors import _classes, binom_identity_check
 
 # Bound but not called: bench/spans.py traces these names in this module.
 from .embedding import embed, embedded_distance  # noqa: F401
@@ -156,25 +156,31 @@ def _open(stack: ExitStack, path: str | None, mode: str):
         raise _DataError(f"cannot {'read' if mode == 'r' else 'write'} {path}: {exc.strerror}") from None
 
 
-def _read_header(stack: ExitStack, path: str | None):
-    """The rows of a table (``_table_rows``) and its header row, the first
-    non-blank row.  A UTF-8 byte order mark at the start of the input is dropped."""
-    rows = _table_rows(_open(stack, path, "r"))
+def _read_header(stack: ExitStack, path: str | None, raw: bool = False):
+    """The rows of a table (``_table_rows``, ``raw`` passed on) and its header
+    row, the first non-blank row.  A UTF-8 byte order mark at the start of the
+    input is dropped; a header that starts with one is split, as is every row
+    of a table read without ``raw``."""
+    rows = _table_rows(_open(stack, path, "r"), raw)
     for n, (_, cells) in enumerate(rows):
         if n == 0 and cells and cells[0].startswith("\ufeff"):
+            cells = _cells(cells)
             cells[0] = cells[0][1:]
         if not _blank(cells):
             return rows, cells
     raise _DataError("input is empty: missing header row")
 
 
-def _table_rows(fh):
+def _table_rows(fh, raw: bool = False):
     """``(line number, cells)`` of every row of the text file ``fh``, as
     ``csv.reader`` and its ``line_num`` give them, when ``fh`` ends its lines
     at CR, LF and CRLF (``newline=""`` or ``None``).  A line without a quote is
     split at its commas; a line with one is read by ``csv.reader``, which reads
     on through a quoted line break.  A row that ``csv`` cannot read is a data
-    error that names its line."""
+    error that names its line.  With ``raw``, a line without a quote that
+    starts with neither a comma nor whitespace, and so is not blank, is given
+    as its text, line end included, in place of its cells: ``_cells`` splits
+    it, and ``_read_rows`` first checks it against a dense class layout."""
     lines = iter(fh)
     n = 0
     for line in lines:
@@ -183,11 +189,23 @@ def _table_rows(fh):
             cells, n = _csv_row(line, lines, n)
         elif line in ("\n", "\r\n", "\r"):
             cells = []
-        else:
+        elif raw and line[0] != "," and not line[0].isspace():
+            cells = line
+        else:  # as _cells splits a text, inline: a narrow table pays no call per line
             cells = line.split(",")
             cells[-1] = cells[-1].rstrip("\r\n")
         del line  # a row's text is held once, by its cells
         yield n, cells
+
+
+def _cells(row) -> list[str]:
+    """The cells of a row of ``_table_rows``: the row itself, or the text of a
+    raw row split at its commas, its line end dropped from the last cell."""
+    if not isinstance(row, str):
+        return row
+    cells = row.split(",")
+    cells[-1] = cells[-1].rstrip("\r\n")
+    return cells
 
 
 def _csv_row(line: str, lines, n: int):
@@ -202,7 +220,9 @@ def _csv_row(line: str, lines, n: int):
 
 def _blank(cells) -> bool:
     """True if every cell is whitespace; a row whose first cell is not is never
-    joined, so a wide row costs one test."""
+    joined, so a wide row costs one test.  The text of a raw row (``_table_rows``)
+    starts with a character that is not whitespace, so it is never blank
+    either."""
     return not cells or (not cells[0].strip() and not "".join(cells).strip())
 
 
@@ -390,6 +410,19 @@ def _id_column(header) -> int:
     return idc
 
 
+def _id_and_width(header) -> tuple[int, int]:
+    """The ``id`` column of a header row (``_id_column``) and its cell count.
+    The text of a raw header (``_table_rows``) whose first cell reads ``id`` is
+    not split: its width is one more than its comma count.  Any other is split
+    (``_cells``)."""
+    if isinstance(header, str):
+        comma = header.find(",")
+        if (header if comma < 0 else header[:comma]).strip().lower() == "id":
+            return 0, header.count(",") + 1
+        header = _cells(header)
+    return _id_column(header), len(header)
+
+
 def _cell(row, col: int, line: int) -> str:
     if col >= len(row):
         raise _DataError(f"line {line}: expected at least {col + 1} columns, found {len(row)}")
@@ -400,11 +433,11 @@ def _cell(row, col: int, line: int) -> str:
 # once: blocks of 2**11 cells left the peak RSS of a process that embeds
 # 2,000-row tables about 0.2 MB higher, at the same speed.
 _BLOCK_CELLS = 2**9
-# Cells of a block's first row that are looked at to pick its conversion: a
-# dense row repeats a class value within them, an orientation row repeats
-# nothing.  A set over a whole Y row (59,048 cells) cost more than the
-# conversion it picks saves.
-_PROBE_CELLS = 64
+# Trailing digits of a flat index that one block of the class-layout check
+# spans: 3^3 = 27 cells, whose classes are fixed by the counts of the other
+# digits (``_dense_layout``).  A clean Y row took 1.3 ms at 3 digits, 1.9 ms
+# at 2 and 1.5 ms at 4; a D6 row 0.11, 0.08 and 0.17 ms.
+_LAYOUT_DIGITS = 3
 
 
 def _picker(cols):
@@ -423,24 +456,41 @@ def _picker(cols):
     return itemgetter(*cols)
 
 
-def _read_rows(rows, cols, idc: int):
+def _read_rows(rows, cols, idc: int, alpha: tuple[int, ...] | None = None):
     """The cells ``cols`` (at least two, a list or a ``range``) of every
     remaining row of ``rows`` (``_table_rows``) as one ``(N, len(cols))``
     array of finite floats, with the id cell and the line number of every row.
-    Rows are converted in blocks of about ``_BLOCK_CELLS`` cells, a block whose
-    rows repeat cells once per distinct text and any other cell by cell
+    Rows are converted in blocks of about ``_BLOCK_CELLS`` cells, cell by cell
     (``_block_floats``), straight into the table, which grows in place by a
     quarter when full, so no block's text outlives it and the floats are held
-    once."""
+    once.
+
+    With the ranks ``alpha`` of a dense row, ``rows`` come from
+    ``_table_rows(fh, raw=True)`` and each row is a block of its own.  If
+    ``idc`` is 0, ``cols`` must be ``range(1, 1 + sum 3^alpha_i)``, and the
+    text of a raw row is first checked against the class layout and converted
+    once per class text (``_layout_floats``); a row that fails the check, and
+    any other row, is split and read as above, so the floats, ids, line
+    numbers and data errors do not depend on the check."""
     pick = _picker(cols)
     table = np.empty((0, len(cols)))
     ids, lines = [], []
     filled = ((line, cells) for line, cells in rows if not _blank(cells))
-    while block := list(islice(filled, max(1, _BLOCK_CELLS // len(cols)))):
+    step = 1 if alpha else max(1, _BLOCK_CELLS // len(cols))
+    while block := list(islice(filled, step)):
         n = len(ids)
         if n + len(block) > len(table):
             table.resize((max(n + len(block), n + 1 + n // 4), len(cols)), refcheck=False)  # realloc, no second table
         out = table[n : n + len(block)]
+        if alpha and isinstance(block[0][1], str):
+            line, text = block.pop()
+            ident = _layout_floats(text, alpha, out[0]) if idc == 0 else None
+            if ident is not None:
+                ids.append(ident)
+                lines.append(line)
+                continue
+            block.append((line, _cells(text)))
+            del text
         if not _block_floats(block, pick, out):
             for row, (line, cells) in zip(out, block):  # the first bad row, and its first bad cell, is named
                 _row_floats(cells, cols, line, row)
@@ -456,28 +506,20 @@ def _read_rows(rows, cols, idc: int):
 
 def _block_floats(block, pick, out: np.ndarray) -> bool:
     """Write the cells of the rows ``block`` that ``pick`` takes into ``out`` if
-    all of them are finite numbers.  If the first ``_PROBE_CELLS`` cells of the
-    first row repeat a text, as a dense row repeats its class values, each
-    distinct text is converted once (``_distinct_floats``); otherwise every
-    cell is (``_cell_floats``).  Either way ``_read_rows`` gives the bits of
-    ``float`` per cell, or the same data error.  False, with ``out``
-    unwritten, if a cell is missing or a conversion gives None; ``_row_floats``
-    then converts the block again under the number grammar."""
+    all of them are finite numbers, one ``float`` call per cell
+    (``_cell_floats``), so ``_read_rows`` gives the bits of ``float`` per
+    cell, or the same data error.  False, with ``out`` unwritten, if a cell is
+    missing or a conversion gives None; ``_row_floats`` then converts the
+    block again under the number grammar."""
     try:
         picked = [pick(cells) for _, cells in block]
     except IndexError:
         return False
-    values = (_distinct_floats if _repeats(picked[0]) else _cell_floats)(picked, out.size)
+    values = _cell_floats(picked, out.size)
     if values is None:
         return False
     out.reshape(-1)[:] = values
     return True
-
-
-def _repeats(cells) -> bool:
-    """True if the first ``_PROBE_CELLS`` of ``cells`` hold a text twice."""
-    head = cells[:_PROBE_CELLS]
-    return len(set(head)) < len(head)
 
 
 def _plain(texts) -> bool:
@@ -502,21 +544,91 @@ def _cell_floats(picked, size: int):
     return values if np.isfinite(values).all() else None
 
 
-def _distinct_floats(picked, size: int):
-    """The ``size`` floats of the cells of the rows ``picked``, one ``float``
-    call per distinct cell text, or None if the texts are not ``_plain``, or a
-    text is no number, or the distinct values' sum is not finite (on inf or
-    nan, and on a sum that overflows, which ``_row_floats`` then accepts)."""
-    texts = dict.fromkeys(chain.from_iterable(picked))
-    if not _plain(texts):
+@lru_cache(maxsize=None)
+def _dense_layout(alpha: tuple[int, ...]):
+    """The class layout of a dense row of ranks ``alpha``, for
+    ``_layout_floats``: ``(components, n_classes)``.
+
+    The flat index of a rank-``a`` component is cut into a prefix of ``a - h``
+    digits and a block of ``h = min(a, _LAYOUT_DIGITS)``, so a block is 3^h
+    consecutive cells, and the digit counts of its prefix, its pattern, fix the
+    class of every cell in it.  Per component, ``(a, keys, patterns)``:
+    ``keys[b]`` is the pattern of block ``b``, the class of its prefix among
+    those of rank ``a - h``, and ``patterns[k]`` the class of every cell of a
+    block of pattern ``k``, numbered over the classes of all components side
+    by side, ``n_classes`` of them.  Only these short lists are kept;
+    ``tensors._classes`` holds the maps that expand a component."""
+    components, first = [], 0
+    for a in alpha:
+        h = min(a, _LAYOUT_DIGITS)
+        keys = _classes(a - h)[0].tolist()
+        cells = _classes(a)[0].reshape(len(keys), 3**h) + first
+        patterns = [None] * len(_classes(a - h)[1])
+        for b, key in enumerate(keys):
+            if patterns[key] is None:
+                patterns[key] = cells[b].tolist()
+        components.append((a, keys, patterns))
+        first += len(_classes(a)[1])
+    return tuple(components), first
+
+
+def _layout_floats(text: str, alpha: tuple[int, ...], out: np.ndarray) -> str | None:
+    """Write the dense row of ranks ``alpha`` that follows the id cell of the
+    raw row ``text`` into ``out`` and give the id, stripped, if every cell of a
+    class holds the same text (``_dense_layout``) and the class texts are
+    finite numbers; else None, with ``out`` unwritten.
+
+    The first block of each pattern is read cell by cell, and each cell is
+    checked against the text already seen for its class, or gives it; every
+    later block of that pattern is one ``startswith`` of the first one's
+    text, its closing comma included.  Only a row whose text is used up
+    exactly, no cell short or over, passes.  Each class text is then
+    converted once, as ``_cell_floats`` converts a cell, and expanded by its
+    class map in place."""
+    components, n_classes = _dense_layout(alpha)
+    stop = len(text)
+    while stop and text[stop - 1] in "\r\n":  # the line end, as _cells drops it
+        stop -= 1
+    pos = head = text.find(",", 0, stop) + 1
+    if not pos:
+        return None
+    texts = [None] * n_classes
+    for _, keys, patterns in components:
+        firsts = [None] * len(patterns)  # the text of the first block of each pattern, its comma included
+        for key in keys:
+            block = firsts[key]
+            if block is not None and text.startswith(block, pos, stop):
+                pos += len(block)
+                continue
+            start = pos  # a first block, or the row's last block, which has no closing comma
+            for c in patterns[key]:
+                if pos > stop:
+                    return None
+                end = text.find(",", pos, stop)
+                if end < 0:
+                    end = stop
+                cell, known = text[pos:end], texts[c]
+                if known is None:
+                    texts[c] = cell
+                elif cell != known:
+                    return None
+                pos = end + 1
+            if block is None:
+                firsts[key] = text[start:pos]
+    if pos != stop + 1 or not _plain(texts):
         return None
     try:
-        values = dict(zip(texts, map(float, texts)))
+        values = np.fromiter(map(float, texts), float, n_classes)
     except ValueError:
         return None
-    if not math.isfinite(sum(values.values())):
+    if not np.isfinite(values).all():
         return None
-    return np.fromiter(map(values.__getitem__, chain.from_iterable(picked)), float, size)
+    at = first = 0
+    for a, _, _ in components:
+        ids, count = _classes(a)[0], len(_classes(a)[1])
+        values[first : first + count].take(ids, out=out[at : at + len(ids)])
+        at, first = at + len(ids), first + count
+    return text[: head - 1].strip()
 
 
 def _row_floats(cells, cols, line: int, out: np.ndarray) -> None:
@@ -616,14 +728,15 @@ def cmd_embed(args) -> int:
 def cmd_project(args) -> int:
     _bind("projection")
     spec, dim = _dense_spec(args)
+    wide = dim > _BLOCK_CELLS  # a row of more than a block: its text is checked against the class layout
     with ExitStack() as stack:
-        reader, header = _read_header(stack, args.input)
-        idc, width = _id_column(header), len(header)
-        del header  # a Y header is 59,049 strings: dropped before the rows are read
+        reader, header = _read_header(stack, args.input, raw=wide)
+        idc, width = _id_and_width(header)
+        del header  # a Y header is 59,050 cells: dropped before the rows are read
         coord_cols = range(1, width) if idc == 0 else [*range(idc), *range(idc + 1, width)]
         if len(coord_cols) != dim:
             raise _DataError(f"expected {dim} coordinate columns for this spec, found {len(coord_cols)}")
-        table, ids, lines = _read_rows(reader, coord_cols, idc)
+        table, ids, lines = _read_rows(reader, coord_cols, idc, spec.alpha if wide else None)
         try:
             quats, _, res, iters, conv, zero = _project_table(spec, table, args.tol, args.max_iter, args.starts, args.seed)
         except _NonFiniteRowError as exc:
