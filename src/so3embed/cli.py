@@ -343,7 +343,7 @@ def _texts(values: np.ndarray) -> list[str]:
 _WRITE_CELLS = 2**12
 
 
-def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> None:
+def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None, alpha: tuple[int, ...] | None = None) -> None:
     """One line per row: the id, quoted as the csv module quotes it (no id
     column if ``ids`` is None), then the floats of ``values`` ``(N, C)`` at 17
     significant digits (``%.17g``).  Blocks of at most ``_WRITE_CELLS``
@@ -351,16 +351,43 @@ def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None) -> N
     block of rows is joined by one ``%`` and written at once.  ``take``, a
     list of at least two column indices, repeats them in its order, as
     ``embedding.dense_class_columns`` expands class values: each row gathers
-    its formatted floats."""
+    its formatted floats.
+
+    ``alpha``, the ranks of a dense row whose class values ``values`` holds
+    side by side, writes each row from the class layout that ``_read_rows``
+    checks (``_dense_layout``) instead: the block of each pattern is joined
+    once from the row's class texts, with its closing comma, and one join of
+    the id and the blocks in ``keys`` order makes the line, so a row's text
+    is built once.  The row's last block ends in the line end."""
     width = values.shape[1]
     step = max(1, _WRITE_CELLS // width)
     line = "%s" + ",".join(["%s"] * width) + "\n"  # the id cell and its comma, if any, then the floats
     pick = itemgetter(*take) if take else None
+    if alpha:
+        # A line joins the parts that ``order`` picks: the id (part 0), then
+        # one block per pattern, whose class texts a blank text closes with a
+        # comma; the row's last block ends in its last text and the line end.
+        components, blank = _dense_layout(alpha)
+        order, patterns = [0], []
+        for _, keys, cells in components:
+            order += [len(patterns) + 1 + key for key in keys]
+            patterns += [itemgetter(*c, blank) for c in cells]
+        *last, end = cells[keys[-1]]  # the classes of the last component's last block
+        patterns.append(itemgetter(*last, blank + 1))
+        order[-1] = len(patterns)
+        pick = itemgetter(*order)
     for lo in range(0, len(values), step):
         texts = _texts(values[lo : lo + step].ravel())
         n = len(texts) // width
         starts = [""] * n if ids is None else _heads(ids[lo : lo + step])
-        if take:
+        if alpha:
+            for at, start in zip(range(0, len(texts), width), starts):
+                row = texts[at : at + width]
+                row += ("", row[end] + "\n")
+                parts = [start]
+                parts += [",".join(p(row)) for p in patterns]
+                fh.write("".join(pick(parts)))
+        elif take:
             for at, start in zip(range(0, len(texts), width), starts):
                 fh.write(start + ",".join(pick(texts[at : at + width])) + "\n")
         else:
@@ -546,27 +573,28 @@ def _cell_floats(picked, size: int):
 
 @lru_cache(maxsize=None)
 def _dense_layout(alpha: tuple[int, ...]):
-    """The class layout of a dense row of ranks ``alpha``, for
-    ``_layout_floats``: ``(components, n_classes)``.
+    """The class layout of a dense row of ranks ``alpha``, by which
+    ``_layout_floats`` reads a wide row and ``_write_rows`` writes one:
+    ``(components, n_classes)``.
 
     The flat index of a rank-``a`` component is cut into a prefix of ``a - h``
     digits and a block of ``h = min(a, _LAYOUT_DIGITS)``, so a block is 3^h
     consecutive cells, and the digit counts of its prefix, its pattern, fix the
     class of every cell in it.  Per component, ``(a, keys, patterns)``:
-    ``keys[b]`` is the pattern of block ``b``, the class of its prefix among
-    those of rank ``a - h``, and ``patterns[k]`` the class of every cell of a
-    block of pattern ``k``, numbered over the classes of all components side
-    by side, ``n_classes`` of them.  Only these short lists are kept;
-    ``tensors._classes`` holds the maps that expand a component."""
+    ``keys[b]`` is the pattern of block ``b``, the patterns numbered in the
+    order they first appear (bytes: at most 55 below rank 13), and
+    ``patterns[k]`` the class of every cell of a block of pattern ``k``,
+    numbered over the classes of all components side by side, ``n_classes``
+    of them.  Only these short lists are kept; ``tensors._classes`` holds
+    the maps that expand a component."""
     components, first = [], 0
     for a in alpha:
         h = min(a, _LAYOUT_DIGITS)
-        keys = _classes(a - h)[0].tolist()
-        cells = _classes(a)[0].reshape(len(keys), 3**h) + first
-        patterns = [None] * len(_classes(a - h)[1])
-        for b, key in enumerate(keys):
-            if patterns[key] is None:
-                patterns[key] = cells[b].tolist()
+        cells = _classes(a)[0].reshape(-1, 3**h) + first
+        heads = cells[:, 0].tolist()  # a block's first cell: its prefix's counts and h zeros, so its pattern
+        numbers = {c: k for k, c in enumerate(dict.fromkeys(heads))}
+        keys = bytes([numbers[c] for c in heads])
+        patterns = [cells[heads.index(c)].tolist() for c in numbers]
         components.append((a, keys, patterns))
         first += len(_classes(a)[1])
     return tuple(components), first
@@ -706,7 +734,23 @@ def _dense_spec(args) -> tuple[EmbeddingSpec, int]:
 # commands
 
 
+def _dense_header(dim: int) -> str:
+    """The dense header ``id,e0,...,e<dim - 1>`` and its line end; no cell
+    needs quoting.  Past the first thousand names, each thousand is one join
+    of the three-digit endings 000-999, its thousands the separator."""
+    ends = [f"{j:03d}" for j in range(1000)]
+    parts = ["id,e", ",e".join(map(str, range(min(dim, 1000))))]
+    parts += [f",e{k}".join(["", *ends[: dim - 1000 * k]]) for k in range(1, -(-dim // 1000))]
+    parts.append("\n")
+    return "".join(parts)
+
+
 def cmd_embed(args) -> int:
+    """Embed every orientation of the input table as one dense row.  A row
+    wider than a conversion block (D6, Y, rank 6 and up), the rule by which
+    ``cmd_project`` checks its rows, is written from its class layout
+    (``_write_rows`` with the ranks); a narrower one gathers its entries
+    (``dense_class_columns``)."""
     spec, dim = _dense_spec(args)
     with ExitStack() as stack:
         reader, header = _read_header(stack, args.input)
@@ -717,11 +761,12 @@ def cmd_embed(args) -> int:
         vals, ids, lines = _read_rows(reader, cols, idc)
         quats = _orientations(kind, vals, lines, args.degrees)
         fh = _open(stack, args.output, "w")
-        fh.write("id" + (",e%d" * dim) % tuple(range(dim)) + "\n")  # no cell needs quoting
-        take = dense_class_columns(spec)
+        fh.write(_dense_header(dim))
+        alpha = spec.alpha if dim > _BLOCK_CELLS else None
+        take = None if alpha else dense_class_columns(spec)
         for block in _row_blocks(len(quats), dim):
             comps = class_values(spec, quaternions_to_matrices(quats[block]))
-            _write_rows(fh, ids[block], np.concatenate(comps, axis=1), take)
+            _write_rows(fh, ids[block], np.concatenate(comps, axis=1), take, alpha)
     return EXIT_OK
 
 

@@ -300,6 +300,13 @@ MAX_FOLD = 1000
 _CHECK_PRODUCTS = 2**16
 
 
+def _row_norms(q: np.ndarray) -> np.ndarray:
+    """The norms of the rows of ``q`` ``(N, 4)``, summed column by column: the
+    bits of ``np.linalg.norm(q, axis=1)``, without its overhead."""
+    w, x, y, z = q.T
+    return np.sqrt(((w * w + x * x) + y * y) + z * z)
+
+
 def relative_quaternions(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """``conj(q2) q1`` for unit quaternions ``(N, 4)``, renormalized, so that
     equal rows give the identity exactly and so a quotient angle of 0."""
@@ -316,7 +323,7 @@ def quotient_angles(rel: np.ndarray, group: np.ndarray) -> np.ndarray:
     precision where ``2 arccos |rel . s|`` saturates.
     """
     near = group[np.abs(rel @ group.T).argmax(axis=1)]
-    gap = np.minimum(np.linalg.norm(rel - near, axis=1), np.linalg.norm(rel + near, axis=1))
+    gap = np.minimum(_row_norms(rel - near), _row_norms(rel + near))
     return 4.0 * np.arcsin(np.minimum(1.0, 0.5 * gap))
 
 
@@ -583,14 +590,10 @@ def fundamental_representative(c: Coset) -> Rotation:
 
 
 def random_quaternions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` unit quaternions drawn from the uniform (Haar) distribution.
-
-    Row norms are summed column by column: the bits of ``np.linalg.norm(q,
-    axis=1)``, without its overhead."""
+    """``n`` unit quaternions drawn from the uniform (Haar) distribution."""
     q = rng.standard_normal((n, 4))
     while True:
-        w, x, y, z = q.T
-        norms = np.sqrt(((w * w + x * x) + y * y) + z * z)
+        norms = _row_norms(q)
         bad = norms < 1e-12
         if not bad.any():
             return q / norms[:, None]

@@ -93,6 +93,21 @@ def test_only_embedding_names_the_block_budget():
     assert "def _row_blocks" not in (SOURCES[0].parent / "cli.py").read_text(encoding="utf-8")
 
 
+def test_only_dense_layout_reads_the_layout_digits():
+    # embed writes and project reads a wide dense row by one class layout:
+    # cli._dense_layout is the one function that reads _LAYOUT_DIGITS
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    readers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "_LAYOUT_DIGITS" for n in ast.walk(node))
+    ]
+    loads = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "_LAYOUT_DIGITS" and isinstance(n.ctx, ast.Load)]
+    assert readers == ["_dense_layout"]
+    assert len(loads) == 1
+
+
 def test_unused_import_check_flags_an_unread_name_only():
     source = (
         "from __future__ import annotations\n"

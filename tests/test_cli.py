@@ -1049,6 +1049,106 @@ def test_write_rows_formats_a_dense_table_in_small_blocks():
     assert peak < 2**20
 
 
+def _layout_matches_the_flat_gather(spec, values, ids) -> bool:
+    # a wide row written from its class layout against the flat gather of
+    # the same class values, and both against csv quoting and "%.17g" per entry
+    take = cli.dense_class_columns(spec)
+    layout, flat, want = io.StringIO(), io.StringIO(), io.StringIO()
+    _write_rows(layout, ids, values, None, spec.alpha)
+    _write_rows(flat, ids, values, take)
+    csv.writer(want, lineterminator="\n").writerows([i, *("%.17g" % x for x in row[take])] for i, row in zip(ids, values))
+    assert flat.getvalue() == want.getvalue()
+    return layout.getvalue() == want.getvalue()
+
+
+def _spec_document(alpha, beta: float = 1.0) -> str:
+    u = ["1 0 0", "0 0.6 0.8", "0.48 0.6 0.64"][: len(alpha)]
+    return f"group = C1\nu = {'; '.join(u)}\nalpha = {' '.join(map(str, alpha))}\nbeta = {' '.join([str(beta)] * len(alpha))}\n"
+
+
+_WIDE_ALPHA = st.tuples(st.lists(st.integers(6, 12), min_size=1, max_size=2), st.integers(1, 5), st.integers(0, 2)).map(
+    lambda t: (*t[0][: t[2]], t[1], *t[0][t[2] :])
+)
+_PERCENT_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -3.0, 12.0, 12.5, -1e17, 4e-5])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_WIDE_ALPHA, st.sampled_from([1.0, 1e3]),
+       st.lists(st.tuples(_IDS, st.integers(0, len(BYTE_QUATS) - 1)), min_size=1, max_size=2),
+       st.lists(st.tuples(st.integers(0, 10**6), _PERCENT_FLOATS), max_size=8))
+def test_layout_writer_lines_are_the_flat_gathers(alpha, beta, rows, specials):
+    # wide spec documents of ranks 6-12, one or two wide components and a
+    # narrow one; the identity and the half turns give exact zeros and
+    # integers, beta = 1e3 values of |v| >= 10, and the listed floats, -0.0
+    # among them, take the "%" path too; the ids may need quoting
+    spec = parse_spec_document(_spec_document(alpha, beta))
+    values = np.concatenate(class_values(spec, quaternions_to_matrices(BYTE_QUATS[[q for _, q in rows]])), axis=1)
+    for at, x in specials:
+        values.flat[at % values.size] = x
+    assert _layout_matches_the_flat_gather(spec, values, [i for i, _ in rows])
+
+
+def test_layout_writer_that_reuses_a_first_block_fails_the_byte_check():
+    # negative control: every block of a component written from its first one
+    def first_blocks(alpha):
+        components, n_classes = layout(alpha)
+        return tuple((a, [keys[0]] * len(keys), patterns) for a, keys, patterns in components), n_classes
+
+    layout, spec = cli._dense_layout, registry_lookup("D6")
+    values = np.concatenate(class_values(spec, quaternions_to_matrices(BYTE_QUATS[4:])), axis=1)
+    ids = [f"r{i}" for i in range(len(values))]
+    assert _layout_matches_the_flat_gather(spec, values, ids)
+    with mock.patch.object(cli, "_dense_layout", first_blocks):
+        assert not _layout_matches_the_flat_gather(spec, values, ids)
+
+
+@pytest.mark.parametrize("dim", [3, 27, 81, 738, 999, 1000, 1001, 1999, 2000, 2001, 59049, 531441])
+def test_dense_header_is_the_format_of_every_name(dim):
+    assert cli._dense_header(dim) == ("id" + ",e%d" * dim) % tuple(range(dim)) + "\n"
+
+
+@pytest.mark.parametrize(("source", "wide"), [
+    ("D6", True), ("Y", True), ((6,), True), ((6, 2), True),
+    ("C4", False), ("O", False), ("T", False), ((5,), False), ((5, 4), False),
+])
+def test_embed_writes_a_row_wider_than_a_block_from_its_class_layout(source, wide, tmp_path):
+    # D6 (738 entries), Y and rank-6 documents are wider than _BLOCK_CELLS
+    # and take the layout; C4, O, T and rank-5 documents the flat gather
+    argv = ["--group", source]
+    if not isinstance(source, str):
+        doc = tmp_path / "spec.txt"
+        doc.write_text(_spec_document(source))
+        argv = ["--spec", str(doc)]
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text(quaternion_table(BYTE_QUATS[:3]))
+    with mock.patch.object(cli, "_dense_layout", wraps=cli._dense_layout) as spy:
+        assert main(["embed", *argv, "-i", str(src), "-o", str(out)]) == 0
+    assert spy.called == wide
+    assert len(out.read_text().splitlines()) == 4
+
+
+def test_layout_writer_peaks_no_higher_than_the_flat_gather():
+    # 3 Y rows, 59,049 entries each: the flat gather peaked at 3.1 MiB of
+    # tracemalloc (the tuple of a row's texts, its join and the line), the
+    # layout, which joins the id, the blocks and the line end at once, at 1.4
+    spec = registry_lookup("Y")
+    values = np.concatenate(class_values(spec, quaternions_to_matrices(BYTE_QUATS[4:7])), axis=1)
+    ids, take = ["r0", "r1", "r2"], cli.dense_class_columns(spec)
+    sink = SimpleNamespace(write=len)  # holds no output
+    peaks = []
+    for args in ((take,), (None, spec.alpha)):
+        _write_rows(sink, ids, values, *args)  # the lookup tables and the layout are built on first use
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _write_rows(sink, ids, values, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    flat, layout = peaks
+    assert layout <= flat
+
+
 # ---------------------------------------------------------------------------
 # project
 

@@ -255,6 +255,21 @@ def test_geodesic_distance_resolves_tiny_angles():
     assert abs(geodesic_distance(Rotation.identity(), r) - 3e-11) < 1e-16
 
 
+@pytest.mark.parametrize("n", [280, 5_000])
+@pytest.mark.parametrize("name", ["C4", "O", "D6", "Y"])
+def test_quotient_angles_keep_the_bits_of_linalg_norm(name, n):
+    # the column sums of so3._row_norms against np.linalg.norm(axis=1), on
+    # Haar rows, exact group elements and elements perturbed by 1e-9
+    rng = np.random.default_rng(n)
+    group = group_elements(name).quaternions
+    exact = np.tile(group, (-(-n // len(group)), 1))[:n]
+    perturbed = normalized_quaternions(exact + 1e-9 * rng.standard_normal(exact.shape))
+    for rel in (random_quaternions(rng, n), exact, perturbed):
+        near = group[np.abs(rel @ group.T).argmax(axis=1)]
+        gap = np.minimum(np.linalg.norm(rel - near, axis=1), np.linalg.norm(rel + near, axis=1))
+        assert np.array_equal(so3.quotient_angles(rel, group), 4.0 * np.arcsin(np.minimum(1.0, 0.5 * gap)))
+
+
 def test_geodesic_distance_is_bi_invariant(rng):
     r1, r2, q = (random_rotation(rng) for _ in range(3))
     d = geodesic_distance(r1, r2)
