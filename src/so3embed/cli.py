@@ -18,8 +18,9 @@ A numeric cell holds one decimal number: optional sign, ASCII digits with an
 optional decimal point, optional exponent, surrounding spaces ignored.  Digit
 underscores and non-ASCII digits, which Python's float reads (1_0 as 10), inf
 and nan are data errors that name the cell.
-CSV is comma-separated UTF-8 with a header row; numeric output carries 17
-significant digits so 64-bit floats round-trip exactly, and every command is
+CSV is comma-separated UTF-8 with a header row, and an input or spec file
+that is not UTF-8 is a data error; numeric output carries 17 significant
+digits so 64-bit floats round-trip exactly, and every command is
 deterministic given --seed: identical invocations produce identical bytes.
 embed, project and distance validate every row before the output is opened.
 Spec ranks go up to 30; embed and project write or read dense rows, 3^alpha
@@ -156,51 +157,47 @@ def _open(stack: ExitStack, path: str | None, mode: str):
         raise _DataError(f"cannot {'read' if mode == 'r' else 'write'} {path}: {exc.strerror}") from None
 
 
-def _read_header(stack: ExitStack, path: str | None, raw: bool = False):
-    """The rows of a table (``_table_rows``, ``raw`` passed on) and its header
-    row, the first non-blank row.  A UTF-8 byte order mark at the start of the
-    input is dropped; a header that starts with one is split, as is every row
-    of a table read without ``raw``."""
-    rows = _table_rows(_open(stack, path, "r"), raw)
-    for n, (_, cells) in enumerate(rows):
-        if n == 0 and cells and cells[0].startswith("\ufeff"):
-            cells = _cells(cells)
-            cells[0] = cells[0][1:]
-        if not _blank(cells):
-            return rows, cells
+def _read_header(stack: ExitStack, path: str | None):
+    """The rows of a table (``_table_rows``) and its header, the first row."""
+    rows = _table_rows(_open(stack, path, "r"))
+    for _, header in rows:
+        return rows, header
     raise _DataError("input is empty: missing header row")
 
 
-def _table_rows(fh, raw: bool = False):
-    """``(line number, cells)`` of every row of the text file ``fh``, as
-    ``csv.reader`` and its ``line_num`` give them, when ``fh`` ends its lines
-    at CR, LF and CRLF (``newline=""`` or ``None``).  A line without a quote is
-    split at its commas; a line with one is read by ``csv.reader``, which reads
-    on through a quoted line break.  A row that ``csv`` cannot read is a data
-    error that names its line.  With ``raw``, a line without a quote that
-    starts with neither a comma nor whitespace, and so is not blank, is given
-    as its text, line end included, in place of its cells: ``_cells`` splits
-    it, and ``_read_rows`` first checks it against a dense class layout."""
+def _table_rows(fh):
+    """``(line number, row)`` of every non-blank row of the UTF-8 text file
+    ``fh``, as ``csv.reader`` and its ``line_num`` give them, when ``fh`` ends
+    its lines at CR, LF and CRLF (``newline=""`` or ``None``).  A byte order
+    mark at the start is dropped, as ``utf-8-sig`` drops it.  A line without a
+    quote is given as its text, line end included (``_cells`` splits it); a
+    line with one as its cells, read by ``csv.reader``, which reads on through
+    a quoted line break.  A row that ``csv`` cannot read is a data error that
+    names its line, and so is input that is not UTF-8."""
     lines = iter(fh)
     n = 0
-    for line in lines:
-        n += 1
-        if '"' in line:
-            cells, n = _csv_row(line, lines, n)
-        elif line in ("\n", "\r\n", "\r"):
-            cells = []
-        elif raw and line[0] != "," and not line[0].isspace():
-            cells = line
-        else:  # as _cells splits a text, inline: a narrow table pays no call per line
-            cells = line.split(",")
-            cells[-1] = cells[-1].rstrip("\r\n")
-        del line  # a row's text is held once, by its cells
-        yield n, cells
+    try:
+        first = next(lines, "")
+        for row in chain((first.removeprefix("\ufeff"),), lines):
+            n += 1
+            if '"' in row:
+                row, n = _csv_row(row, lines, n)  # the cells; the line's text goes
+                if _blank(row):
+                    continue
+            elif row.lstrip()[:1] in ("", ",") and not row.replace(",", "").strip():
+                continue  # commas and whitespace only, or the "" that a lone byte order mark leaves
+            yield n, row
+    except UnicodeDecodeError as exc:
+        raise _DataError(f"input {_not_utf8(exc)}") from None
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"is not UTF-8: byte 0x{exc.object[exc.start]:02x} does not decode"
 
 
 def _cells(row) -> list[str]:
     """The cells of a row of ``_table_rows``: the row itself, or the text of a
-    raw row split at its commas, its line end dropped from the last cell."""
+    line split at its commas, its line end dropped from the last cell."""
     if not isinstance(row, str):
         return row
     cells = row.split(",")
@@ -218,11 +215,9 @@ def _csv_row(line: str, lines, n: int):
         raise _DataError(f"line {n + reader.line_num - 1}: {exc}") from None
 
 
-def _blank(cells) -> bool:
-    """True if every cell is whitespace; a row whose first cell is not is never
-    joined, so a wide row costs one test.  The text of a raw row (``_table_rows``)
-    starts with a character that is not whitespace, so it is never blank
-    either."""
+def _blank(cells: list[str]) -> bool:
+    """True if every cell of a quoted row is whitespace; a row whose first cell
+    is not is never joined, so a wide row costs one test."""
     return not cells or (not cells[0].strip() and not "".join(cells).strip())
 
 
@@ -367,9 +362,9 @@ def _write_rows(fh, ids, values: np.ndarray, take: list[int] | None = None, alph
         # A line joins the parts that ``order`` picks: the id (part 0), then
         # one block per pattern, whose class texts a blank text closes with a
         # comma; the row's last block ends in its last text and the line end.
-        components, blank = _dense_layout(alpha)
+        components, blank, _ = _dense_layout(alpha)
         order, patterns = [0], []
-        for _, keys, cells in components:
+        for keys, cells in components:
             order += [len(patterns) + 1 + key for key in keys]
             patterns += [itemgetter(*c, blank) for c in cells]
         *last, end = cells[keys[-1]]  # the classes of the last component's last block
@@ -439,9 +434,9 @@ def _id_column(header) -> int:
 
 def _id_and_width(header) -> tuple[int, int]:
     """The ``id`` column of a header row (``_id_column``) and its cell count.
-    The text of a raw header (``_table_rows``) whose first cell reads ``id`` is
-    not split: its width is one more than its comma count.  Any other is split
-    (``_cells``)."""
+    A header line without a quote (``_table_rows``) whose first cell reads
+    ``id`` is not split: its width is one more than its comma count.  Any
+    other header is split (``_cells``)."""
     if isinstance(header, str):
         comma = header.find(",")
         if (header if comma < 0 else header[:comma]).strip().lower() == "id":
@@ -492,32 +487,28 @@ def _read_rows(rows, cols, idc: int, alpha: tuple[int, ...] | None = None):
     quarter when full, so no block's text outlives it and the floats are held
     once.
 
-    With the ranks ``alpha`` of a dense row, ``rows`` come from
-    ``_table_rows(fh, raw=True)`` and each row is a block of its own.  If
-    ``idc`` is 0, ``cols`` must be ``range(1, 1 + sum 3^alpha_i)``, and the
-    text of a raw row is first checked against the class layout and converted
+    With the ranks ``alpha`` of a dense row, each row is a block of its own.
+    If ``idc`` is 0, ``cols`` must be ``range(1, 1 + sum 3^alpha_i)``, and
+    the text of a row is first checked against the class layout and converted
     once per class text (``_layout_floats``); a row that fails the check, and
     any other row, is split and read as above, so the floats, ids, line
     numbers and data errors do not depend on the check."""
     pick = _picker(cols)
     table = np.empty((0, len(cols)))
     ids, lines = [], []
-    filled = ((line, cells) for line, cells in rows if not _blank(cells))
     step = 1 if alpha else max(1, _BLOCK_CELLS // len(cols))
-    while block := list(islice(filled, step)):
+    while block := list(islice(rows, step)):
         n = len(ids)
         if n + len(block) > len(table):
             table.resize((max(n + len(block), n + 1 + n // 4), len(cols)), refcheck=False)  # realloc, no second table
         out = table[n : n + len(block)]
-        if alpha and isinstance(block[0][1], str):
-            line, text = block.pop()
-            ident = _layout_floats(text, alpha, out[0]) if idc == 0 else None
+        if alpha and idc == 0 and isinstance(block[0][1], str):
+            ident = _layout_floats(block[0][1], alpha, out[0])
             if ident is not None:
                 ids.append(ident)
-                lines.append(line)
+                lines.append(block[0][0])
                 continue
-            block.append((line, _cells(text)))
-            del text
+        block = [(line, _cells(row)) for line, row in block]
         if not _block_floats(block, pick, out):
             for row, (line, cells) in zip(out, block):  # the first bad row, and its first bad cell, is named
                 _row_floats(cells, cols, line, row)
@@ -575,34 +566,37 @@ def _cell_floats(picked, size: int):
 def _dense_layout(alpha: tuple[int, ...]):
     """The class layout of a dense row of ranks ``alpha``, by which
     ``_layout_floats`` reads a wide row and ``_write_rows`` writes one:
-    ``(components, n_classes)``.
+    ``(components, n_classes, columns)``.
 
     The flat index of a rank-``a`` component is cut into a prefix of ``a - h``
     digits and a block of ``h = min(a, _LAYOUT_DIGITS)``, so a block is 3^h
     consecutive cells, and the digit counts of its prefix, its pattern, fix the
-    class of every cell in it.  Per component, ``(a, keys, patterns)``:
+    class of every cell in it.  Per component, ``(keys, patterns)``:
     ``keys[b]`` is the pattern of block ``b``, the patterns numbered in the
     order they first appear (bytes: at most 55 below rank 13), and
     ``patterns[k]`` the class of every cell of a block of pattern ``k``,
     numbered over the classes of all components side by side, ``n_classes``
-    of them.  Only these short lists are kept; ``tensors._classes`` holds
-    the maps that expand a component."""
-    components, first = [], 0
+    of them.  ``columns`` is the class of every cell of the row, so numbered
+    (``embedding.dense_class_columns``)."""
+    components, maps, first = [], [], 0
     for a in alpha:
-        h = min(a, _LAYOUT_DIGITS)
-        cells = _classes(a)[0].reshape(-1, 3**h) + first
+        ids, counts, _ = _classes(a)
+        maps.append(ids + first if first else ids)  # the first map is tensors', read-only
+        cells = maps[-1].reshape(-1, 3 ** min(a, _LAYOUT_DIGITS))
         heads = cells[:, 0].tolist()  # a block's first cell: its prefix's counts and h zeros, so its pattern
         numbers = {c: k for k, c in enumerate(dict.fromkeys(heads))}
         keys = bytes([numbers[c] for c in heads])
         patterns = [cells[heads.index(c)].tolist() for c in numbers]
-        components.append((a, keys, patterns))
-        first += len(_classes(a)[1])
-    return tuple(components), first
+        components.append((keys, patterns))
+        first += len(counts)
+    columns = np.concatenate(maps) if len(maps) > 1 else maps[0]
+    columns.setflags(write=False)
+    return tuple(components), first, columns
 
 
 def _layout_floats(text: str, alpha: tuple[int, ...], out: np.ndarray) -> str | None:
     """Write the dense row of ranks ``alpha`` that follows the id cell of the
-    raw row ``text`` into ``out`` and give the id, stripped, if every cell of a
+    row ``text`` into ``out`` and give the id, stripped, if every cell of a
     class holds the same text (``_dense_layout``) and the class texts are
     finite numbers; else None, with ``out`` unwritten.
 
@@ -611,9 +605,8 @@ def _layout_floats(text: str, alpha: tuple[int, ...], out: np.ndarray) -> str | 
     later block of that pattern is one ``startswith`` of the first one's
     text, its closing comma included.  Only a row whose text is used up
     exactly, no cell short or over, passes.  Each class text is then
-    converted once, as ``_cell_floats`` converts a cell, and expanded by its
-    class map in place."""
-    components, n_classes = _dense_layout(alpha)
+    converted once (``_cell_floats``) and expanded by ``columns`` in place."""
+    components, n_classes, columns = _dense_layout(alpha)
     stop = len(text)
     while stop and text[stop - 1] in "\r\n":  # the line end, as _cells drops it
         stop -= 1
@@ -621,7 +614,7 @@ def _layout_floats(text: str, alpha: tuple[int, ...], out: np.ndarray) -> str | 
     if not pos:
         return None
     texts = [None] * n_classes
-    for _, keys, patterns in components:
+    for keys, patterns in components:
         firsts = [None] * len(patterns)  # the text of the first block of each pattern, its comma included
         for key in keys:
             block = firsts[key]
@@ -643,19 +636,10 @@ def _layout_floats(text: str, alpha: tuple[int, ...], out: np.ndarray) -> str | 
                 pos = end + 1
             if block is None:
                 firsts[key] = text[start:pos]
-    if pos != stop + 1 or not _plain(texts):
+    values = _cell_floats((texts,), n_classes) if pos == stop + 1 else None
+    if values is None:
         return None
-    try:
-        values = np.fromiter(map(float, texts), float, n_classes)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    at = first = 0
-    for a, _, _ in components:
-        ids, count = _classes(a)[0], len(_classes(a)[1])
-        values[first : first + count].take(ids, out=out[at : at + len(ids)])
-        at, first = at + len(ids), first + count
+    values.take(columns, out=out)
     return text[: head - 1].strip()
 
 
@@ -709,6 +693,8 @@ def _resolve_spec(args) -> EmbeddingSpec:
             text = Path(args.spec).read_text(encoding="utf-8")
         except OSError as exc:
             raise _DataError(f"cannot read {args.spec}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise _DataError(f"{args.spec} {_not_utf8(exc)}") from None
         try:
             return parse_spec_document(text)
         except ValueError as exc:
@@ -754,6 +740,7 @@ def cmd_embed(args) -> int:
     spec, dim = _dense_spec(args)
     with ExitStack() as stack:
         reader, header = _read_header(stack, args.input)
+        header = _cells(header)
         kind, cols = _rotation_layout(header)
         idc = _id_column(header)
         # Every row is validated before the output is opened, so a data error
@@ -775,7 +762,7 @@ def cmd_project(args) -> int:
     spec, dim = _dense_spec(args)
     wide = dim > _BLOCK_CELLS  # a row of more than a block: its text is checked against the class layout
     with ExitStack() as stack:
-        reader, header = _read_header(stack, args.input, raw=wide)
+        reader, header = _read_header(stack, args.input)
         idc, width = _id_and_width(header)
         del header  # a Y header is 59,050 cells: dropped before the rows are read
         coord_cols = range(1, width) if idc == 0 else [*range(idc), *range(idc + 1, width)]
@@ -815,6 +802,7 @@ def cmd_distance(args) -> int:
         spec = None
     with ExitStack() as stack:
         reader, header = _read_header(stack, args.input)
+        header = _cells(header)
         idc = _id_column(header)
         kind1, cols1 = _rotation_layout(header, "1")
         kind2, cols2 = _rotation_layout(header, "2")

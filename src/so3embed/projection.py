@@ -548,5 +548,6 @@ def _project_block(spec, rows, norms, spiral, tol, max_iter):
     quats, iterations, converged = (np.array(column) for column in zip(*answers))
     images = dense_rows(spec, class_values(spec, quaternions_to_matrices(quats)))
     objectives = np.einsum("ij,ij->i", images, rows)
+    # np.sum's order follows the memory layout of ``images``, and so do the residuals' bits
     residuals = np.sqrt(np.sum(np.square(np.subtract(images, rows, out=images), out=images), axis=1))
     return quats, objectives, residuals, iterations, converged

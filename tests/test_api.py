@@ -108,6 +108,28 @@ def test_only_dense_layout_reads_the_layout_digits():
     assert len(loads) == 1
 
 
+def _cli_functions_that(test) -> list[str]:
+    """The names of the functions of ``cli`` with a node that passes ``test``,
+    and the module level if a node outside them does."""
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    inside = {id(n) for f in functions for n in ast.walk(f)}
+    names = [f.name for f in functions if any(test(n) for n in ast.walk(f))]
+    return names + ["<module>"] * any(test(n) and id(n) not in inside for n in ast.walk(tree))
+
+
+def test_only_table_rows_names_the_byte_order_mark():
+    # the table reader drops the mark before any other code sees a line
+    assert _cli_functions_that(lambda n: isinstance(n, ast.Constant) and "\ufeff" in str(n.value)) == ["_table_rows"]
+
+
+def test_only_dense_layout_reads_the_class_maps():
+    # the cross-component class numbering of a dense row is derived once
+    assert _cli_functions_that(lambda n: isinstance(n, ast.Name) and n.id == "_classes" and isinstance(n.ctx, ast.Load)) == [
+        "_dense_layout"
+    ]
+
+
 def test_unused_import_check_flags_an_unread_name_only():
     source = (
         "from __future__ import annotations\n"

@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 
 from so3embed import analysis, cli
 from so3embed.analysis import distance_scatter
-from so3embed.cli import _DataError, _blank, _read_rows, _table_rows, _write_rows, build_parser, main
+from so3embed.cli import _DataError, _blank, _cells, _read_rows, _table_rows, _write_rows, build_parser, main
 from so3embed.embedding import (
     _BLOCK_ENTRIES,
     TABLE_GROUPS,
     class_values,
+    dense_class_columns,
     dense_rows,
     embed,
     embedded_distance,
@@ -235,9 +236,12 @@ _LINES = st.one_of(
     st.text(alphabet='a1,"\r\n \ufeff', max_size=12),
 )
 def test_table_rows_yield_the_cells_and_line_numbers_of_csv_reader(bom, lines, last, noise):
+    # the rows that are not blank, as csv reads the text once its leading
+    # byte order mark is dropped
     text = "\ufeff" * bom + "".join(a + b for a, b in lines) + last + noise
-    reader = csv.reader(io.StringIO(text, newline=""))
-    assert list(_table_rows(io.StringIO(text, newline=""))) == [(reader.line_num, cells) for cells in reader]
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    want = [(reader.line_num, cells) for cells in reader if any(cell.strip() for cell in cells)]
+    assert [(n, _cells(row)) for n, row in _table_rows(io.StringIO(text, newline=""))] == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -299,8 +303,8 @@ def test_read_rows_takes_each_id_after_its_row_converts():
 
 def _spy_paths(monkeypatch) -> list[str]:
     """The conversion of every row or block ``_read_rows`` converts at once, in
-    order: "layout" (a raw row that ``_layout_floats`` accepts) or "cell"
-    (``_cell_floats``)."""
+    order: "layout" (a row text that ``_layout_floats`` accepts) or "cell"
+    (``_block_floats``)."""
     paths = []
 
     def layout(text, alpha, out, check=cli._layout_floats):
@@ -309,12 +313,12 @@ def _spy_paths(monkeypatch) -> list[str]:
             paths.append("layout")
         return ident
 
-    def cell(picked, size, convert=cli._cell_floats):
+    def cell(block, pick, out, convert=cli._block_floats):
         paths.append("cell")
-        return convert(picked, size)
+        return convert(block, pick, out)
 
     monkeypatch.setattr(cli, "_layout_floats", layout)
-    monkeypatch.setattr(cli, "_cell_floats", cell)
+    monkeypatch.setattr(cli, "_block_floats", cell)
     return paths
 
 
@@ -348,7 +352,7 @@ def test_read_rows_gives_the_bits_of_float_per_cell(repeated, tmp_path, monkeypa
     paths = _spy_paths(monkeypatch)
     for text, alpha in texts:
         paths.clear()
-        reader = _table_rows(io.StringIO(text), raw=alpha is not None)
+        reader = _table_rows(io.StringIO(text))
         width = cli._id_and_width(next(reader)[1])[1] - 1
         vals, ids, lines = _read_rows(reader, range(1, width + 1), 0, alpha)
         want = np.array([[float(c) for c in line.split(",")[1:]] for line in text.splitlines()[1:]])
@@ -364,8 +368,8 @@ def test_read_rows_gives_the_bits_of_float_per_cell(repeated, tmp_path, monkeypa
 
 def _read_outcome(text: str, cols, idc: int, force: str | None = None, block_cells: int = 8, alpha=None):
     """What ``_read_rows`` gives on the rows of ``text`` after its header, in
-    blocks of ``block_cells`` cells, each row read raw and checked against
-    the class layout of ranks ``alpha`` if given: the table's bytes and shape,
+    blocks of ``block_cells`` cells, each row text checked against the class
+    layout of ranks ``alpha`` if given: the table's bytes and shape,
     the ids and the line numbers, or the data error's message.  ``force``
     "row" takes every conversion at once away, so each row goes through
     ``_row_floats`` alone, the number grammar cell by cell."""
@@ -376,7 +380,7 @@ def _read_outcome(text: str, cols, idc: int, force: str | None = None, block_cel
     with contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
-        reader = _table_rows(io.StringIO(text), raw=alpha is not None)
+        reader = _table_rows(io.StringIO(text))
         next(reader)
         try:
             vals, ids, lines = _read_rows(reader, cols, idc, alpha)
@@ -416,7 +420,7 @@ def _assert_every_conversion_path_agrees(layout, rows, edits, block_cells):
         lines.append(",".join(cells))
     text = header + "\n" + "\n".join(lines) + "\n"
     want = _read_outcome(text, cols, idc, "row", block_cells)
-    # three cells after the id are a dense row of rank 1: every raw row with
+    # three cells after the id are a dense row of rank 1: every row text with
     # the id first passes the layout check if its cells are finite numbers
     assert _read_outcome(text, cols, idc, None, block_cells) == want, "cell"
     assert _read_outcome(text, cols, idc, None, block_cells, (1,)) == want, "layout"
@@ -461,7 +465,7 @@ def test_read_rows_picks_the_conversion_of_each_block(clean_first, monkeypatch):
     text = "id," + ",".join(f"e{i}" for i in range(rows.shape[1])) + "\n"
     text += "".join(f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows.tolist()))
     paths = _spy_paths(monkeypatch)
-    reader = _table_rows(io.StringIO(text), raw=True)
+    reader = _table_rows(io.StringIO(text))
     next(reader)
     vals, ids, lines = _read_rows(reader, range(1, rows.shape[1] + 1), 0, spec.alpha)
     assert vals.tobytes() == rows.tobytes() and ids[-1] == "r5" and lines[-1] == 7
@@ -562,17 +566,18 @@ def test_a_layout_check_that_trusts_repeated_blocks_fails_the_dense_row_test(mon
 def test_a_raw_header_gives_the_id_column_and_width_of_its_cells(cells, end):
     # the text of a header whose first cell reads id is not split; the
     # outcome is that of its cells either way, the error included
-    assume(cells != [""])  # no line, or a line end alone, which has no cells
+    assume(any(cell.strip() for cell in cells))  # a blank line is no header: _table_rows skips it
 
-    def outcome(raw):
-        header = next(_table_rows(io.StringIO(",".join(cells) + end, newline=""), raw=raw))[1]
+    def outcome(header):
         try:
             return cli._id_and_width(header)
         except _DataError as exc:
             return str(exc)
 
+    header = next(_table_rows(io.StringIO(",".join(cells) + end, newline="")))[1]
     idc = next((i for i, cell in enumerate(cells) if cell.strip().lower() == "id"), None)
-    assert outcome(True) == outcome(False) == ((idc, len(cells)) if idc is not None else "header must contain an 'id' column")
+    assert isinstance(header, str)
+    assert outcome(header) == outcome(_cells(header)) == ((idc, len(cells)) if idc is not None else "header must contain an 'id' column")
 
 
 def _project_variants(group: str) -> dict[str, str]:
@@ -631,15 +636,19 @@ def test_header_names_match_stripped_and_caseless_and_the_first_one_wins():
     assert np.abs(coords - np.diag([1.0, -1.0, -1.0]).ravel() / math.sqrt(2.0)).max() < 1e-16
 
 
+def _pair_table(quats) -> str:
+    return "id,qw1,qx1,qy1,qz1,qw2,qx2,qy2,qz2\n" + "".join(
+        f"p{i}," + ",".join(map(repr, map(float, (*a, *b)))) + "\n" for i, (a, b) in enumerate(zip(quats, quats[::-1]))
+    )
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_a_utf8_byte_order_mark_leaves_every_table_command_unchanged(source, tmp_path, monkeypatch, capsys):
     quats = random_quaternions(np.random.default_rng(31), 4)
     plain, embedded = tmp_path / "q.csv", tmp_path / "e.csv"
     plain.write_text(quaternion_table(quats))
     assert main(["embed", "--group", "O", "-i", str(plain), "-o", str(embedded)]) == 0
-    pairs = "id,qw1,qx1,qy1,qz1,qw2,qx2,qy2,qz2\n" + "".join(
-        f"p{i}," + ",".join(map(repr, map(float, (*a, *b)))) + "\n" for i, (a, b) in enumerate(zip(quats, quats[::-1]))
-    )
+    pairs = _pair_table(quats)
     tables = {
         ("embed", "--group", "O"): plain.read_text(),
         ("distance", "--group", "O"): pairs,
@@ -660,6 +669,56 @@ def test_a_utf8_byte_order_mark_leaves_every_table_command_unchanged(source, tmp
     for argv, text in tables.items():
         assert text.startswith("id,")
         assert run(argv, "\ufeff" + text) == run(argv, text), argv
+
+
+@pytest.mark.parametrize("group", ["C4", "Y"])
+def test_a_byte_order_mark_before_a_quoted_header_is_dropped(group, tmp_path, capsys):
+    # csv reads a quoted header: the mark goes before it sees the first line,
+    # so the table gives the bytes of the same table without the mark
+    quats = random_quaternions(np.random.default_rng(32), 3)
+    plain, embedded = tmp_path / "q.csv", tmp_path / "e.csv"
+    plain.write_text(quaternion_table(quats))
+    assert main(["embed", "--group", group, "-i", str(plain), "-o", str(embedded)]) == 0
+    tables = {"embed": plain.read_text(), "distance": _pair_table(quats), "project": embedded.read_text()}
+
+    def run(command, text):
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_bytes(text.encode("utf-8"))
+        code = main([command, "--group", group, "-i", str(src), "-o", str(out)])
+        return code, capsys.readouterr().err, out.read_bytes()
+
+    for command, text in tables.items():
+        header, rest = text.split("\n", 1)
+        quoted = ",".join(f'"{cell}"' for cell in header.split(",")) + "\n" + rest
+        assert run(command, "\ufeff" + quoted) == run(command, text), command
+        assert run(command, text)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["embed", "distance", "project"])
+def test_a_table_that_is_not_utf8_is_a_data_error(command, tmp_path, capsys):
+    # a Latin-1 id past the first 8 KiB that the reader decodes at once
+    quats = random_quaternions(np.random.default_rng(33), 200)
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    if command == "project":
+        src.write_text(quaternion_table(quats))
+        assert main(["embed", "--group", "C4", "-i", str(src), "-o", str(out)]) == 0
+        text = out.read_text()
+        out.unlink()
+    else:
+        text = quaternion_table(quats) if command == "embed" else _pair_table(quats)
+    data = text.encode("utf-8").replace(b"\nr199,", b"\nr\xe9,").replace(b"\np199,", b"\np\xe9,")
+    assert b"\xe9" in data[8192:]
+    src.write_bytes(data)
+    assert main([command, "--group", "C4", "-i", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: input is not UTF-8: byte 0xe9 does not decode\n"
+    assert not out.exists()
+
+
+def test_a_spec_document_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    doc = tmp_path / "spec.txt"
+    doc.write_bytes(b"group = C4  # caf\xe9\n")
+    assert main(["bounds", "--spec", str(doc), "--pairs", "10", "--no-refine"]) == 2
+    assert capsys.readouterr().err == f"error: {doc} is not UTF-8: byte 0xe9 does not decode\n"
 
 
 def test_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path):
@@ -1088,11 +1147,17 @@ def test_layout_writer_lines_are_the_flat_gathers(alpha, beta, rows, specials):
     assert _layout_matches_the_flat_gather(spec, values, [i for i, _ in rows])
 
 
+@pytest.mark.parametrize("source", ["D6", "Y", (6,), (10,), (7, 2, 6)])
+def test_the_dense_layout_numbers_the_classes_as_dense_class_columns(source):
+    spec = registry_lookup(source) if isinstance(source, str) else parse_spec_document(_spec_document(source))
+    assert cli._dense_layout(spec.alpha)[2].tolist() == dense_class_columns(spec)
+
+
 def test_layout_writer_that_reuses_a_first_block_fails_the_byte_check():
     # negative control: every block of a component written from its first one
     def first_blocks(alpha):
-        components, n_classes = layout(alpha)
-        return tuple((a, [keys[0]] * len(keys), patterns) for a, keys, patterns in components), n_classes
+        components, n_classes, columns = layout(alpha)
+        return tuple(([keys[0]] * len(keys), patterns) for keys, patterns in components), n_classes, columns
 
     layout, spec = cli._dense_layout, registry_lookup("D6")
     values = np.concatenate(class_values(spec, quaternions_to_matrices(BYTE_QUATS[4:])), axis=1)
